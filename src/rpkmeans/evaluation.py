@@ -74,8 +74,8 @@ def accuracy(pred: Assignment, truth) -> float:
         raise ParameterError("truth labels must be nonnegative")
     k_true = int(truth.max()) + 1
     size = max(pred.k, k_true)
-    conf = np.zeros((size, size))
-    np.add.at(conf, (pred.labels, truth), 1.0)
+    conf = np.bincount(pred.labels * size + truth,
+                       minlength=size * size).reshape(size, size).astype(np.float64)
     rows, cols = linear_sum_assignment(conf, maximize=True)
     return float(conf[rows, cols].sum()) / pred.n
 

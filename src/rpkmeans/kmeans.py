@@ -1,9 +1,11 @@
 """Lloyd's heuristic, an exact exhaustive solver, and the project-then-cluster
 pipeline built on top of them."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as _sparse
 
 from . import mailman as _mailman, projection as _projection, rng as _rng
 from .errors import ParameterError
@@ -114,6 +116,23 @@ class KMeansResult:
     objective_trace: np.ndarray
 
 
+def cluster_sums(a, labels, k: int) -> np.ndarray:
+    """Per-cluster row sums: row j of the k x d result sums the rows of a
+    labelled j (zero for an empty cluster).
+
+    A k x n one-hot CSR matrix, its columns ordered by a stable sort of the
+    labels, multiplies a; each cluster therefore adds its rows in ascending
+    row order, the same order as np.add.at, so the sums are bit-identical.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
+    onehot = _sparse.csr_matrix(
+        (np.ones(labels.size), np.argsort(labels, kind="stable"), indptr),
+        shape=(k, labels.size),
+    )
+    return np.asarray(onehot @ a)
+
+
 def objective(a, asg: Assignment) -> float:
     """Sum of squared distances from each point to its cluster mean."""
     a = as_matrix(a)
@@ -121,8 +140,7 @@ def objective(a, asg: Assignment) -> float:
         raise ParameterError("assignment length does not match row count")
     if (asg.cluster_sizes[asg.labels] == 0).any():
         raise ParameterError("assignment references an empty cluster")
-    sums = np.zeros((asg.k, a.shape[1]))
-    np.add.at(sums, asg.labels, a)
+    sums = cluster_sums(a, asg.labels, asg.k)
     denom = np.maximum(asg.cluster_sizes, 1)[:, None]
     centroids = sums / denom
     diff = a - centroids[asg.labels]
@@ -161,6 +179,10 @@ def _lloyd_once(a, k, centroids, max_iter, tol):
     n = a.shape[0]
     a_sq = np.einsum("ij,ij->i", a, a)
     a_sq_total = float(a_sq.sum())
+    # n * sum ||a_i||^2 bounds every squared distance and squared cluster sum
+    # formed below; where it overflows, the objective would become inf or NaN.
+    if not math.isfinite(a_sq_total * max(n, 4)):
+        raise ParameterError("squared norms of the input overflow float64; rescale it")
     labels_prev = None
     trace = []
     converged = False

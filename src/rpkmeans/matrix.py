@@ -1,5 +1,6 @@
 """Dense matrix kernels: norms, thin SVD, rank-k truncation, pseudo-inverse."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,13 @@ def as_matrix(values) -> np.ndarray:
 
 
 def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(a)))
+    """Square root of the sum of squared entries.
+
+    Summed by einsum, not a BLAS dot: a threaded BLAS splits the sum by
+    thread count, which would make the last bit depend on it.
+    """
+    a = as_matrix(a)
+    return math.sqrt(float(np.einsum("ij,ij->", a, a)))
 
 
 def spectral_norm(a, tol: float = 1e-10, max_iter: int = 1000) -> float:

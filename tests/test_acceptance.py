@@ -181,9 +181,11 @@ def test_criterion_09_descent_trace_monotone():
     total = 0
     for _, _, result in _corpus():
         total += 1
-        if np.any(np.diff(result.objective_trace) > 0):
+        trace = result.objective_trace
+        # a NaN trace passes the diff test vacuously, so require finiteness
+        if not np.isfinite(trace).all() or np.any(np.diff(trace) > 0):
             violations += 1
-    _criterion(9, "every recorded objective trace is non-increasing",
+    _criterion(9, "every recorded objective trace is finite and non-increasing",
                violations == 0, f"{total} traces, {violations} violations")
 
 

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +91,23 @@ def test_cluster_hd_is_deterministic(tmp_path):
         outputs.append(payload["result"])
     assert outputs[0]["labels"] == outputs[1]["labels"]
     assert outputs[0]["f_tilde"] == outputs[1]["f_tilde"]
+
+
+def test_cluster_output_independent_of_blas_threads(tmp_path):
+    data = make_dataset(tmp_path, n=400, d=256, k=8, seed=6)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "rpkmeans.cli", "cluster", "--input", str(data),
+             "--k", "8", "--method", "rp_mailman", "--t", "40", "--replicates", "3"],
+            env=env, capture_output=True, timeout=120, check=True)
+        # the timing fields are the only part allowed to differ
+        outputs.append(re.sub(rb'("\w+_ms": )[^,\n]+', rb"\1null", done.stdout))
+    assert b'"labels"' in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_experiment_hd_twice_identical_scores(tmp_path):
@@ -213,6 +235,14 @@ def test_bad_epsilon_exits_two(tmp_path):
     code = cli.main(["cluster", "--input", str(data), "--k", "4",
                      "--epsilon", "0.9", "--method", "rp_naive", "--t", "8"])
     assert code == 2
+
+
+def test_cluster_overflowing_input_exits_two(tmp_path):
+    ds = dataio.generate_mixture(dataio.MixtureSpec(n=20, d=4, k=2, seed=0))
+    path = tmp_path / "huge.csv"
+    dataio.write_csv(dataio.Dataset(points=ds.points * 1e200, labels=ds.labels,
+                                    source="huge"), path)
+    assert cli.main(["cluster", "--input", str(path), "--k", "2"]) == 2
 
 
 def test_missing_k_exits_two(tmp_path):

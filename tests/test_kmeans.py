@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rpkmeans import kmeans
 from rpkmeans.errors import ParameterError
@@ -69,6 +70,42 @@ def test_objective_length_mismatch():
     asg = kmeans.Assignment.from_labels([0, 1], 2)
     with pytest.raises(ParameterError):
         kmeans.objective(np.zeros((3, 2)), asg)
+
+
+def _add_at_sums(a, labels, k):
+    sums = np.zeros((k, a.shape[1]))
+    np.add.at(sums, labels, a)
+    return sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 6), k=st.integers(1, 8),
+       used=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
+@example(n=1, d=3, k=1, used=1, seed=0)    # n = 1
+@example(n=1, d=2, k=5, used=1, seed=1)    # k above the largest label + 1
+@example(n=30, d=4, k=6, used=2, seed=2)   # empty clusters
+def test_cluster_sums_bit_identical_to_add_at(n, d, k, used, seed):
+    rng = np.random.default_rng(seed)
+    # row magnitudes over 12 decades make any change of summation order show
+    a = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+    labels = rng.integers(0, min(used, k), size=n)
+    assert np.array_equal(kmeans.cluster_sums(a, labels, k), _add_at_sums(a, labels, k))
+
+
+def _huge_cluster_sums():
+    a = np.full((1000, 1), 3e151)
+    a[::2] *= 1.01
+    return a
+
+
+@pytest.mark.parametrize("a", [
+    np.random.default_rng(167).standard_normal((20, 3)) * 1e200,  # row norms overflow
+    _huge_cluster_sums(),  # row norms finite, squared cluster sums overflow
+])
+def test_lloyd_refuses_input_whose_squared_norms_overflow(a):
+    # finite input used to come back with a NaN (or zero) objective trace
+    with pytest.raises(ParameterError, match="overflow"):
+        kmeans.lloyd(a, 2)
 
 
 def test_lloyd_one_cluster_per_point():

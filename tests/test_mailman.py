@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rpkmeans import mailman, projection
 from rpkmeans.errors import ParameterError
@@ -159,3 +160,50 @@ def test_project_mailman_deterministic():
     one = mailman.project_mailman(a, mailman.build_plan(32, 11, seed=2))
     two = mailman.project_mailman(a, mailman.build_plan(32, 11, seed=2))
     assert np.array_equal(one, two)
+
+
+def _assert_matches_dense(a, plan):
+    fast = mailman.project_mailman(a, plan)
+    slow = a @ mailman.densify(plan, scaled=True)
+    assert fast.shape == slow.shape
+    assert np.linalg.norm(fast - slow) <= 1e-12 * max(np.linalg.norm(slow), 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(2, 300), t=st.integers(1, 40),
+       seed=st.integers(0, 2**31 - 1))
+@example(n=5, d=2, t=3, seed=0)        # d = 2: width-1 blocks
+@example(n=4, d=100, t=1, seed=1)      # t = 1
+@example(n=3, d=1000, t=5, seed=2)     # t < p = 9, d not a power of two
+@example(n=1, d=777, t=29, seed=3)     # n = 1, blocks wider than one slice
+def test_project_mailman_equals_dense_product(n, d, t, seed):
+    a = np.random.default_rng(seed).standard_normal((n, d))
+    _assert_matches_dense(a, mailman.build_plan(d, t, seed))
+
+
+def _multi_tile_case():
+    # d = 64 gives p = 6, one slice of 64 buckets per block, so a tile holds
+    # TILE_BYTES // (8 * blocks * 64) rows; n spans more than three tiles.
+    d, t = 64, 60
+    rows_per_tile = mailman.TILE_BYTES // (8 * (t // 6) * 64)
+    n = 3 * rows_per_tile + 1
+    a = np.random.default_rng(89).standard_normal((n, d))
+    return a, mailman.build_plan(d, t, seed=5)
+
+
+def test_project_mailman_spans_several_row_tiles():
+    _assert_matches_dense(*_multi_tile_case())
+
+
+@settings(max_examples=10, deadline=None)
+@given(cuts=st.lists(st.integers(0, 10**6), max_size=6))
+def test_project_mailman_rows_do_not_depend_on_tiling(cuts):
+    a, plan = _multi_tile_case()
+    n = a.shape[0]
+    whole = mailman.project_mailman(a, plan)
+    bounds = [0] + sorted(c % (n + 1) for c in cuts) + [n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > lo:
+            assert np.array_equal(mailman.project_mailman(a[lo:hi], plan), whole[lo:hi])
+    mid = n // 2
+    assert np.array_equal(mailman.project_mailman(a[mid:mid + 1], plan), whole[mid:mid + 1])
