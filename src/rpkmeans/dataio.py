@@ -1,7 +1,9 @@
 """Dataset construction and IO: synthetic mixtures, CSV, and PGM images."""
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,20 +86,79 @@ def generate_mixture(spec: MixtureSpec) -> Dataset:
 def write_csv(dataset: Dataset, path) -> None:
     """Write points (and labels, when present) with a header row.
 
-    Floats are written with repr, which round-trips float64 exactly.
+    Floats are written with repr, which round-trips float64 exactly.  Rows
+    end in CRLF: the bytes are those csv.writer writes for the same cells.
+    """
+    header = [f"x{j}" for j in range(dataset.d)]
+    rows = (",".join(map(repr, row)) for row in dataset.points.tolist())
+    if dataset.labels is not None:
+        header.append("label")
+        rows = (f"{row},{label}" for row, label in zip(rows, dataset.labels.tolist()))
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row + "\r\n" for row in rows)
+
+
+# Every character a plain numeric CSV body holds.  A body with any other
+# character (a quote, a letter other than e, "_", a tab, "#") is left to
+# the per-cell parser.
+_NUMERIC_BODY = re.compile(r"[0-9eE.+\-, \r\n]*")
+
+
+def read_csv(path) -> Dataset:
+    """Read a numeric CSV, with or without a header row.
+
+    The first row counts as a header when any of its cells fails to parse
+    as a number.  A final column named "label" becomes integer class
+    labels.  Ragged rows and non-numeric cells raise DataFormatError with
+    their position; a missing file raises FileNotFoundError.
+
+    Plain numeric files parse in one vectorized pass; anything that pass
+    does not accept as is goes through the per-cell parser, which gives the
+    same values and finds the row and column of any error.
     """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x{j}" for j in range(dataset.d)]
-        if dataset.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(v) for v in dataset.points[i].tolist()]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+    with path.open("r", newline="") as fh:
+        text = fh.read()
+    parsed = _parse_numeric(text)
+    points, labels = parsed if parsed is not None else _parse_cells(text, path)
+    return Dataset(points=points, labels=labels, source=str(path))
+
+
+def _parse_numeric(text):
+    """(points, labels or None) of a plain numeric CSV, or None when the
+    text holds anything the per-cell parser would read differently."""
+    first, _, rest = text.lstrip("\r\n").partition("\n")
+    first = first.removesuffix("\r")
+    # csv.reader splits the first row as str.split does, unless it holds a
+    # quote, a CR (a row end to csv) or a NUL (an error to csv before 3.11)
+    if any(ch in first for ch in '"\r\x00'):
+        return None
+    cells = first.split(",")
+    try:
+        [float(cell) for cell in cells]
+        header, body = None, text
+    except ValueError:
+        header, body = cells, rest
+    if not _NUMERIC_BODY.fullmatch(body):
+        return None
+    lines = [line for line in body.splitlines() if line]
+    if not lines:
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    # the rows and width the per-cell parser sees, whatever lines loadtxt skips
+    if values.shape != (len(lines), len(cells)) or not np.isfinite(values).all():
+        return None
+    if header is None or header[-1].strip().lower() != "label":
+        return values, None
+    labels = values[:, -1]
+    # integers within int64, the labels the per-cell parser converts
+    if not np.array_equal(labels, np.trunc(labels)) or np.abs(labels).max() >= 2.0**63:
+        return None
+    return values[:, :-1], labels.astype(np.int64)
 
 
 def _parse_cell(text, row, col):
@@ -112,17 +173,10 @@ def _parse_cell(text, row, col):
     return value
 
 
-def read_csv(path) -> Dataset:
-    """Read a numeric CSV, with or without a header row.
-
-    The first row counts as a header when any of its cells fails to parse
-    as a number.  A final column named "label" becomes integer class
-    labels.  Ragged rows and non-numeric cells raise DataFormatError with
-    their position; a missing file raises FileNotFoundError.
-    """
-    path = Path(path)
-    with path.open("r", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+def _parse_cells(text, path):
+    """(points, labels or None) parsed cell by cell with the csv module;
+    raises DataFormatError naming the row and column of the first error."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if not rows:
         raise DataFormatError(f"{path}: no rows")
     header = None
@@ -151,11 +205,8 @@ def read_csv(path) -> Dataset:
             if value != int(value):
                 raise DataFormatError(f"row {line}: label must be an integer")
             labels.append(int(value))
-    return Dataset(
-        points=np.array(points, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64) if has_label else None,
-        source=str(path),
-    )
+    return (np.array(points, dtype=np.float64),
+            np.array(labels, dtype=np.int64) if has_label else None)
 
 
 def _read_pgm(path) -> np.ndarray:

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import projection as _projection, rng as _rng
 from .errors import ParameterError
@@ -75,9 +74,50 @@ def accuracy(pred: Assignment, truth) -> float:
     k_true = int(truth.max()) + 1
     size = max(pred.k, k_true)
     conf = np.bincount(pred.labels * size + truth,
-                       minlength=size * size).reshape(size, size).astype(np.float64)
-    rows, cols = linear_sum_assignment(conf, maximize=True)
-    return float(conf[rows, cols].sum()) / pred.n
+                       minlength=size * size).reshape(size, size)
+    return _max_matching_weight(conf) / pred.n
+
+
+def _max_matching_weight(weights) -> int:
+    """Largest total weight of a one-to-one row-to-column matching of a
+    square nonnegative integer matrix.
+
+    The Hungarian method in its shortest-augmenting-path form: rows join
+    one at a time, and dual potentials keep every reduced cost nonnegative.
+    Integer arithmetic makes the optimum exact.  Index 0 of the column
+    arrays is a sentinel that holds the row being added.
+    """
+    weights = np.asarray(weights, dtype=np.int64)
+    n = weights.shape[0]
+    cost = np.zeros((n + 1, n + 1), dtype=np.int64)
+    cost[1:, 1:] = weights.max() - weights
+    big = np.iinfo(np.int64).max // 2
+    u = np.zeros(n + 1, dtype=np.int64)      # row potentials
+    v = np.zeros(n + 1, dtype=np.int64)      # column potentials
+    owner = np.zeros(n + 1, dtype=np.int64)  # row matched to each column, 0 = none
+    way = np.zeros(n + 1, dtype=np.int64)    # previous column on the shortest path
+    for row in range(1, n + 1):
+        owner[0] = row
+        col = 0
+        slack = np.full(n + 1, big, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while owner[col] != 0:
+            used[col] = True
+            reduced = cost[owner[col]] - u[owner[col]] - v
+            better = ~used & (reduced < slack)
+            slack[better] = reduced[better]
+            way[better] = col
+            nxt = int(np.argmin(np.where(used, big, slack)))
+            delta = slack[nxt]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            col = nxt
+        while col:  # flip the matching along the path back to the sentinel
+            prev = way[col]
+            owner[col] = owner[prev]
+            col = prev
+    return int(weights[owner[1:] - 1, np.arange(n)].sum())
 
 
 def _trial_seed(seed, index):

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as _sparse
 
 from . import mailman as _mailman, projection as _projection, rng as _rng
 from .errors import ParameterError
@@ -78,15 +77,11 @@ class FirstOfEachGroup:
 class SolverSpec:
     """Which solver to run and with what budget.
 
-    gamma is the guaranteed approximation factor: 1.0 for the exhaustive
-    solver, None for Lloyd (a heuristic, reported without a guarantee).
     Replicates beyond the first restart Lloyd from seeded random rows and
     keep the best objective.
     """
 
     kind: str = "lloyd"
-    gamma: float | None = None
-    delta_gamma: float = 0.0
     max_iter: int = 100
     tol: float = 1e-9
     init: object = field(default_factory=FirstOfEachGroup)
@@ -95,10 +90,6 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in ("lloyd", "brute_force"):
             raise ParameterError(f"unknown solver kind {self.kind!r}")
-        if self.gamma is not None and self.gamma < 1.0:
-            raise ParameterError("gamma must be at least 1 when given")
-        if not 0.0 <= self.delta_gamma < 1.0:
-            raise ParameterError("delta_gamma must lie in [0, 1)")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
         if self.tol < 0:
@@ -124,9 +115,12 @@ def cluster_sums(a, labels, k: int) -> np.ndarray:
     labels, multiplies a; each cluster therefore adds its rows in ascending
     row order, the same order as np.add.at, so the sums are bit-identical.
     """
+    # imported here so that importing the package does not load scipy
+    from scipy import sparse
+
     labels = np.asarray(labels, dtype=np.int64)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
-    onehot = _sparse.csr_matrix(
+    onehot = sparse.csr_matrix(
         (np.ones(labels.size), np.argsort(labels, kind="stable"), indptr),
         shape=(k, labels.size),
     )
@@ -363,7 +357,8 @@ class PipelineResult:
     t: int
 
 
-def _solve(a, k, spec, seed):
+def solve(a, k: int, spec: SolverSpec, seed: int) -> KMeansResult:
+    """Run the solver spec.kind names on the rows of a."""
     if spec.kind == "brute_force":
         return brute_force_optimal(a, k)
     return lloyd(a, k, spec, seed)
@@ -381,7 +376,7 @@ def project_and_cluster(a, k: int, cfg: _projection.ProjectionConfig,
     a = as_matrix(a)
     spec = spec if spec is not None else SolverSpec()
     projected, t_used = apply_projection(a, cfg, method)
-    res = _solve(projected, k, spec, cfg.seed)
+    res = solve(projected, k, spec, cfg.seed)
     return PipelineResult(
         projected=res,
         original_objective=objective(a, res.assignment),

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as _sparse
 
 from . import rng as _rng
 from .errors import ParameterError
@@ -198,6 +197,9 @@ def project_mailman(a, plan: MailmanPlan) -> np.ndarray:
     with n beyond one tile.  Each output row depends only on its input row,
     and bit-identically so: the result does not depend on the tiling.
     """
+    # imported here so that importing the package does not load scipy
+    from scipy import sparse
+
     a = as_matrix(a)
     if a.shape[1] != plan.d:
         raise ParameterError(f"a has {a.shape[1]} columns, plan expects {plan.d}")
@@ -222,7 +224,7 @@ def project_mailman(a, plan: MailmanPlan) -> np.ndarray:
     codes = np.stack([b.codes for b in plan.blocks], axis=1, dtype=index)
     # one nonzero per (input column, slice): row j feeds its slice's bucket
     bucket_cols = ((codes[:, blk] >> shift) & ((1 << width) - 1)) + offsets[:-1]
-    onehot = _sparse.csr_matrix(
+    onehot = sparse.csr_matrix(
         (np.ones(plan.d * ns), bucket_cols.reshape(-1),
          np.arange(0, (plan.d + 1) * ns, ns, dtype=index)),
         shape=(plan.d, int(offsets[-1])),

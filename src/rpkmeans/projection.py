@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import mailman, rng as _rng
 from .errors import ParameterError
@@ -142,6 +141,9 @@ def jl_distortion_report(a, a_tilde, epsilon: float) -> DistortionReport:
     distance zero count as preserved when the embedded distance is zero up
     to an absolute tolerance; they do not enter the worst-case ratios.
     """
+    # imported here so that importing the package does not load scipy
+    from scipy.spatial.distance import pdist
+
     a = as_matrix(a)
     a_tilde = as_matrix(a_tilde)
     if a.shape[0] != a_tilde.shape[0]:

@@ -5,10 +5,12 @@ enumeration, and a hand-rolled Jacobi eigensolver, so the fast library
 paths are checked against code that shares none of their machinery.
 """
 
+import csv
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def jacobi_eigenvalues(sym, tol=1e-14, max_sweeps=100):
@@ -109,6 +111,34 @@ def accuracy_by_permutation(pred_labels, truth):
         mapped = np.array([perm[v] for v in pred_labels])
         best = max(best, int(np.sum(mapped == truth)))
     return best / pred_labels.size
+
+
+def accuracy_by_assignment(pred_labels, truth):
+    """Accuracy from scipy's linear_sum_assignment on the confusion matrix,
+    padded square: the reference for cluster counts too large to enumerate."""
+    pred_labels = np.asarray(pred_labels, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    size = int(max(pred_labels.max(), truth.max())) + 1
+    conf = np.zeros((size, size))
+    np.add.at(conf, (pred_labels, truth), 1.0)
+    rows, cols = linear_sum_assignment(conf, maximize=True)
+    return float(conf[rows, cols].sum()) / pred_labels.size
+
+
+def write_csv_by_csv_module(dataset, path):
+    """A dataset written through csv.writer, one repr per float cell: the
+    byte-for-byte reference for the CSV writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = [f"x{j}" for j in range(dataset.d)]
+        if dataset.labels is not None:
+            header.append("label")
+        writer.writerow(header)
+        for i in range(dataset.n):
+            row = [repr(v) for v in dataset.points[i].tolist()]
+            if dataset.labels is not None:
+                row.append(str(int(dataset.labels[i])))
+            writer.writerow(row)
 
 
 def scatter_about_mean(points):

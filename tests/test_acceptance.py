@@ -192,8 +192,7 @@ def test_criterion_09_descent_trace_monotone():
 def test_criterion_10_sweep_plateau_shape():
     start = time.perf_counter()
     ds = _big_mixture()
-    spec = kmeans.SolverSpec(kind="lloyd", gamma=1.0, delta_gamma=0.0,
-                             init=kmeans.FirstOfEachGroup(1))
+    spec = kmeans.SolverSpec(kind="lloyd", init=kmeans.FirstOfEachGroup(1))
     t_list = [5, 10, 25, 50, 100, 150, 200, 250, 300]
     records = cli.run_experiment_sweep(ds, 40, t_list, ["rp_mailman", "hd"],
                                        spec, seed=SEED)
@@ -212,8 +211,8 @@ def test_criterion_10_sweep_plateau_shape():
 
 def test_criterion_11_projection_speed_advantage():
     ds = _big_mixture()
-    spec = kmeans.SolverSpec(kind="lloyd", gamma=1.0, delta_gamma=0.0,
-                             init=kmeans.FirstOfEachGroup(10), replicates=5)
+    spec = kmeans.SolverSpec(kind="lloyd", init=kmeans.FirstOfEachGroup(10),
+                             replicates=5)
     # warm-up pass so allocator and import costs hit neither arm
     cli.run_experiment_sweep(ds, 40, [100], ["rp_mailman", "hd"], spec, seed=99)
     wins = 0

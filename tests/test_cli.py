@@ -69,7 +69,8 @@ def test_cluster_emits_versioned_json(tmp_path):
     assert payload["schema_version"] == cli.JSON_SCHEMA_VERSION
     manifest = payload["manifest"]
     assert manifest["subcommand"] == "cluster"
-    assert set(manifest["timings"]) == {"projection_ms", "clustering_ms"}
+    assert set(manifest["timings"]) == {"load_ms", "projection_ms", "clustering_ms",
+                                        "score_ms"}
     result = payload["result"]
     assert len(result["labels"]) == 60
     assert result["t"] == 16
@@ -108,6 +109,47 @@ def test_cluster_output_independent_of_blas_threads(tmp_path):
         outputs.append(re.sub(rb'("\w+_ms": )[^,\n]+', rb"\1null", done.stdout))
     assert b'"labels"' in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+# Prints the exit code of `rpkmeans ARGS...` (or 0 when run without
+# arguments, after the import alone) and every module then loaded.
+_MODULES_AFTER = ("import json, sys\n"
+                  "from rpkmeans import cli\n"
+                  "code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+                  "print(json.dumps([code, sorted(sys.modules)]))\n")
+
+
+def _modules_after(*args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *args], env=env,
+                          capture_output=True, timeout=120, check=True)
+    code, modules = json.loads(done.stdout)
+    assert code == 0
+    return modules
+
+
+def _loaded(modules, package):
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+def test_import_and_generate_load_no_scipy(tmp_path):
+    assert _loaded(_modules_after(), "scipy") == []
+    out = tmp_path / "gen.csv"
+    assert _loaded(_modules_after("generate", "--output", str(out), "--n", "30", "--d", "8",
+                                  "--k", "3"), "scipy") == []
+    assert out.exists()
+
+
+def test_cluster_loads_only_the_scipy_modules_it_uses(tmp_path):
+    data = make_dataset(tmp_path)
+    modules = _modules_after("cluster", "--input", str(data), "--k", "4", "--method",
+                             "rp_mailman", "--t", "16", "--output", str(tmp_path / "r.json"))
+    assert "scipy.sparse" in modules  # the multiply and the plug-back use it
+    for package in ("scipy.optimize", "scipy.linalg", "scipy.spatial"):
+        assert _loaded(modules, package) == []
+    assert json.loads((tmp_path / "r.json").read_text())["result"]["accuracy"] is not None
 
 
 def test_experiment_hd_twice_identical_scores(tmp_path):

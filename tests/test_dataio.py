@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rpkmeans import dataio, evaluation, kmeans
 from rpkmeans.errors import DataFormatError, ParameterError
+
+from _oracles import write_csv_by_csv_module
 
 
 def write_pgm(path, height, width, values, comment=None):
@@ -131,6 +134,143 @@ def test_read_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DataFormatError):
         dataio.read_csv(path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+extreme = st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(1, 5).flatmap(lambda d: st.lists(
+           st.lists(finite | extreme, min_size=d, max_size=d), min_size=1, max_size=6)),
+       labelled=st.booleans())
+@example(points=[[-0.0], [5e-324], [1e308]], labelled=True)  # d = 1
+@example(points=[[-0.0], [5e-324], [1e308]], labelled=False)
+def test_write_csv_bytes_match_csv_writer(tmp_path_factory, points, labelled):
+    labels = np.arange(len(points)) % 2 if labelled else None
+    ds = dataio.Dataset(points=np.array(points), labels=labels, source="unit")
+    root = tmp_path_factory.mktemp("csv")
+    dataio.write_csv(ds, root / "fast.csv")
+    write_csv_by_csv_module(ds, root / "ref.csv")
+    assert (root / "fast.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+
+def _assert_same_parse(parsed, reference):
+    (points, labels), (ref_points, ref_labels) = parsed, reference
+    assert points.shape == ref_points.shape and points.tobytes() == ref_points.tobytes()
+    assert (labels is None) == (ref_labels is None)
+    if labels is not None:
+        assert labels.tobytes() == ref_labels.tobytes()
+
+
+cell_text = (finite | extreme).flatmap(lambda v: st.sampled_from(
+    [repr(v), f"{v:.17e}", f"{v:+.6g}", f"{v:.3f}", f" {v!r}", f"{v!r}  "]))
+
+
+@st.composite
+def numeric_csv(draw):
+    """Text of a valid numeric CSV: optional header and label column,
+    blank lines, space-padded cells, LF or CRLF line ends."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    header = draw(st.booleans())
+    labelled = header and draw(st.booleans())
+    rows = []
+    for i in range(n):
+        cells = [draw(cell_text) for _ in range(d)]
+        if labelled:
+            cells.append(draw(st.sampled_from([f"{i}", f"{i}.0", f" {i} ", f"{i}e0"])))
+        rows.append(",".join(cells))
+    if header:
+        rows.insert(0, ",".join([f"x{j}" for j in range(d)] + (["label"] if labelled else [])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2)) + [row]
+    return newline.join(lines) + newline * draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=numeric_csv())
+@example(text="1,2\n3,4\n")
+@example(text="x0,x1,label\r\n\r\n 1.5 ,2,0\r\n3,-0.0, 1 \r\n")
+def test_read_csv_one_pass_matches_per_cell_parser(tmp_path_factory, text):
+    reference = dataio._parse_cells(text, "unit")
+    fast = dataio._parse_numeric(text)
+    assert fast is not None  # every generated file takes the vectorized pass
+    _assert_same_parse(fast, reference)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode())
+    ds = dataio.read_csv(path)
+    _assert_same_parse((ds.points, ds.labels), reference)
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except (DataFormatError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_reads_as_per_cell_parser(path, text):
+    """read_csv of the file holding text either raises the exception the
+    per-cell parser raises, with the same message, or gives its values."""
+    path.write_bytes(text.encode())
+    got = _outcome(lambda: dataio.read_csv(path))
+    want = _outcome(lambda: dataio.Dataset(*dataio._parse_cells(text, path), source=str(path)))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same_parse((got.points, got.labels), (want.points, want.labels))
+
+
+@pytest.mark.parametrize("text", [
+    "1,2\n3\n",                      # ragged
+    "1,2\n3,4,5\n",
+    "1,2\n3,oops\n",                 # not a number
+    "1,2\nnan,4\n",                  # not finite
+    "1,inf\n3,4\n",
+    "1,2\n3,1e999\n",                # overflows to inf
+    "x0,label\n1,0\n2,1.5\n",        # label not an integer
+    "x0,label\n1,0\n2,1e999\n",
+    '1,2\n"3",4\n',                  # quoted cell: valid for the csv module
+    "# manifest {}\n1,2\n",          # read as a header, then ragged
+    "# manifest {}\n1\n",            # read as a one-column header
+    "1_0,2\n3,4\n",                  # float() reads 1_0 as 10
+    "1,2\n\t3,4\n",                  # float() strips the tab
+    "1,2\n   \n3,4\n",               # whitespace-only row
+    "1,2\r3,4\r",                    # CR line ends
+    'x0,"label"\n1,0\n2,1\n',        # quoted header cell
+    "x0\rx1,label\n1,0\n2,1\n",      # a CR ends the header row early
+    "x0,x1\n",                       # header but no data rows
+    "\n\n",                          # no rows
+])
+def test_read_csv_hand_cases_read_as_per_cell_parser(tmp_path, text):
+    _assert_reads_as_per_cell_parser(tmp_path / "data.csv", text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=numeric_csv(), defect=st.sampled_from([
+    "drop", "extra", "oops", "nan", "inf", "-inf", "1e999", "1.5", '"1.0"', "1_0", "",
+    "   ", "#", "\t1"]), where=st.integers(0, 10**6))
+def test_read_csv_malformed_files_read_as_per_cell_parser(tmp_path_factory, text, defect,
+                                                          where):
+    # one defect in a valid file: in the row and cell `where` picks, or a
+    # "#" line on top
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line]
+    i = rows[where % len(rows)]
+    cells = lines[i].split(",")
+    if defect == "drop":
+        cells = cells[:-1] if len(cells) > 1 else cells + ["0"]
+    elif defect == "extra":
+        cells.append("0")
+    elif defect != "#":
+        cells[(where // len(rows)) % len(cells)] = defect
+    lines[i] = ",".join(cells)
+    if defect == "#":
+        lines.insert(0, "# manifest {}")
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    _assert_reads_as_per_cell_parser(path, "\n".join(lines) + "\n")
 
 
 def test_load_image_dir_hand_fixture(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rpkmeans import evaluation, kmeans, matrix, projection
 from rpkmeans.errors import ParameterError
 
-from _oracles import accuracy_by_permutation
+from _oracles import accuracy_by_assignment, accuracy_by_permutation
 
 SEED = 0
 
@@ -93,6 +94,21 @@ def test_accuracy_matches_exhaustive_permutation_oracle():
         pred = kmeans.Assignment.from_labels(pred_labels, k_pred)
         assert evaluation.accuracy(pred, truth) == accuracy_by_permutation(
             pred_labels, truth)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k_pred=st.integers(5, 60), k_true=st.integers(5, 60), n=st.integers(1, 400),
+       noise=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_accuracy_matches_assignment_oracle(k_pred, k_true, n, noise, seed):
+    # too many clusters for the permutation oracle; predictions follow a
+    # shuffled map of the truth, with a noise share drawn at random, and
+    # leave some clusters and classes empty
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, k_true, size=n)
+    mapped = rng.permutation(max(k_pred, k_true))[truth] % k_pred
+    pred_labels = np.where(rng.random(n) < noise, rng.integers(0, k_pred, size=n), mapped)
+    pred = kmeans.Assignment.from_labels(pred_labels, k_pred)
+    assert evaluation.accuracy(pred, truth) == accuracy_by_assignment(pred_labels, truth)
 
 
 def test_accuracy_invariant_under_relabeling():

@@ -176,11 +176,7 @@ def test_solver_spec_validation():
     with pytest.raises(ParameterError):
         kmeans.SolverSpec(kind="annealing")
     with pytest.raises(ParameterError):
-        kmeans.SolverSpec(gamma=0.5)
-    with pytest.raises(ParameterError):
         kmeans.SolverSpec(replicates=0)
-    with pytest.raises(ParameterError):
-        kmeans.SolverSpec(delta_gamma=1.0)
 
 
 def test_brute_force_collinear_hand_case():
