@@ -110,16 +110,20 @@ def read_csv(path) -> Dataset:
 
     The first row counts as a header when any of its cells fails to parse
     as a number.  A final column named "label" becomes integer class
-    labels.  Ragged rows and non-numeric cells raise DataFormatError with
-    their position; a missing file raises FileNotFoundError.
+    labels.  The file is read as UTF-8.  Ragged rows, non-numeric cells and
+    bytes that are not UTF-8 raise DataFormatError with their position; a
+    missing file raises FileNotFoundError.
 
     Plain numeric files parse in one vectorized pass; anything that pass
     does not accept as is goes through the per-cell parser, which gives the
     same values and finds the row and column of any error.
     """
     path = Path(path)
-    with path.open("r", newline="") as fh:
-        text = fh.read()
+    try:
+        # decoding the whole file at once makes the error offset a file offset
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start} is not valid UTF-8") from None
     parsed = _parse_numeric(text)
     points, labels = parsed if parsed is not None else _parse_cells(text, path)
     return Dataset(points=points, labels=labels, source=str(path))

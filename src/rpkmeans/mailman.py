@@ -14,6 +14,7 @@ would spill every cache, while 64 per slice do not.  Its bucket buffer is
 bounded by TILE_BYTES, whatever the row count.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,11 @@ SLICE_BITS = 6
 # fits in a core's L2 cache keeps the bucket scatter fast; 1 MiB measured
 # fastest of 0.5-4 MiB on a 2 MiB-L2 Xeon.
 TILE_BYTES = 1 << 20
+# plan_blocks samples, and densify expands, blocks in batches whose
+# temporaries stay near this many bytes: a batch shares one re-keyed Philox,
+# one range check and one set of vector operations, and memory stays flat
+# next to the plan or the dense output.
+BATCH_BYTES = 1 << 16
 
 
 @dataclass
@@ -48,6 +54,13 @@ class MailmanBlock:
             raise ParameterError("codes must be a nonempty 1-D integer array")
         if self.codes.min() < 0 or self.codes.max() >= (1 << self.p):
             raise ParameterError(f"codes must lie in [0, 2**{self.p})")
+
+    @classmethod
+    def _checked(cls, p: int, codes: np.ndarray, scale: float):
+        """A block of int64 codes that the caller has range-checked."""
+        block = object.__new__(cls)
+        block.p, block.codes, block.scale = p, codes, scale
+        return block
 
     @property
     def d(self) -> int:
@@ -81,18 +94,45 @@ def block_widths(d: int, t: int) -> list:
     return widths
 
 
+def _sample_codes(d: int, widths: list, seed: int, first: int) -> np.ndarray:
+    """Codes of blocks first, first + 1, ... (of the given widths), one row each.
+
+    Each code is what (seed, block j) stream's Generator.integers(0, 2**p,
+    size=d, dtype=np.int64) returns: for p <= 32 it draws 32-bit halves of the
+    raw words, low half first, and above 32 bits whole words.  Lemire's method
+    never rejects a draw when the range is a power of two, so each code is the
+    top p bits of its draw.
+    """
+    p = np.array(widths, dtype=np.int64)[:, None]
+    indices = range(first, first + len(widths))
+    if max(widths) <= 32:
+        words = _rng.stream_words(seed, _rng.SIGN_BLOCK, indices, (d + 1) // 2)
+        draws, draw_bits = words.astype("<u8", copy=False).view("<u4")[:, :d], 32
+    else:
+        draws, draw_bits = _rng.stream_words(seed, _rng.SIGN_BLOCK, indices, d), 64
+    codes = (draws >> (draw_bits - p).astype(draws.dtype)).astype(np.int64)
+    # one range check for the batch: codes >> p is nonzero exactly for codes
+    # outside [0, 2**p)
+    if (codes >> p).any():
+        raise ParameterError("sampled codes must lie in [0, 2**p) for block width p")
+    return codes
+
+
 def plan_blocks(d: int, t: int, seed: int) -> list:
     """Sample the pattern codes for every block of a d x t sign matrix.
 
     Block j draws from the (seed, block j) stream, so blocks can be
-    generated independently and in any order.
+    generated independently and in any order.  Blocks are sampled in
+    batches of BATCH_BYTES of codes; batching changes no code.
     """
     scale = 1.0 / math.sqrt(t)
+    widths = block_widths(d, t)
+    per_batch = max(1, BATCH_BYTES // (8 * d))
     blocks = []
-    for j, p in enumerate(block_widths(d, t)):
-        g = _rng.stream(seed, _rng.SIGN_BLOCK, j)
-        codes = g.integers(0, 1 << p, size=d, dtype=np.int64)
-        blocks.append(MailmanBlock(p=p, codes=codes, scale=scale))
+    for first in range(0, len(widths), per_batch):
+        batch = widths[first:first + per_batch]
+        codes = _sample_codes(d, batch, seed, first)
+        blocks.extend(MailmanBlock._checked(p, row, scale) for p, row in zip(batch, codes))
     return blocks
 
 
@@ -255,7 +295,10 @@ def densify(plan_or_blocks, scaled: bool = False) -> np.ndarray:
     """Expand packed blocks into the dense d x t sign matrix.
 
     Entries are +-1 (bit b of a code set -> +1 in block column b), times
-    the block scale when scaled=True.
+    the block scale when scaled=True.  Runs of blocks of one width are
+    expanded in batches and copied into the output; besides the output,
+    memory goes to one batch's codes, bits and entries: about BATCH_BYTES,
+    or one block's when a block needs more.
     """
     blocks = plan_or_blocks.blocks if hasattr(plan_or_blocks, "blocks") else plan_or_blocks
     if not blocks:
@@ -264,11 +307,24 @@ def densify(plan_or_blocks, scaled: bool = False) -> np.ndarray:
     t = sum(b.p for b in blocks)
     dense = np.empty((d, t))
     offset = 0
-    for block in blocks:
-        bits = (block.codes[:, None] >> np.arange(block.p)[None, :]) & 1
-        cols = bits.astype(np.float64) * 2.0 - 1.0
-        if scaled:
-            cols *= block.scale
-        dense[:, offset:offset + block.p] = cols
-        offset += block.p
+    for p, run in itertools.groupby(blocks, key=lambda b: b.p):
+        run = list(run)
+        # per block and row: an 8-byte code, p bytes of bits, p float entries
+        per_batch = max(1, BATCH_BYTES // (d * (8 + 9 * p)))
+        for first in range(0, len(run), per_batch):
+            batch = run[first:first + per_batch]
+            g = len(batch)
+            codes = np.stack([b.codes for b in batch], axis=1).astype("<i8", copy=False)
+            # the bytes of a little-endian code, least significant first,
+            # unpack to its bits 0, 1, ..., p - 1
+            bits = np.unpackbits(codes.view(np.uint8).reshape(d, g, 8), axis=2,
+                                 count=p, bitorder="little")
+            # a contiguous batch, then one copy: three passes over the strided
+            # output columns measured slower
+            entries = np.multiply(bits, 2.0)
+            entries -= 1.0
+            if scaled:
+                entries *= np.array([b.scale for b in batch])[:, None]
+            dense[:, offset:offset + g * p] = entries.reshape(d, g * p)
+            offset += g * p
     return dense

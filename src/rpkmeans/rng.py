@@ -27,16 +27,41 @@ BENCH = 10
 _INDEX_BITS = 48
 
 
-def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
-    """Return the Generator for the (seed, domain, index) stream."""
+def _key_word(domain: int, index: int) -> int:
+    """The second Philox key word of a (domain, index) stream, validated."""
     if index < 0 or index >= (1 << _INDEX_BITS):
         raise ParameterError(f"stream index {index} outside [0, 2**{_INDEX_BITS})")
     if domain < 0 or domain >= (1 << 15):
         raise ParameterError(f"domain tag {domain} outside [0, 2**15)")
-    key = np.array(
-        [seed % (1 << 64), (domain << _INDEX_BITS) | index], dtype=np.uint64
-    )
+    return (domain << _INDEX_BITS) | index
+
+
+def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
+    """Return the Generator for the (seed, domain, index) stream."""
+    key = np.array([seed % (1 << 64), _key_word(domain, index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def stream_words(seed: int, domain: int, indices, count: int) -> np.ndarray:
+    """The first count raw 64-bit words of each (seed, domain, index) stream.
+
+    Row i equals stream(seed, domain, indices[i]).bit_generator.random_raw(count).
+    One Philox is re-keyed for each stream instead of a generator being
+    built per stream, which costs more than drawing a few hundred words.
+    """
+    indices = list(indices)
+    words = np.empty((len(indices), count), dtype=np.uint64)
+    bits = np.random.Philox(0)
+    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    # the state of a freshly keyed Philox: counter 0, buffer empty
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, index in enumerate(indices):
+        key[1] = _key_word(domain, index)
+        bits.state = state
+        words[row] = bits.random_raw(count)
+    return words
 
 
 def derive_seed(seed: int, domain: int, index: int = 0) -> int:

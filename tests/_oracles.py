@@ -96,6 +96,22 @@ def sign_sum_columns(codes, p, x):
     return y
 
 
+def densify_by_block(blocks, scaled=False):
+    """The dense d x t sign matrix of packed blocks, expanded one block at a
+    time: (bit * 2 - 1), times the block scale when scaled."""
+    d = blocks[0].d
+    dense = np.empty((d, sum(b.p for b in blocks)))
+    offset = 0
+    for block in blocks:
+        bits = (block.codes[:, None] >> np.arange(block.p)[None, :]) & 1
+        cols = bits.astype(np.float64) * 2.0 - 1.0
+        if scaled:
+            cols *= block.scale
+        dense[:, offset:offset + block.p] = cols
+        offset += block.p
+    return dense
+
+
 def accuracy_by_permutation(pred_labels, truth):
     """Best fraction matched over every one-to-one cluster-to-class map.
 

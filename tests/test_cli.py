@@ -272,6 +272,14 @@ def test_unparsable_input_exits_three(tmp_path):
     assert code == 3
 
 
+def test_non_utf8_input_exits_three(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x0,x1\n1,\xff\n")
+    code = cli.main(["cluster", "--input", str(bad), "--k", "1", "--method", "hd"])
+    assert code == 3
+    assert "byte 8 is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_bad_epsilon_exits_two(tmp_path):
     data = make_dataset(tmp_path)
     code = cli.main(["cluster", "--input", str(data), "--k", "4",

@@ -129,6 +129,14 @@ def test_read_csv_missing_file(tmp_path):
         dataio.read_csv(tmp_path / "absent.csv")
 
 
+def test_read_csv_rejects_invalid_utf8_with_file_and_offset(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x0,x1\n1,\xff\n")
+    with pytest.raises(DataFormatError) as err:
+        dataio.read_csv(path)
+    assert str(path) in str(err.value) and "byte 8" in str(err.value)
+
+
 def test_read_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -1,11 +1,14 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rpkmeans import mailman, projection
+from rpkmeans import mailman, projection, rng
 from rpkmeans.errors import ParameterError
 
-from _oracles import dense_pattern_matrix, sign_sum_columns
+from _oracles import dense_pattern_matrix, densify_by_block, sign_sum_columns
 
 
 def test_block_widths_with_remainder():
@@ -207,3 +210,95 @@ def test_project_mailman_rows_do_not_depend_on_tiling(cuts):
             assert np.array_equal(mailman.project_mailman(a[lo:hi], plan), whole[lo:hi])
     mid = n // 2
     assert np.array_equal(mailman.project_mailman(a[mid:mid + 1], plan), whole[mid:mid + 1])
+
+
+# sha256 of every block's codes, stacked and written as little-endian int64.
+# Codes are integers taken from Philox words, so these hold on every platform
+# and numpy version; any change to how sign matrices are sampled breaks them.
+GOLDEN_CODE_DIGESTS = [
+    # d = 2: width-1 blocks, and t > d
+    ((2, 5, 0), "c434fd76a1a51cfe90c5c86fcaa93828a1a9157ed1d2b683d9700e6253ed505a"),
+    # odd d, a width-2 remainder block
+    ((777, 29, 3), "5415184ed6fecee6d44eb1441ef19c6872d1504107065075de9d8bc1a05c5e73"),
+    # a width-1 remainder block
+    ((1000, 19, 1), "aa818c4b84770f4445c06a45065c1f8cab09977463ee9482fe4359ffab807259"),
+    # t > d, 320 blocks
+    ((50, 1600, 11), "c4c17c9ff92bcee6128722a5cc7d2e6ef6f94c4aa16fffca01f023e31ab1ac14"),
+    # seed >= 2**63, the rp-faces shape
+    ((10304, 360, 2**64 - 1), "799fc777221861cd0afbf51fd083013c8dd7f2fc63874fd1ede0ec39f2674dbb"),
+    # negative seed
+    ((64, 60, -7), "9440721835f98e7e7b6cc4b823fc57b36d7022266eefdeea89952682208c6c63"),
+    # p = 17: codes wider than 16 bits, seed 2**63
+    ((140000, 20, 2**63), "66f99c43d1022c0cdda5565bcfbc91cf19eb68249d5623f99ea6c7c3cb0277f1"),
+]
+
+
+@pytest.mark.parametrize("cell, digest", GOLDEN_CODE_DIGESTS,
+                         ids=[f"d{d}-t{t}-seed{seed}" for (d, t, seed), _ in GOLDEN_CODE_DIGESTS])
+def test_plan_blocks_codes_match_golden_digests(cell, digest):
+    codes = np.stack([b.codes for b in mailman.plan_blocks(*cell)]).astype("<i8")
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
+
+
+SEEDS = st.one_of(st.integers(-(2**64), 2**66),
+                  st.sampled_from([0, -1, -7, 2**63, 2**64 - 1, 2**64]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 3000), t=st.integers(1, 2000), seed=SEEDS)
+@example(d=2, t=5, seed=0)
+@example(d=1000, t=19, seed=-1)
+@example(d=3000, t=2000, seed=2**63)
+def test_plan_blocks_equal_per_stream_integers(d, t, seed):
+    """Every block's codes are what its own stream's Generator.integers draws."""
+    blocks = mailman.plan_blocks(d, t, seed)
+    assert [b.p for b in blocks] == mailman.block_widths(d, t)
+    for j, block in enumerate(blocks):
+        g = rng.stream(seed, rng.SIGN_BLOCK, j)
+        expect = g.integers(0, 1 << block.p, size=d, dtype=np.int64)
+        assert block.codes.dtype == np.int64 and np.array_equal(block.codes, expect)
+        assert block.scale == 1.0 / np.sqrt(t)
+    count = (d + 1) // 2
+    words = rng.stream_words(seed, rng.SIGN_BLOCK, range(len(blocks)), count)
+    for j in range(len(blocks)):
+        raw = rng.stream(seed, rng.SIGN_BLOCK, j).bit_generator.random_raw(count)
+        assert np.array_equal(words[j], raw)
+
+
+@pytest.mark.parametrize("p", [33, 40, 62])
+def test_codes_wider_than_32_bits_take_whole_words(p):
+    # plan_blocks reaches p > 32 only at d >= 2**33; the derivation is
+    # checked on a few codes of such a block instead
+    for seed, j in ((0, 0), (-3, 5), (2**63 + 1, 2**48 - 1)):
+        codes = mailman._sample_codes(7, [p], seed, j)
+        expect = rng.stream(seed, rng.SIGN_BLOCK, j).integers(0, 1 << p, size=7, dtype=np.int64)
+        assert np.array_equal(codes, expect[None, :])
+
+
+def _mixed_blocks():
+    g = np.random.default_rng(97)
+    widths = [3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40]
+    return [mailman.MailmanBlock(p=p, codes=g.integers(0, 1 << p, size=37),
+                                 scale=float(g.random())) for p in widths]
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_densify_matches_per_block_oracle(scaled):
+    cases = [_mixed_blocks(), mailman.plan_blocks(777, 29, 3),
+             mailman.plan_blocks(1000, 19, 1), mailman.plan_blocks(50, 1600, 11),
+             mailman.plan_blocks(2, 3, 0), mailman.plan_blocks(1, 4, 0)]
+    for blocks in cases:
+        assert np.array_equal(mailman.densify(blocks, scaled=scaled),
+                              densify_by_block(blocks, scaled=scaled))
+
+
+def test_densify_allocates_little_beyond_its_output():
+    blocks = mailman.plan_blocks(1000, 2000, 0)
+    tracemalloc.start()
+    try:
+        dense = mailman.densify(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * dense.nbytes
+

@@ -40,3 +40,22 @@ def test_stream_validates_index_and_domain():
         rng.stream(0, rng.TRIAL, 1 << 48)
     with pytest.raises(ParameterError):
         rng.stream(0, -1, 0)
+
+
+def test_stream_words_equal_each_streams_raw_words():
+    indices = [0, 3, 1, (1 << 48) - 1]
+    for seed in (0, -5, 2**63, 2**64 - 1, 2**70 + 3):
+        words = rng.stream_words(seed, rng.SIGN_BLOCK, indices, 9)
+        assert words.shape == (4, 9) and words.dtype == np.uint64
+        for row, index in zip(words, indices):
+            raw = rng.stream(seed, rng.SIGN_BLOCK, index).bit_generator.random_raw(9)
+            assert np.array_equal(row, raw)
+
+
+def test_stream_words_validate_index_and_domain():
+    with pytest.raises(ParameterError):
+        rng.stream_words(0, rng.SIGN_BLOCK, [0, -1], 4)
+    with pytest.raises(ParameterError):
+        rng.stream_words(0, rng.SIGN_BLOCK, [1 << 48], 4)
+    with pytest.raises(ParameterError):
+        rng.stream_words(0, 1 << 15, [0], 4)
