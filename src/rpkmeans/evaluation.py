@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import projection as _projection, rng as _rng
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .kmeans import Assignment, brute_force_optimal, objective
 from .matrix import (as_matrix, best_rank_k, frobenius_norm, pseudo_inverse,
                      spectral_norm, svd_thin)
@@ -241,7 +241,12 @@ def matmul_moment_check(s, tmat, t: int, seeds: int, seed: int,
 def pseudo_inverse_bound_check(a, k: int, epsilon: float, t: int, trials: int,
                                seed: int, bound_scale: float = 1.0) -> PropertyReport:
     """The pseudo-inverse of V_k^T R stays spectrally within 3*epsilon of its
-    transpose, per trial."""
+    transpose, per trial.
+
+    The gap's spectral norm comes from power iteration, or from a full SVD
+    when power iteration does not converge: it cannot when the top two
+    singular values nearly tie (0.027808 and 0.027780 in one trial).
+    """
     a = as_matrix(a)
     v = svd_thin(a, k).v
     limit = 3.0 * epsilon * bound_scale
@@ -250,7 +255,11 @@ def pseudo_inverse_bound_check(a, k: int, epsilon: float, t: int, trials: int,
     for i in range(trials):
         r = _projection.sample_sign_matrix(a.shape[1], t, _trial_seed(seed, i))
         vr = v.T @ r.dense()
-        gap = spectral_norm(pseudo_inverse(vr) - vr.T)
+        gap_matrix = pseudo_inverse(vr) - vr.T
+        try:
+            gap = spectral_norm(gap_matrix)
+        except ConvergenceError:
+            gap = float(np.linalg.svd(gap_matrix, compute_uv=False)[0])
         worst = max(worst, gap)
         if gap <= limit:
             passes += 1

@@ -12,6 +12,8 @@ from .matrix import as_matrix
 
 BRUTE_FORCE_MAX_POINTS = 14
 _ENUM_CHUNK = 1 << 15
+# objective gathers the centroid rows of this many bytes of points at a time.
+OBJECTIVE_TILE_BYTES = 1 << 18
 
 
 @dataclass
@@ -128,7 +130,14 @@ def cluster_sums(a, labels, k: int) -> np.ndarray:
 
 
 def objective(a, asg: Assignment) -> float:
-    """Sum of squared distances from each point to its cluster mean."""
+    """Sum of squared distances from each point to its cluster mean.
+
+    Each row's difference from its centroid goes into one n x d buffer, a
+    tile of OBJECTIVE_TILE_BYTES of centroid rows at a time; the buffer is
+    then squared in place and summed once.  That is the same arithmetic,
+    and the same summation order, as np.sum(diff * diff) with
+    diff = a - centroids[labels], without their two n x d temporaries.
+    """
     a = as_matrix(a)
     if asg.labels.size != a.shape[0]:
         raise ParameterError("assignment length does not match row count")
@@ -137,8 +146,13 @@ def objective(a, asg: Assignment) -> float:
     sums = cluster_sums(a, asg.labels, asg.k)
     denom = np.maximum(asg.cluster_sizes, 1)[:, None]
     centroids = sums / denom
-    diff = a - centroids[asg.labels]
-    return float(np.sum(diff * diff))
+    diff = np.empty_like(a)
+    rows = max(1, OBJECTIVE_TILE_BYTES // (8 * a.shape[1]))
+    for r0 in range(0, a.shape[0], rows):
+        np.subtract(a[r0:r0 + rows], centroids[asg.labels[r0:r0 + rows]],
+                    out=diff[r0:r0 + rows])
+    np.multiply(diff, diff, out=diff)
+    return float(diff.sum())
 
 
 def _initial_centroids(a, k, init):

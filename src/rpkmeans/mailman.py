@@ -8,10 +8,23 @@ a fold over the 2**p buckets, instead of d*p multiply-adds.
 
 The matrix is sampled at p = floor(log2 d), as the paper's analysis
 prescribes, and block_row_multiply_counted applies it at that width.
-project_mailman applies the same matrix in bit-slices of at most
-SLICE_BITS bits over row tiles: 2**p buckets per row (8192 at d = 10304)
-would spill every cache, while 64 per slice do not.  Its bucket buffer is
-bounded by TILE_BYTES, whatever the row count.
+project_mailman applies the same matrix in narrower pieces, because 2**p
+buckets per row (8192 at d = 10304) would spill every cache.  Three
+constants bound its pieces:
+
+- SLICE_BITS bounds the width of a bit-slice.  Each block is cut into
+  ceil(p / SLICE_BITS) slices of balanced width (bit_slices), so a row
+  costs d bucket additions per slice and at most 2**(SLICE_BITS + 1) adds
+  per slice to fold.
+- ROW_TILE bounds the rows taken at once.  A row tile is transposed once,
+  into 8 * d * ROW_TILE bytes, so that each input coordinate of the tile is
+  one contiguous vector to add into a bucket.
+- TILE_BYTES bounds a slice group's bucket buffer: slices of one width go
+  in groups of at most TILE_BYTES // (8 * ROW_TILE * 2**width), each with
+  its own one-hot sparse matrix (about 12 bytes per input column per slice,
+  built once per call).  The fold's temporaries take about as much again.
+
+None of these grow with n; the output is the only n-sized allocation.
 """
 
 import itertools
@@ -24,12 +37,16 @@ from . import rng as _rng
 from .errors import ParameterError
 from .matrix import as_matrix
 
-# project_mailman folds at most this many bits of a block at a time: 2**6
-# buckets per slice keep the fold cheap and the bucket rows short.
-SLICE_BITS = 6
-# Bytes of one row tile's bucket buffer in project_mailman.  A buffer that
-# fits in a core's L2 cache keeps the bucket scatter fast; 1 MiB measured
-# fastest of 0.5-4 MiB on a 2 MiB-L2 Xeon.
+# project_mailman buckets and folds at most this many bits of a block at a
+# time.  At d = 10304 (p = 13), 7 bits cut a block into 7 + 6-bit slices
+# where 6 bits needed three (6 + 6 + 1): a third fewer bucket additions.
+SLICE_BITS = 7
+# Rows in one of project_mailman's row tiles.
+ROW_TILE = 64
+# Bytes of one slice group's bucket buffer in project_mailman.  A buffer
+# that fits in a core's L2 cache keeps the bucket scatter fast; with 64-row
+# tiles, 1 MiB measured as fast as 0.5 or 2 MiB, and 32 or 128-row tiles
+# no faster, on a 2 MiB-L2 Xeon.
 TILE_BYTES = 1 << 20
 # plan_blocks samples, and densify expands, blocks in batches whose
 # temporaries stay near this many bytes: a batch shares one re-keyed Philox,
@@ -145,30 +162,41 @@ def build_plan(d: int, t: int, seed: int) -> MailmanPlan:
     return MailmanPlan(d=d, t=t, blocks=plan_blocks(d, t, seed))
 
 
-def fold_buckets(buckets: np.ndarray) -> np.ndarray:
+def _halve(v: np.ndarray) -> np.ndarray:
+    """Add the upper half of axis 0 onto the lower half."""
+    half = v.shape[0] // 2
+    return v[:half] + v[half:]
+
+
+def fold_buckets(buckets: np.ndarray, axis: int = -1) -> np.ndarray:
     """Multiply bucket sums by the full 2**p x p sign-pattern matrix.
 
-    Output column b carries sum(+buckets where bit b set) - sum(rest).
-    Works on any leading shape; the last axis must have length 2**p.
-    The top output uses the high/low halves directly; lower bits reuse
-    the running total (merging halves preserves the overall sum), which
-    keeps the addition count within 2**(p+1) per row.
+    The bucket axis (axis, of length 2**p) becomes an axis of length p
+    whose entry b carries sum(+buckets where bit b set) - sum(rest); the
+    other axes are kept.  The top output uses the high/low halves
+    directly; lower bits reuse the running total (merging halves preserves
+    the overall sum), which keeps the addition count within 2**(p+1) per
+    bucket vector.  Every sum is a fixed sequence of elementwise adds of
+    whole slices of the bucket axis, never a reduction, so each element
+    along the other axes gets the same bits whatever their shape.
     """
-    m = buckets.shape[-1]
+    v = np.moveaxis(buckets, axis, 0)
+    m = v.shape[0]
     p = m.bit_length() - 1
     if m < 2 or m != (1 << p):
         raise ParameterError("bucket axis must have length 2**p with p >= 1")
-    out = np.empty(buckets.shape[:-1] + (p,))
-    v = buckets
+    out = np.empty((p,) + v.shape[1:])
     for b in range(p - 1, 0, -1):
-        half = v.shape[-1] // 2
-        out[..., b] = v[..., half:].sum(axis=-1)
-        v = v[..., :half] + v[..., half:]
-    out[..., 0] = v[..., 1] - v[..., 0]
+        high = v[v.shape[0] // 2:]
+        while high.shape[0] > 1:
+            high = _halve(high)
+        out[b] = high[0]
+        v = _halve(v)
+    out[0] = v[1] - v[0]
     if p > 1:
-        total = v[..., 0] + v[..., 1]
-        out[..., 1:] = 2.0 * out[..., 1:] - total[..., None]
-    return out
+        out[1:] *= 2.0
+        out[1:] -= v[0] + v[1]
+    return np.moveaxis(out, 0, axis)
 
 
 def block_row_multiply(block: MailmanBlock, x) -> np.ndarray:
@@ -222,72 +250,105 @@ def block_row_multiply_counted(block: MailmanBlock, x):
     return y, adds
 
 
+def bit_slices(p: int) -> list:
+    """The (shift, width) slices project_mailman cuts a p-bit block into.
+
+    ceil(p / SLICE_BITS) slices in bit order, covering bits 0..p-1, with
+    widths that differ by at most one bit, wider first: 13 bits split as
+    7 + 6, and 15 as 5 + 5 + 5.
+    """
+    count = -(-p // SLICE_BITS)
+    narrow, wide = divmod(p, count)
+    slices = []
+    shift = 0
+    for i in range(count):
+        width = narrow + (i < wide)
+        slices.append((shift, width))
+        shift += width
+    return slices
+
+
+def _slice_groups(plan: MailmanPlan) -> list:
+    """project_mailman's slice groups: (one-hot, width, output columns,
+    scales), one per group of equal-width slices."""
+    # imported here so that importing the package does not load scipy
+    from scipy import sparse
+
+    d = plan.d
+    # every slice, in output-column order, by width: (block, shift, first
+    # output column)
+    by_width = {}
+    col = 0
+    for j, block in enumerate(plan.blocks):
+        for shift, width in bit_slices(block.p):
+            by_width.setdefault(width, []).append((j, shift, col + shift))
+        col += block.p
+    chunks = []
+    for w, slices in by_width.items():
+        per_group = max(1, TILE_BYTES // (8 * ROW_TILE << w))
+        chunks += [(w, c) for c in np.array_split(np.array(slices), -(-len(slices) // per_group))]
+    # int32 indices when every group's rows and nonzeros fit; scipy would
+    # otherwise convert them on every product
+    index = np.int32 if max(max(d, 1 << w) * len(c) for w, c in chunks) < 2**31 else np.int64
+    codes = np.stack([b.codes for b in plan.blocks], axis=1, dtype=index)
+    scales = np.array([b.scale for b in plan.blocks])
+    # every one-hot entry is 1.0: the groups share one array of them
+    ones = np.ones(d * max(len(c) for _, c in chunks))
+    groups = []
+    for w, chunk in chunks:
+        blk, shift, first = chunk.T
+        g = len(chunk)
+        # column i (input coordinate i) holds one 1 per slice s, in row
+        # code_s(i) * g + s: bucket-major, slice-minor
+        rows = (codes[:, blk] >> shift.astype(index)) & index((1 << w) - 1)
+        rows *= g
+        rows += np.arange(g, dtype=index)
+        onehot = sparse.csc_matrix(
+            (ones[:d * g], rows.reshape(-1), np.arange(0, (d + 1) * g, g, dtype=index)),
+            shape=(g << w, d))
+        groups.append((onehot, w, (first[None, :] + np.arange(w)[:, None]).reshape(-1),
+                       scales[blk][:, None]))
+    return groups
+
+
 def project_mailman(a, plan: MailmanPlan) -> np.ndarray:
     """Multiply every row of a by the packed sign matrix: a @ R, scaled.
 
     The plan is applied in bit-slices rather than whole p-bit blocks: each
-    block's codes are cut into slices of at most SLICE_BITS bits, and every
-    slice is bucketed and folded as a narrow block of its own.  Bits keep
-    their order, so output columns do too.  The bucket step for all slices
-    runs as one one-hot sparse product, built once per call and applied to
-    row tiles whose bucket buffer stays within TILE_BYTES; slices of equal
-    width fold together.  Besides the output, memory goes to the one-hot
-    matrix (12 bytes per input column per slice) and, per tile, to the
-    bucket buffer and a transposed copy of the tile's rows; none of it grows
-    with n beyond one tile.  Each output row depends only on its input row,
-    and bit-identically so: the result does not depend on the tiling.
-    """
-    # imported here so that importing the package does not load scipy
-    from scipy import sparse
+    block's codes are cut by bit_slices into ceil(p / SLICE_BITS) slices of
+    balanced width, and every slice is bucketed and folded as a narrow block
+    of its own.  Bits keep their order, so output columns do too.
 
+    The work is tiled two ways.  Rows go in tiles of at most ROW_TILE, each
+    transposed once, so that one input coordinate of the whole tile is one
+    contiguous vector.  Slices of one width go in groups whose bucket buffer
+    (2**width buckets per slice, one ROW_TILE-long vector each) stays within
+    TILE_BYTES.  Each group has its own one-hot sparse matrix, built once per
+    call, that adds every coordinate's vector into its slice's bucket; the
+    buckets come out bucket axis first and fold_buckets folds them along it
+    with elementwise adds only.  Each output element is therefore computed
+    by one fixed sequence of adds, and every row is bit-identical whatever
+    the row count or tiling, n = 1 included.
+
+    Besides the output, memory goes to the one-hot matrices (about 12 bytes
+    per input column per slice), the transposed tile (8 * d * ROW_TILE
+    bytes) and one group's buckets and fold (within about 2 * TILE_BYTES);
+    none of it grows with n.
+    """
     a = as_matrix(a)
     if a.shape[1] != plan.d:
         raise ParameterError(f"a has {a.shape[1]} columns, plan expects {plan.d}")
     n = a.shape[0]
-    # one row per slice, in output-column order: block, bit shift, width,
-    # first output column
-    slices = []
-    col = 0
-    for j, block in enumerate(plan.blocks):
-        for shift in range(0, block.p, SLICE_BITS):
-            slices.append((j, shift, min(SLICE_BITS, block.p - shift), col + shift))
-        col += block.p
-    ns = len(slices)
-    # int32 indices when nonzeros and buckets (at most 64 per slice) fit;
-    # scipy would otherwise convert them on every call
-    index = np.int32 if (plan.d + 64) * ns < 2**31 else np.int64
-    # widest first, so each width's buckets are contiguous and fold in one
-    # call; the stable sort keeps the slices of one width in column order
-    blk, shift, width, first = np.array(
-        sorted(slices, key=lambda s: -s[2]), dtype=index).T
-    offsets = np.concatenate(([0], np.cumsum(1 << width))).astype(index)
-    codes = np.stack([b.codes for b in plan.blocks], axis=1, dtype=index)
-    # one nonzero per (input column, slice): row j feeds its slice's bucket
-    bucket_cols = ((codes[:, blk] >> shift) & ((1 << width) - 1)) + offsets[:-1]
-    onehot = sparse.csr_matrix(
-        (np.ones(plan.d * ns), bucket_cols.reshape(-1),
-         np.arange(0, (plan.d + 1) * ns, ns, dtype=index)),
-        shape=(plan.d, int(offsets[-1])),
-    )
-    slice_scale = np.array([b.scale for b in plan.blocks])[blk]
-    groups = []  # (width, slice count, output columns, scales)
-    for w in sorted(set(width.tolist()), reverse=True):
-        same = width == w
-        groups.append((w, int(same.sum()),
-                       (first[same][:, None] + np.arange(w)).reshape(-1),
-                       slice_scale[same][:, None]))
-    tile = max(1, TILE_BYTES // (8 * int(offsets[-1])))
+    groups = _slice_groups(plan)
     out = np.empty((n, plan.t))
-    for r0 in range(0, n, tile):
-        # C order: the fold's sums then run in the same order for any tile
-        buckets = np.ascontiguousarray(a[r0:r0 + tile] @ onehot)
-        m = buckets.shape[0]
-        start = 0
-        for w, g, cols, scales in groups:
-            folded = fold_buckets(buckets[:, start:start + (g << w)].reshape(m, g, 1 << w))
-            folded *= scales
-            out[r0:r0 + m, cols] = folded.reshape(m, g * w)
-            start += g << w
+    for r0 in range(0, n, ROW_TILE):
+        tile = np.ascontiguousarray(a[r0:r0 + ROW_TILE].T)
+        m = tile.shape[1]
+        for onehot, w, cols, group_scales in groups:
+            # (2**w, g, m) buckets fold to (w, g, m): bit, slice, row
+            folded = fold_buckets((onehot @ tile).reshape(1 << w, -1, m), axis=0)
+            folded *= group_scales
+            out[r0:r0 + m, cols] = folded.reshape(-1, m).T
     return out
 
 

@@ -157,6 +157,19 @@ def write_csv_by_csv_module(dataset, path):
             writer.writerow(row)
 
 
+def objective_by_gather(a, labels, k):
+    """The k-means objective with n x d temporaries: centroids from np.add.at
+    sums, every point's centroid gathered, the differences squared and summed
+    in one np.sum.  kmeans.objective must return exactly these bits."""
+    a = np.asarray(a, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    sums = np.zeros((k, a.shape[1]))
+    np.add.at(sums, labels, a)
+    centroids = sums / np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
+    diff = a - centroids[labels]
+    return float(np.sum(diff * diff))
+
+
 def scatter_about_mean(points):
     """Total squared distance of the rows from their mean."""
     pts = np.asarray(points, dtype=np.float64)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpkmeans import evaluation, kmeans, matrix, projection
-from rpkmeans.errors import ParameterError
+from rpkmeans import evaluation, kmeans, matrix, projection, rng
+from rpkmeans.errors import ConvergenceError, ParameterError
 
 from _oracles import accuracy_by_assignment, accuracy_by_permutation
 
@@ -174,6 +174,23 @@ def test_pseudo_inverse_bound_check_holds():
     report = evaluation.pseudo_inverse_bound_check(a, k=3, epsilon=0.5, t=2000,
                                                    trials=100, seed=SEED)
     assert report.passes >= 90
+
+
+def test_pseudo_inverse_check_survives_a_power_iteration_stall():
+    # the inputs of check --scale full --seed 21, which used to exit 1: in
+    # trial 42 the gap's top two singular values are 0.027808 and 0.027780,
+    # and power iteration does not converge
+    a = rng.stream(21, rng.INSTANCE, 3).standard_normal((50, 80))
+    seed = rng.derive_seed(21, rng.TRIAL, 1005)
+    v = matrix.svd_thin(a, 3).v
+    vr = v.T @ projection.sample_sign_matrix(80, 2000, evaluation._trial_seed(seed, 42)).dense()
+    gap = matrix.pseudo_inverse(vr) - vr.T
+    with pytest.raises(ConvergenceError):
+        matrix.spectral_norm(gap)
+    report = evaluation.pseudo_inverse_bound_check(a, k=3, epsilon=0.5, t=2000,
+                                                   trials=43, seed=seed)
+    assert report.trials == 43 and report.passes == 43
+    assert report.statistic >= np.linalg.svd(gap, compute_uv=False)[0]
 
 
 def test_decomposition_residual_check_holds():

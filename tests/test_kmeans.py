@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +8,7 @@ from rpkmeans import kmeans
 from rpkmeans.errors import ParameterError
 from rpkmeans.projection import ProjectionConfig
 
-from _oracles import scatter_about_mean
+from _oracles import objective_by_gather, scatter_about_mean
 
 
 def random_assignment(rng, n, k):
@@ -64,6 +66,41 @@ def test_objective_scale_equivariance():
     for c in (0.5, 3.0, 10.0):
         assert kmeans.objective(c * a, asg) == pytest.approx(c * c * base,
                                                              rel=1e-10)
+
+
+def _labelled(n, d, k, seed):
+    g = np.random.default_rng(seed)
+    a = g.standard_normal((n, d)) * 10.0 ** g.integers(-3, 4, size=(1, d))
+    labels = np.concatenate((np.arange(k), g.integers(0, k, size=n - k)))
+    return a, kmeans.Assignment(labels, k, np.bincount(labels, minlength=k))
+
+
+def _tile_rows(d):
+    return max(1, kmeans.OBJECTIVE_TILE_BYTES // (8 * d))
+
+
+@pytest.mark.parametrize("n, d, k", [
+    (2 * _tile_rows(64) + 37, 64, 9),  # n not a multiple of the row tile
+    (_tile_rows(3) + 1, 3, 4),         # a last tile of one row
+    (1, 40, 1),                        # n = 1
+    (500, 30, 1),                      # k = 1
+    (2 * _tile_rows(1) + 5, 1, 6),     # d = 1
+    (7, 5000, 7),                      # one row per cluster, one tile
+])
+def test_objective_bits_equal_the_gathered_form(n, d, k):
+    a, asg = _labelled(n, d, k, seed=n + d + k)
+    assert kmeans.objective(a, asg) == objective_by_gather(a, asg.labels, k)
+
+
+def test_objective_allocates_at_most_one_and_a_half_inputs():
+    a, asg = _labelled(4000, 64, 10, seed=5)
+    tracemalloc.start()
+    try:
+        kmeans.objective(a, asg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * a.nbytes
 
 
 def test_objective_length_mismatch():

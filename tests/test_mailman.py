@@ -83,15 +83,28 @@ def test_block_row_multiply_length_mismatch():
 
 
 def test_fold_equals_dense_pattern_multiply_exhaustively():
-    """The fold must reproduce the full 2**p x p sign multiply for p up to 6."""
+    """The fold must reproduce the full 2**p x p sign multiply for p up to
+    SLICE_BITS + 1."""
     rng = np.random.default_rng(67)
-    for p in range(1, 7):
+    for p in range(1, mailman.SLICE_BITS + 2):
         pattern = dense_pattern_matrix(p)
         for _ in range(8):
             buckets = rng.standard_normal(1 << p)
             expect = buckets @ pattern
             got = mailman.fold_buckets(buckets)
             assert np.allclose(got, expect, atol=1e-12 * max(1.0, np.abs(expect).max()))
+
+
+@pytest.mark.parametrize("p", [1, 2, 7])
+def test_fold_along_any_axis_gives_each_vector_the_same_bits(p):
+    # buckets of 2 x 3 x 5 vectors; the bucket axis in each position
+    buckets = np.random.default_rng(p).standard_normal((2, 3, 5, 1 << p))
+    alone = np.array([[[mailman.fold_buckets(buckets[i, j, k].copy()) for k in range(5)]
+                       for j in range(3)] for i in range(2)])
+    for axis in range(4):
+        moved = np.ascontiguousarray(np.moveaxis(buckets, 3, axis))
+        folded = mailman.fold_buckets(moved, axis=axis)
+        assert np.array_equal(np.moveaxis(folded, axis, 3), alone)
 
 
 def test_fold_rejects_non_power_of_two():
@@ -179,37 +192,63 @@ def _assert_matches_dense(a, plan):
 @example(n=4, d=100, t=1, seed=1)      # t = 1
 @example(n=3, d=1000, t=5, seed=2)     # t < p = 9, d not a power of two
 @example(n=1, d=777, t=29, seed=3)     # n = 1, blocks wider than one slice
+@example(n=1, d=10304, t=360, seed=4)  # n = 1, 13-bit blocks: 7 + 6-bit slices
+@example(n=9, d=10304, t=29, seed=5)
+@example(n=1, d=2**17, t=34, seed=6)   # n = 1, 17-bit blocks: 6 + 6 + 5-bit slices
+@example(n=3, d=2**17, t=37, seed=7)
 def test_project_mailman_equals_dense_product(n, d, t, seed):
     a = np.random.default_rng(seed).standard_normal((n, d))
     _assert_matches_dense(a, mailman.build_plan(d, t, seed))
 
 
-def _multi_tile_case():
-    # d = 64 gives p = 6, one slice of 64 buckets per block, so a tile holds
-    # TILE_BYTES // (8 * blocks * 64) rows; n spans more than three tiles.
-    d, t = 64, 60
-    rows_per_tile = mailman.TILE_BYTES // (8 * (t // 6) * 64)
-    n = 3 * rows_per_tile + 1
+def test_bit_slices_are_balanced_and_cover_the_block():
+    assert mailman.bit_slices(13) == [(0, 7), (7, 6)]
+    for p in range(1, 70):
+        slices = mailman.bit_slices(p)
+        widths = [w for _, w in slices]
+        # in bit order, each starting where the last ended, covering 0..p-1
+        assert [shift for shift, _ in slices] == [sum(widths[:i]) for i in range(len(slices))]
+        assert sum(widths) == p
+        assert len(slices) == -(-p // mailman.SLICE_BITS)
+        assert max(widths) <= mailman.SLICE_BITS and max(widths) - min(widths) <= 1
+
+
+def _multi_tile_shape():
+    # d = 64 gives p = 6, one 6-bit slice per block.  n spans more than three
+    # row tiles; t holds one more 6-bit slice than a group takes, and a
+    # 2-bit remainder block, so the slices fall in three groups.
+    per_group = mailman.TILE_BYTES // (8 * mailman.ROW_TILE << 6)
+    return 3 * mailman.ROW_TILE + 1, 64, 6 * (per_group + 1) + 2
+
+
+def _case(n, d, t):
     a = np.random.default_rng(89).standard_normal((n, d))
     return a, mailman.build_plan(d, t, seed=5)
 
 
 def test_project_mailman_spans_several_row_tiles():
-    _assert_matches_dense(*_multi_tile_case())
+    a, plan = _case(*_multi_tile_shape())
+    assert a.shape[0] > 3 * mailman.ROW_TILE
+    assert len(mailman._slice_groups(plan)) >= 3
+    _assert_matches_dense(a, plan)
 
 
 @settings(max_examples=10, deadline=None)
-@given(cuts=st.lists(st.integers(0, 10**6), max_size=6))
-def test_project_mailman_rows_do_not_depend_on_tiling(cuts):
-    a, plan = _multi_tile_case()
+@given(cuts=st.lists(st.integers(0, 10**6), max_size=6), shape=st.just(_multi_tile_shape()))
+@example(cuts=[1, 3], shape=(1, 10304, 29))      # n = 1, 13-bit blocks
+@example(cuts=[64, 30], shape=(65, 10304, 360))  # 7 + 6-bit slices; a one-row tile
+@example(cuts=[2], shape=(1, 2**17, 34))         # n = 1, 17-bit blocks
+@example(cuts=[1, 4], shape=(5, 2**17, 34))
+def test_project_mailman_rows_do_not_depend_on_tiling(cuts, shape):
+    a, plan = _case(*shape)
     n = a.shape[0]
     whole = mailman.project_mailman(a, plan)
     bounds = [0] + sorted(c % (n + 1) for c in cuts) + [n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
             assert np.array_equal(mailman.project_mailman(a[lo:hi], plan), whole[lo:hi])
-    mid = n // 2
-    assert np.array_equal(mailman.project_mailman(a[mid:mid + 1], plan), whole[mid:mid + 1])
+    for i in {0, n // 2, n - 1}:
+        assert np.array_equal(mailman.project_mailman(a[i:i + 1], plan), whole[i:i + 1])
 
 
 # sha256 of every block's codes, stacked and written as little-endian int64.
