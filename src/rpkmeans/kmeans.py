@@ -1,5 +1,9 @@
 """Lloyd's heuristic, an exact exhaustive solver, and the project-then-cluster
-pipeline built on top of them."""
+pipeline built on top of them.
+
+Lloyd's mean update and the plug-back objective both take their per-cluster
+sums from cluster_sums, one sparse one-hot product whose sums have the bits
+of np.add.at."""
 
 import math
 from dataclasses import dataclass, field
@@ -113,18 +117,23 @@ def cluster_sums(a, labels, k: int) -> np.ndarray:
     """Per-cluster row sums: row j of the k x d result sums the rows of a
     labelled j (zero for an empty cluster).
 
-    A k x n one-hot CSR matrix, its columns ordered by a stable sort of the
-    labels, multiplies a; each cluster therefore adds its rows in ascending
-    row order, the same order as np.add.at, so the sums are bit-identical.
+    A k x n one-hot CSC matrix, whose column i holds a single 1.0 in row
+    labels[i], multiplies a.  scipy's CSC product adds row i into its
+    cluster in ascending i, the same order as np.add.at, so the sums are
+    bit-identical to it.  Labels outside [0, k) raise ParameterError.
     """
     # imported here so that importing the package does not load scipy
     from scipy import sparse
 
-    labels = np.asarray(labels, dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=k))))
-    onehot = sparse.csr_matrix(
-        (np.ones(labels.size), np.argsort(labels, kind="stable"), indptr),
-        shape=(k, labels.size),
+    labels = np.asarray(labels)
+    n = labels.size
+    # scipy trusts the row indices of a matrix built this way, so check them
+    if n and (labels.min() < 0 or labels.max() >= k):
+        raise ParameterError("labels must lie in [0, k)")
+    index = np.int32 if max(n, k) <= np.iinfo(np.int32).max else np.int64
+    onehot = sparse.csc_matrix(
+        (np.ones(n), labels.astype(index), np.arange(n + 1, dtype=index)),
+        shape=(k, n),
     )
     return np.asarray(onehot @ a)
 
@@ -183,22 +192,20 @@ def _partition_cost(a_sq_total, sums_sq, sizes):
     return max(float(val), 0.0)
 
 
-def _lloyd_once(a, k, centroids, max_iter, tol):
+def _lloyd_once(a, a_sq, a_sq_total, k, centroids, max_iter, tol):
     n = a.shape[0]
-    a_sq = np.einsum("ij,ij->i", a, a)
-    a_sq_total = float(a_sq.sum())
-    # n * sum ||a_i||^2 bounds every squared distance and squared cluster sum
-    # formed below; where it overflows, the objective would become inf or NaN.
-    if not math.isfinite(a_sq_total * max(n, 4)):
-        raise ParameterError("squared norms of the input overflow float64; rescale it")
     labels_prev = None
     trace = []
     converged = False
     iterations = 0
     labels = None
     for iterations in range(1, max_iter + 1):
-        d2 = a_sq[:, None] - 2.0 * (a @ centroids.T)
-        d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
+        # a_sq - 2 a.c + c_sq, in the order and with the bits of that
+        # expression, in one n x k buffer
+        d2 = a @ centroids.T
+        d2 *= -2.0
+        d2 += a_sq[:, None]
+        d2 += np.einsum("ij,ij->i", centroids, centroids)
         labels = np.argmin(d2, axis=1)  # ties break to the lowest index
         sizes = np.bincount(labels, minlength=k)
         while (sizes == 0).any():
@@ -211,8 +218,7 @@ def _lloyd_once(a, k, centroids, max_iter, tol):
             sizes[labels[moved]] -= 1
             labels[moved] = empty
             sizes[empty] = 1
-        sums = np.zeros((k, a.shape[1]))
-        np.add.at(sums, labels, a)
+        sums = cluster_sums(a, labels, k)
         centroids = sums / np.maximum(sizes, 1)[:, None]
         sums_sq = np.einsum("ij,ij->i", sums, sums)
         trace.append(_partition_cost(a_sq_total, sums_sq, sizes))
@@ -243,12 +249,23 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     its current centroid.  The recorded objective trace is non-increasing.
     With replicates > 1, restarts r >= 1 draw k distinct seed rows from the
     (seed, restart r) stream and the best objective wins.
+
+    The rows' squared norms, and the check that they do not overflow, are
+    computed once per call and shared by the replicates.  Each mean update
+    sums the clusters with cluster_sums, so labels, trace and objective are
+    bit-identical to updates by np.add.at.
     """
     a = as_matrix(a)
     spec = spec if spec is not None else SolverSpec()
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} outside [1, n={n}]")
+    a_sq = np.einsum("ij,ij->i", a, a)
+    a_sq_total = float(a_sq.sum())
+    # n * sum ||a_i||^2 bounds every squared distance and squared cluster sum
+    # Lloyd forms; where it overflows, the objective would become inf or NaN.
+    if not math.isfinite(a_sq_total * max(n, 4)):
+        raise ParameterError("squared norms of the input overflow float64; rescale it")
     best = None
     for rep in range(spec.replicates):
         if rep == 0:
@@ -258,7 +275,7 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
                 n, size=k, replace=False
             )
             centroids = a[np.sort(idx)].copy()
-        res = _lloyd_once(a, k, centroids, spec.max_iter, spec.tol)
+        res = _lloyd_once(a, a_sq, a_sq_total, k, centroids, spec.max_iter, spec.tol)
         if best is None or res.objective < best.objective:
             best = res
     return best

@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from rpkmeans import rng
+
 
 def jacobi_eigenvalues(sym, tol=1e-14, max_sweeps=100):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
@@ -168,6 +170,71 @@ def objective_by_gather(a, labels, k):
     centroids = sums / np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
     diff = a - centroids[labels]
     return float(np.sum(diff * diff))
+
+
+def lloyd_by_add_at(a, k, spec, seed=0):
+    """Lloyd's heuristic as it stood with np.add.at mean updates and the
+    per-replicate squared norms: the bit-for-bit reference for kmeans.lloyd.
+
+    Returns (labels, objective, trace, iterations, converged) of the best
+    replicate.  Inputs are assumed valid and finite.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    best = None
+    for rep in range(spec.replicates):
+        if rep == 0:
+            if hasattr(spec.init, "indices"):
+                idx = np.asarray(spec.init.indices, dtype=np.int64)
+            else:
+                idx = np.arange(k, dtype=np.int64) * spec.init.stride
+        else:
+            idx = np.sort(rng.stream(seed, rng.LLOYD_RESTART, rep).choice(
+                n, size=k, replace=False))
+        res = _lloyd_once_by_add_at(a, k, a[idx].copy(), spec.max_iter, spec.tol)
+        if best is None or res[1] < best[1]:
+            best = res
+    return best
+
+
+def _lloyd_once_by_add_at(a, k, centroids, max_iter, tol):
+    n = a.shape[0]
+    a_sq = np.einsum("ij,ij->i", a, a)
+    a_sq_total = float(a_sq.sum())
+    labels_prev = None
+    trace = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        d2 = a_sq[:, None] - 2.0 * (a @ centroids.T)
+        d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
+        labels = np.argmin(d2, axis=1)
+        sizes = np.bincount(labels, minlength=k)
+        while (sizes == 0).any():
+            empty = int(np.flatnonzero(sizes == 0)[0])
+            own = d2[np.arange(n), labels].copy()
+            own[sizes[labels] <= 1] = -np.inf
+            moved = int(np.argmax(own))
+            sizes[labels[moved]] -= 1
+            labels[moved] = empty
+            sizes[empty] = 1
+        sums = np.zeros((k, a.shape[1]))
+        np.add.at(sums, labels, a)
+        centroids = sums / np.maximum(sizes, 1)[:, None]
+        sums_sq = np.einsum("ij,ij->i", sums, sums)
+        nonempty = sizes > 0
+        cost = a_sq_total - np.sum(sums_sq[nonempty] / sizes[nonempty])
+        trace.append(max(float(cost), 0.0))
+        if labels_prev is not None and np.array_equal(labels, labels_prev):
+            converged = True
+            break
+        if len(trace) >= 2:
+            prev, cur = trace[-2], trace[-1]
+            if prev == 0.0 or (prev - cur) < tol * prev:
+                converged = True
+                break
+        labels_prev = labels
+    return labels, trace[-1], np.array(trace), iterations, converged
 
 
 def scatter_about_mean(points):

@@ -8,7 +8,7 @@ from rpkmeans import kmeans
 from rpkmeans.errors import ParameterError
 from rpkmeans.projection import ProjectionConfig
 
-from _oracles import objective_by_gather, scatter_about_mean
+from _oracles import lloyd_by_add_at, objective_by_gather, scatter_about_mean
 
 
 def random_assignment(rng, n, k):
@@ -121,12 +121,85 @@ def _add_at_sums(a, labels, k):
 @example(n=1, d=3, k=1, used=1, seed=0)    # n = 1
 @example(n=1, d=2, k=5, used=1, seed=1)    # k above the largest label + 1
 @example(n=30, d=4, k=6, used=2, seed=2)   # empty clusters
+@example(n=25, d=5, k=9, used=4, seed=4)   # k above the largest label, n > k
+@example(n=400, d=1024, k=40, used=40, seed=5)  # criterion 11's mixture
+@example(n=1000, d=256, k=20, used=20, seed=6)  # the hd-lloyd shape
 def test_cluster_sums_bit_identical_to_add_at(n, d, k, used, seed):
     rng = np.random.default_rng(seed)
     # row magnitudes over 12 decades make any change of summation order show
     a = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
     labels = rng.integers(0, min(used, k), size=n)
-    assert np.array_equal(kmeans.cluster_sums(a, labels, k), _add_at_sums(a, labels, k))
+    expect = _add_at_sums(a, labels, k)
+    assert np.array_equal(kmeans.cluster_sums(a, labels, k), expect)
+    assert np.array_equal(kmeans.cluster_sums(a, labels.astype(np.int32), k), expect)
+    strided = np.repeat(labels, 2)[::2]
+    assert np.array_equal(kmeans.cluster_sums(a, strided, k), expect)
+
+
+@pytest.mark.parametrize("labels", [[0, 3, 1], [0, -1, 1], [2**32 + 1, 0, 0]])
+def test_cluster_sums_refuses_labels_outside_range(labels):
+    # scipy does not check the row indices of the one-hot matrix, so an
+    # unchecked label would read or write outside the result
+    with pytest.raises(ParameterError, match=r"\[0, k\)"):
+        kmeans.cluster_sums(np.ones((3, 2)), np.array(labels), 3)
+
+
+def _lloyd_input(kind, n, d, k, seed):
+    """Rows of one kind, and k (n for "n_equals_k")."""
+    rng = np.random.default_rng(seed)
+    if kind == "mixture":
+        centers = rng.standard_normal((k, d)) * 10.0
+        a = centers[rng.integers(0, k, size=n)] + rng.standard_normal((n, d))
+    elif kind == "decades":
+        a = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1))
+    elif kind == "integers":
+        # few distinct values: exact distance ties, and duplicate rows
+        a = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        a[rng.integers(0, n, size=n // 2)] = a[rng.integers(0, n, size=n // 2)]
+    elif kind == "all_equal":
+        a = np.full((n, d), rng.uniform(-100.0, 100.0))
+    elif kind == "n_equals_k":
+        a = rng.standard_normal((n, d))
+        k = n
+    else:  # "repair": k equal start rows put every point in cluster 0
+        a = rng.standard_normal((n, d))
+        a[:k] = a[0]
+    return a, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["mixture", "decades", "integers", "all_equal",
+                             "n_equals_k", "repair"]),
+       n=st.integers(1, 60), d=st.integers(1, 12), k=st.integers(1, 8),
+       replicates=st.sampled_from([1, 4]), max_iter=st.sampled_from([1, 100]),
+       seed=st.integers(0, 2**31 - 1))
+@example(kind="mixture", n=1000, d=256, k=20, replicates=4, max_iter=15,
+         seed=7)  # the hd-lloyd shape
+@example(kind="repair", n=12, d=3, k=5, replicates=1, max_iter=100, seed=8)
+@example(kind="all_equal", n=9, d=2, k=9, replicates=4, max_iter=100, seed=9)
+def test_lloyd_bit_identical_to_add_at_oracle(kind, n, d, k, replicates,
+                                              max_iter, seed):
+    k = min(k, n)
+    a, k = _lloyd_input(kind, n, d, k, seed)
+    stride = 1 if kind == "repair" else n // k
+    spec = kmeans.SolverSpec(max_iter=max_iter, replicates=replicates,
+                             init=kmeans.FirstOfEachGroup(stride))
+    res = kmeans.lloyd(a, k, spec, seed=seed)
+    labels, obj, trace, iterations, converged = lloyd_by_add_at(a, k, spec, seed)
+    assert np.array_equal(res.assignment.labels, labels)
+    assert res.objective == obj
+    assert np.array_equal(res.objective_trace, trace)
+    assert res.iterations == iterations
+    assert res.converged == converged
+    # the Lloyd invariants
+    assert np.isfinite(res.objective_trace).all()
+    # the trace is sum ||a_i||^2 - sum ||S_j||^2 / z_j, whose rounding is a
+    # few ulps of sum ||a_i||^2: within that it may rise (all-equal rows
+    # read 2.9e-10 then 4.1e-10 for a true objective of 0)
+    slack = 16 * np.finfo(np.float64).eps * float(np.sum(a * a))
+    assert np.all(np.diff(res.objective_trace) <= slack)
+    assert np.all(res.assignment.cluster_sizes > 0)
+    assert res.assignment.labels.min() >= 0 and res.assignment.labels.max() < k
 
 
 def _huge_cluster_sums():
