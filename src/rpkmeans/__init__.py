@@ -19,9 +19,8 @@ from .evaluation import (ExperimentRecord, PropertyReport, accuracy,
 from .kmeans import (Assignment, FirstOfEachGroup, GivenIndices, KMeansResult,
                      PipelineResult, SolverSpec, brute_force_optimal, lloyd,
                      objective, project_and_cluster)
-from .mailman import (MailmanBlock, MailmanPlan, block_row_multiply,
-                      block_row_multiply_counted, build_plan, densify,
-                      fold_buckets, project_mailman)
+from .mailman import (MailmanBlock, block_row_multiply_counted, build_plan,
+                      densify, fold_buckets, project_mailman)
 from .matrix import (SvdResult, as_matrix, best_rank_k, frobenius_norm,
                      matmul, pseudo_inverse, spectral_norm, svd_thin)
 from .projection import (DistortionReport, GaussianMatrix, ProjectionConfig,

@@ -42,7 +42,7 @@ METHOD_MAP = {
     "hd": "none",
 }
 
-BENCH_IMPLS = ("naive", "on_the_fly", "mailman")
+BENCH_IMPLS = ("naive", "mailman")
 
 
 @dataclass
@@ -69,7 +69,12 @@ def _manifest_comment(manifest: RunManifest) -> str:
 
 def _solver_from_args(args, n: int, k: int) -> SolverSpec:
     if getattr(args, "init_indices", None):
-        init = GivenIndices(tuple(int(x) for x in args.init_indices.split(",")))
+        try:
+            indices = tuple(int(x) for x in args.init_indices.split(","))
+        except ValueError:
+            raise ParameterError(f"--init-indices must be comma-separated integers, "
+                                 f"got {args.init_indices!r}") from None
+        init = GivenIndices(indices)
     else:
         stride = getattr(args, "init_stride", None)
         init = FirstOfEachGroup(stride if stride is not None else max(1, n // k))
@@ -141,26 +146,14 @@ def run_experiment_sweep(dataset: Dataset, k: int, t_list, methods, spec: Solver
     return records
 
 
-def _project_on_the_fly(a, sign: projection.SignMatrix) -> np.ndarray:
-    """Apply a sign matrix column by column without materializing it."""
-    out = np.empty((a.shape[0], sign.t))
-    offset = 0
-    for block in sign.blocks:
-        for b in range(block.p):
-            col = (((block.codes >> b) & 1) * 2 - 1).astype(np.float64)
-            out[:, offset + b] = (a @ col) * block.scale
-        offset += block.p
-    return out
-
-
 def run_bench(d_list, t_list, n: int, seed: int, impls=BENCH_IMPLS,
               repeats: int = 5) -> list:
     """Median wall time of each multiply implementation on each (d, t) cell.
 
-    All implementations apply the same packed sign matrix: naive expands it
-    densely and multiplies, on_the_fly generates one column at a time, and
-    mailman buckets and folds.  Outputs are cross-checked to 1e-10 relative
-    before any timing; disagreement raises CrossCheckError.
+    Both implementations apply the same packed sign matrix: naive expands it
+    densely and multiplies, and mailman buckets and folds.  The mailman
+    output is cross-checked against naive to 1e-10 relative before any
+    timing; disagreement raises CrossCheckError.
     """
     if n < 1 or repeats < 1:
         raise ParameterError("n and repeats must be positive")
@@ -181,24 +174,18 @@ def run_bench(d_list, t_list, n: int, seed: int, impls=BENCH_IMPLS,
             cell_seed = _rng.derive_seed(seed, _rng.BENCH, cell)
             cell += 1
             plan = mailman.build_plan(d, t, cell_seed)
-            sign = projection.SignMatrix(d=d, t=t, scale=1.0 / np.sqrt(t),
-                                         blocks=plan.blocks)
             a = _rng.stream(cell_seed, _rng.INSTANCE).standard_normal((n, d))
-            dense = sign.dense()
+            dense = plan.dense()
             runners = {
                 "naive": lambda: a @ dense,
-                "on_the_fly": lambda: _project_on_the_fly(a, sign),
                 "mailman": lambda: mailman.project_mailman(a, plan),
             }
             reference = runners["naive"]()
-            ref_norm = np.linalg.norm(reference)
-            for impl in ("on_the_fly", "mailman"):
-                gap = np.linalg.norm(runners[impl]() - reference)
-                if gap > 1e-10 * max(ref_norm, 1e-300):
-                    raise CrossCheckError(
-                        f"{impl} disagrees with naive at d={d}, t={t}: "
-                        f"relative gap {gap / max(ref_norm, 1e-300):.3e}"
-                    )
+            ref_norm = max(np.linalg.norm(reference), 1e-300)
+            gap = np.linalg.norm(runners["mailman"]() - reference) / ref_norm
+            if gap > 1e-10:
+                raise CrossCheckError(f"mailman disagrees with naive at d={d}, "
+                                      f"t={t}: relative gap {gap:.3e}")
             for impl in impls:
                 times = []
                 for _ in range(repeats):
@@ -542,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--n", type=int, default=1)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--impl", action="append", default=None,
-                     help="repeatable; naive, on_the_fly, mailman")
+                     help="repeatable; naive, mailman")
     ben.add_argument("--repeats", type=int, default=5)
     ben.set_defaults(func=_cmd_bench)
 

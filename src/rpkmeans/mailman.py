@@ -1,10 +1,11 @@
-"""Packed sign-matrix multiplication.
+"""The packed sign matrix and the mailman multiply that applies it.
 
-A d x t matrix with +-1 entries is stored in column blocks of width
-p = floor(log2 d).  Each block keeps one integer pattern code per row
+SignMatrix holds a d x t matrix of +-1/sqrt(t) entries in column blocks of
+width p = floor(log2 d).  Each block keeps one integer pattern code per row
 (bit b of the code is the sign of block column b: 1 -> +1, 0 -> -1).
 Multiplying a row vector by one block then costs d bucket additions plus
-a fold over the 2**p buckets, instead of d*p multiply-adds.
+a fold over the 2**p buckets, instead of d*p multiply-adds (Liberty and
+Zucker, "The Mailman algorithm", 2009).
 
 The matrix is sampled at p = floor(log2 d), as the paper's analysis
 prescribes, and block_row_multiply_counted applies it at that width.
@@ -29,7 +30,7 @@ None of these grow with n; the output is the only n-sized allocation.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,19 +86,27 @@ class MailmanBlock:
 
 
 @dataclass
-class MailmanPlan:
-    """Column blocks covering all t output coordinates of a d x t sign matrix."""
+class SignMatrix:
+    """A d x t matrix of +-1/sqrt(t) entries, packed in column blocks."""
 
     d: int
     t: int
-    blocks: list
+    blocks: list = field(repr=False)
 
     def __post_init__(self):
         if sum(b.p for b in self.blocks) != self.t:
             raise ParameterError("block widths must sum to t")
         for b in self.blocks:
             if b.d != self.d:
-                raise ParameterError("all blocks must share the plan's d")
+                raise ParameterError("all blocks must share the matrix's d")
+
+    def signs(self) -> np.ndarray:
+        """Dense +-1 entries."""
+        return densify(self.blocks, scaled=False)
+
+    def dense(self) -> np.ndarray:
+        """Dense entries with the 1/sqrt(t) scale folded in."""
+        return densify(self.blocks, scaled=True)
 
 
 def block_widths(d: int, t: int) -> list:
@@ -153,13 +162,13 @@ def plan_blocks(d: int, t: int, seed: int) -> list:
     return blocks
 
 
-def build_plan(d: int, t: int, seed: int) -> MailmanPlan:
+def build_plan(d: int, t: int, seed: int) -> SignMatrix:
     """Sample a packed d x t sign matrix, scaled by 1/sqrt(t)."""
     if d < 2:
         raise ParameterError("d must be at least 2 to form column blocks")
     if t < 1:
         raise ParameterError("t must be at least 1")
-    return MailmanPlan(d=d, t=t, blocks=plan_blocks(d, t, seed))
+    return SignMatrix(d=d, t=t, blocks=plan_blocks(d, t, seed))
 
 
 def _halve(v: np.ndarray) -> np.ndarray:
@@ -199,18 +208,8 @@ def fold_buckets(buckets: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def block_row_multiply(block: MailmanBlock, x) -> np.ndarray:
-    """Multiply the row vector x by one packed block: bucket, fold, scale."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != block.d:
-        raise ParameterError(f"x must be a length-{block.d} vector")
-    buckets = np.zeros(1 << block.p)
-    np.add.at(buckets, block.codes, x)
-    return block.scale * fold_buckets(buckets)
-
-
 def block_row_multiply_counted(block: MailmanBlock, x):
-    """Scalar reference path for block_row_multiply that counts additions.
+    """Scalar reference multiply of the row vector x by one packed block.
 
     Returns (y, additions) where additions is every floating-point add or
     subtract performed.  The count is at most d + 2**(p+1) per call.
@@ -268,7 +267,7 @@ def bit_slices(p: int) -> list:
     return slices
 
 
-def _slice_groups(plan: MailmanPlan) -> list:
+def _slice_groups(plan: SignMatrix) -> list:
     """project_mailman's slice groups: (one-hot, width, output columns,
     scales), one per group of equal-width slices."""
     # imported here so that importing the package does not load scipy
@@ -311,10 +310,10 @@ def _slice_groups(plan: MailmanPlan) -> list:
     return groups
 
 
-def project_mailman(a, plan: MailmanPlan) -> np.ndarray:
+def project_mailman(a, plan: SignMatrix) -> np.ndarray:
     """Multiply every row of a by the packed sign matrix: a @ R, scaled.
 
-    The plan is applied in bit-slices rather than whole p-bit blocks: each
+    The matrix is applied in bit-slices rather than whole p-bit blocks: each
     block's codes are cut by bit_slices into ceil(p / SLICE_BITS) slices of
     balanced width, and every slice is bucketed and folded as a narrow block
     of its own.  Bits keep their order, so output columns do too.
@@ -337,7 +336,7 @@ def project_mailman(a, plan: MailmanPlan) -> np.ndarray:
     """
     a = as_matrix(a)
     if a.shape[1] != plan.d:
-        raise ParameterError(f"a has {a.shape[1]} columns, plan expects {plan.d}")
+        raise ParameterError(f"a has {a.shape[1]} columns, the sign matrix expects {plan.d}")
     n = a.shape[0]
     groups = _slice_groups(plan)
     out = np.empty((n, plan.t))
@@ -352,7 +351,7 @@ def project_mailman(a, plan: MailmanPlan) -> np.ndarray:
     return out
 
 
-def densify(plan_or_blocks, scaled: bool = False) -> np.ndarray:
+def densify(sign_or_blocks, scaled: bool = False) -> np.ndarray:
     """Expand packed blocks into the dense d x t sign matrix.
 
     Entries are +-1 (bit b of a code set -> +1 in block column b), times
@@ -361,7 +360,7 @@ def densify(plan_or_blocks, scaled: bool = False) -> np.ndarray:
     memory goes to one batch's codes, bits and entries: about BATCH_BYTES,
     or one block's when a block needs more.
     """
-    blocks = plan_or_blocks.blocks if hasattr(plan_or_blocks, "blocks") else plan_or_blocks
+    blocks = sign_or_blocks.blocks if hasattr(sign_or_blocks, "blocks") else sign_or_blocks
     if not blocks:
         raise ParameterError("no blocks to densify")
     d = blocks[0].d

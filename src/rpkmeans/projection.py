@@ -1,4 +1,8 @@
-"""Random projection construction, application, and distortion reporting."""
+"""Random projection construction, application, and distortion reporting.
+
+SignMatrix is mailman.SignMatrix, re-exported; project_naive applies it by
+the fixed-order reference product, project_mailman by bucketing and folding.
+"""
 
 import math
 from dataclasses import dataclass, field
@@ -7,6 +11,7 @@ import numpy as np
 
 from . import mailman, rng as _rng
 from .errors import ParameterError
+from .mailman import SignMatrix
 from .matrix import as_matrix, matmul, svd_thin
 
 # Distances of exactly zero are preserved when the embedded distance stays
@@ -65,31 +70,11 @@ class ProjectionConfig:
         return t
 
 
-@dataclass
-class SignMatrix:
-    """A d x t random +-1 matrix, stored as packed per-block pattern codes."""
-
-    d: int
-    t: int
-    scale: float
-    blocks: list = field(repr=False)
-
-    def signs(self) -> np.ndarray:
-        """Dense +-1 entries."""
-        return mailman.densify(self.blocks, scaled=False)
-
-    def dense(self) -> np.ndarray:
-        """Dense entries with the 1/sqrt(t) scale folded in."""
-        return mailman.densify(self.blocks, scaled=True)
-
-
 def sample_sign_matrix(d: int, t: int, seed: int) -> SignMatrix:
     """Sample a d x t sign matrix scaled by 1/sqrt(t), packed by block."""
     if d < 1 or t < 1:
         raise ParameterError("d and t must be positive")
-    return SignMatrix(
-        d=d, t=t, scale=1.0 / math.sqrt(t), blocks=mailman.plan_blocks(d, t, seed)
-    )
+    return SignMatrix(d=d, t=t, blocks=mailman.plan_blocks(d, t, seed))
 
 
 @dataclass

@@ -95,20 +95,29 @@ def test_cluster_hd_is_deterministic(tmp_path):
 
 
 def test_cluster_output_independent_of_blas_threads(tmp_path):
-    data = make_dataset(tmp_path, n=400, d=256, k=8, seed=6)
     src = str(Path(cli.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "rpkmeans.cli", "cluster", "--input", str(data),
-             "--k", "8", "--method", "rp_mailman", "--t", "40", "--replicates", "3"],
-            env=env, capture_output=True, timeout=120, check=True)
-        # the timing fields are the only part allowed to differ
-        outputs.append(re.sub(rb'("\w+_ms": )[^,\n]+', rb"\1null", done.stdout))
-    assert b'"labels"' in outputs[0]
-    assert outputs[0] == outputs[1]
+    out = tmp_path / "out"
+    # cluster JSON at d = 256, and an experiment CSV at d = 777, where BLAS
+    # products differ between 1 and 2 threads; each case is one pair of runs
+    cases = [(256, ["cluster", "--method", "rp_mailman", "--t", "40", "--replicates", "3"],
+              b'"labels"'),
+             (777, ["experiment", "--method", "hd", "--method", "rp_mailman",
+                    "--method", "rp_naive", "--t", "40", "--t", "100"], b"\nrp_naive,100,")]
+    for d, args, marker in cases:
+        data = make_dataset(tmp_path, n=400, d=d, k=8, seed=6)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "rpkmeans.cli", *args, "--input", str(data),
+                 "--k", "8", "--output", str(out)],
+                env=env, capture_output=True, timeout=120, check=True)
+            # the timing fields and columns are the only part allowed to differ
+            text = re.sub(rb'("\w+_ms": )[^,\n]+', rb"\1null", out.read_bytes())
+            outputs.append(re.sub(rb",[0-9.]+,[0-9.]+$", b",T,T", text, flags=re.M))
+        assert marker in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 # Prints the exit code of `rpkmeans ARGS...` (or 0 when run without
@@ -216,14 +225,15 @@ def test_bench_writes_cross_checked_timings(tmp_path):
     assert code == 0
     manifest, header, rows = read_records(out)
     assert header == cli.BENCH_COLUMNS
-    assert len(rows) == 2 * 3  # two d cells, three implementations
+    assert len(rows) == 2 * 2  # two d cells, two implementations
     assert all(float(r["median_ms"]) >= 0.0 for r in rows)
 
 
 def test_bench_rejects_zero_t(tmp_path):
     out = tmp_path / "bench.csv"
-    code = cli.main(["bench", "--output", str(out), "--d", "64", "--t", "0"])
-    assert code == 2
+    for bad in (["--t", "0"], ["--t", "6", "--impl", "on_the_fly"]):
+        code = cli.main(["bench", "--output", str(out), "--d", "64", *bad])
+        assert code == 2
 
 
 def test_bench_vector_case_reports_all_impls():
@@ -282,9 +292,10 @@ def test_non_utf8_input_exits_three(tmp_path, capsys):
 
 def test_bad_epsilon_exits_two(tmp_path):
     data = make_dataset(tmp_path)
-    code = cli.main(["cluster", "--input", str(data), "--k", "4",
-                     "--epsilon", "0.9", "--method", "rp_naive", "--t", "8"])
-    assert code == 2
+    for bad in (["--epsilon", "0.9", "--method", "rp_naive", "--t", "8"],
+                ["--init-indices", "0,x,2,3"], ["--init-indices", "0,,2,3"]):
+        code = cli.main(["cluster", "--input", str(data), "--k", "4", *bad])
+        assert code == 2
 
 
 def test_cluster_overflowing_input_exits_two(tmp_path):

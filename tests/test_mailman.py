@@ -35,6 +35,11 @@ def test_build_plan_rejects_degenerate_sizes():
 def test_densified_plan_matches_sampled_sign_matrix():
     plan = mailman.build_plan(32, 7, seed=1)
     sign = projection.sample_sign_matrix(32, 7, seed=1)
+    assert projection.SignMatrix is mailman.SignMatrix
+    assert type(plan) is type(sign) is mailman.SignMatrix
+    assert [b.p for b in plan.blocks] == [b.p for b in sign.blocks]
+    for one, two in zip(plan.blocks, sign.blocks):
+        assert np.array_equal(one.codes, two.codes)
     assert np.array_equal(mailman.densify(plan), sign.signs())
 
 
@@ -47,20 +52,21 @@ def test_block_codes_validate_range():
 
 def test_block_row_multiply_zero_vector():
     block = mailman.MailmanBlock(p=3, codes=np.arange(8) % 8, scale=0.5)
-    assert np.array_equal(mailman.block_row_multiply(block, np.zeros(8)), np.zeros(3))
+    assert np.array_equal(mailman.block_row_multiply_counted(block, np.zeros(8))[0],
+                          np.zeros(3))
 
 
 def test_block_row_multiply_all_plus_block():
     # every code all-ones: each output coordinate sums the whole vector
     d, p = 12, 3
     block = mailman.MailmanBlock(p=p, codes=np.full(d, (1 << p) - 1), scale=0.25)
-    y = mailman.block_row_multiply(block, np.ones(d))
+    y = mailman.block_row_multiply_counted(block, np.ones(d))[0]
     assert np.allclose(y, d * 0.25, atol=1e-12)
 
 
 def test_block_row_multiply_hand_case():
     block = mailman.MailmanBlock(p=2, codes=np.array([0, 1, 2, 3]), scale=1.0)
-    y = mailman.block_row_multiply(block, np.array([1.0, 2.0, 3.0, 4.0]))
+    y = mailman.block_row_multiply_counted(block, np.array([1.0, 2.0, 3.0, 4.0]))[0]
     assert np.allclose(y, [2.0, 4.0], atol=1e-12)
 
 
@@ -72,14 +78,14 @@ def test_block_row_multiply_matches_sign_sum_oracle():
         block = mailman.MailmanBlock(p=p, codes=codes, scale=1.0)
         x = rng.standard_normal(d)
         expect = sign_sum_columns(codes, p, x)
-        assert np.allclose(mailman.block_row_multiply(block, x), expect,
+        assert np.allclose(mailman.block_row_multiply_counted(block, x)[0], expect,
                            atol=1e-10 * max(1.0, np.abs(expect).max()))
 
 
 def test_block_row_multiply_length_mismatch():
     block = mailman.MailmanBlock(p=2, codes=np.array([0, 1, 2]))
     with pytest.raises(ParameterError):
-        mailman.block_row_multiply(block, np.zeros(4))
+        mailman.block_row_multiply_counted(block, np.zeros(4))
 
 
 def test_fold_equals_dense_pattern_multiply_exhaustively():
@@ -119,11 +125,13 @@ def test_counted_multiply_agrees_and_respects_add_budget():
     for d, t in ((16, 4), (64, 6), (256, 11), (1024, 10)):
         plan = mailman.build_plan(d, t, seed=d + t)
         x = rng.standard_normal(d)
+        fast = mailman.project_mailman(x[None], plan)[0]
+        col = 0
         for block in plan.blocks:
-            y_fast = mailman.block_row_multiply(block, x)
             y_slow, adds = mailman.block_row_multiply_counted(block, x)
-            assert np.allclose(y_fast, y_slow, atol=1e-10)
+            assert np.allclose(fast[col:col + block.p], y_slow, atol=1e-10)
             assert adds <= d + (1 << (block.p + 1))
+            col += block.p
 
 
 def test_project_mailman_identity_input_reveals_matrix():
@@ -166,8 +174,10 @@ def test_project_mailman_dimension_mismatch():
 
 def test_plan_widths_sum_is_validated():
     blocks = mailman.plan_blocks(16, 6, seed=0)
-    with pytest.raises(ParameterError):
-        mailman.MailmanPlan(d=16, t=7, blocks=blocks)
+    with pytest.raises(ParameterError, match="sum to t"):
+        mailman.SignMatrix(d=16, t=7, blocks=blocks)
+    with pytest.raises(ParameterError, match="all blocks must share"):
+        mailman.SignMatrix(d=17, t=6, blocks=blocks)
 
 
 def test_project_mailman_deterministic():

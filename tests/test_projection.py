@@ -77,7 +77,7 @@ def test_project_naive_forced_all_plus():
     blocks = [mailman.MailmanBlock(p=p, codes=np.full(d, (1 << p) - 1),
                                    scale=1.0 / np.sqrt(t))
               for p in mailman.block_widths(d, t)]
-    r = projection.SignMatrix(d=d, t=t, scale=1.0 / np.sqrt(t), blocks=blocks)
+    r = projection.SignMatrix(d=d, t=t, blocks=blocks)
     out = projection.project_naive(np.ones((1, d)), r)
     assert np.allclose(out, d / np.sqrt(t), atol=1e-12)
 
@@ -177,7 +177,6 @@ def test_naive_and_mailman_paths_agree():
     rng = np.random.default_rng(113)
     a = rng.standard_normal((20, 96))
     sign = projection.sample_sign_matrix(96, 13, seed=11)
-    plan = mailman.MailmanPlan(d=96, t=13, blocks=sign.blocks)
     naive = projection.project_naive(a, sign)
-    fast = mailman.project_mailman(a, plan)
+    fast = mailman.project_mailman(a, sign)
     assert np.linalg.norm(fast - naive) <= 1e-10 * np.linalg.norm(naive)
