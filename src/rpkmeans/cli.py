@@ -6,12 +6,10 @@ Exit codes: 0 success, 1 failed check or cross-check, 2 bad parameters,
 """
 
 import argparse
-import dataclasses
 import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +19,7 @@ from .dataio import Dataset, MixtureSpec, generate_mixture, load_image_dir, read
 from .errors import CrossCheckError, DataFormatError, ParameterError
 from .evaluation import ExperimentRecord, accuracy
 from .kmeans import (FirstOfEachGroup, GivenIndices, SolverSpec,
-                     apply_projection, objective, solve)
+                     apply_projection, project_and_cluster)
 # unused here, but the benchmark's tracing self-test wraps and restores
 # the binding cli.lloyd (perfbench/test_perfbench.py)
 from .kmeans import lloyd  # noqa: F401
@@ -45,26 +43,14 @@ METHOD_MAP = {
 BENCH_IMPLS = ("naive", "mailman")
 
 
-@dataclass
-class RunManifest:
+def _manifest(subcommand: str, params: dict, seed: int, timings=None) -> dict:
     """What produced an output file: subcommand, parameters, seed, version.
 
     timings holds wall-clock milliseconds per phase; it is None for outputs
     that must be byte-identical across reruns.
     """
-
-    subcommand: str
-    params: dict
-    seed: int
-    version: str
-    timings: dict | None = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _manifest_comment(manifest: RunManifest) -> str:
-    return "# manifest " + json.dumps(manifest.to_dict(), sort_keys=True)
+    return {"subcommand": subcommand, "params": params, "seed": seed,
+            "version": __version__, "timings": timings}
 
 
 def _solver_from_args(args, n: int, k: int) -> SolverSpec:
@@ -87,13 +73,6 @@ def _solver_from_args(args, n: int, k: int) -> SolverSpec:
     )
 
 
-def _import_sparse():
-    """Import scipy.sparse, which the packed projection and the plug-back
-    objective load on first use, before any phase is timed: otherwise the
-    first phase to use it would count the import in its wall time."""
-    import scipy.sparse  # noqa: F401
-
-
 def _load_dataset(path, normalize_pixels: bool) -> Dataset:
     p = Path(path)
     dataset = load_image_dir(p) if p.is_dir() else read_csv(p)
@@ -106,15 +85,14 @@ def _load_dataset(path, normalize_pixels: bool) -> Dataset:
 def run_experiment_sweep(dataset: Dataset, k: int, t_list, methods, spec: SolverSpec,
                          seed: int, epsilon: float = 1.0 / 3.0,
                          c: float = 1.0) -> list:
-    """One record per (method, t): project, cluster, price the assignment in
-    the original space, and score against labels when present.
+    """One record per (method, t): run project_and_cluster and score the
+    assignment against labels when present.
 
     The hd method clusters the raw points once and records t = d.
     """
     fro = frobenius_norm(dataset.points)
     if fro == 0.0:
         raise ParameterError("sweep undefined for an all-zero dataset")
-    _import_sparse()
     records = []
     for method in methods:
         if method not in METHOD_MAP:
@@ -125,20 +103,15 @@ def run_experiment_sweep(dataset: Dataset, k: int, t_list, methods, spec: Solver
         for t in cells:
             cfg = ProjectionConfig(k=k, epsilon=epsilon, c=c,
                                    t_override=int(t), seed=seed)
-            start = time.perf_counter()
-            proj, t_used = apply_projection(dataset.points, cfg, METHOD_MAP[method])
-            mid = time.perf_counter()
-            res = solve(proj, k, spec, seed)
-            done = time.perf_counter()
-            plugback = objective(dataset.points, res.assignment)
+            run = project_and_cluster(dataset.points, k, cfg, spec, METHOD_MAP[method])
             records.append(ExperimentRecord(
                 method=method,
-                t=t_used,
-                f_tilde=plugback / (fro * fro),
-                accuracy=(accuracy(res.assignment, dataset.labels)
+                t=run.t,
+                f_tilde=run.original_objective / (fro * fro),
+                accuracy=(accuracy(run.projected.assignment, dataset.labels)
                           if dataset.labels is not None else None),
-                projection_ms=(mid - start) * 1000.0,
-                clustering_ms=(done - mid) * 1000.0,
+                projection_ms=run.projection_ms,
+                clustering_ms=run.clustering_ms,
                 seed=seed,
                 k=k,
                 epsilon=epsilon,
@@ -291,40 +264,21 @@ def run_property_suite(seed: int = 0, scale: str = "full",
     """
     checks = _suite_checks(seed, scale, bound_scale)
     all_ok = all(entry["ok"] for entry in checks)
-    manifest = RunManifest(
-        subcommand="check",
-        params={"scale": scale, "bound_scale": bound_scale},
-        seed=seed,
-        version=__version__,
-    )
     payload = {
         "schema_version": JSON_SCHEMA_VERSION,
-        "manifest": manifest.to_dict(),
+        "manifest": _manifest("check", {"scale": scale, "bound_scale": bound_scale},
+                              seed),
         "checks": checks,
         "all_ok": all_ok,
     }
     return all_ok, payload
 
 
-def _write_experiment_csv(path, records, manifest):
-    lines = [_manifest_comment(manifest), ",".join(EXPERIMENT_COLUMNS)]
-    for r in records:
-        lines.append(",".join([
-            r.method, str(r.t), str(r.k), repr(r.epsilon), str(r.seed),
-            repr(r.f_tilde),
-            "" if r.accuracy is None else repr(r.accuracy),
-            f"{r.projection_ms:.3f}", f"{r.clustering_ms:.3f}",
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_bench_csv(path, rows, manifest):
-    lines = [_manifest_comment(manifest), ",".join(BENCH_COLUMNS)]
-    for r in rows:
-        lines.append(",".join([
-            r["impl"], str(r["d"]), str(r["t"]), str(r["n"]), str(r["seed"]),
-            f"{r['median_ms']:.4f}", str(r["repeats"]),
-        ]))
+def _write_table(path, manifest, columns, rows):
+    """CSV with a "# manifest {json}" first line, a header, then one line per
+    row of already formatted cells."""
+    lines = ["# manifest " + json.dumps(manifest, sort_keys=True), ",".join(columns)]
+    lines += [",".join(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -350,11 +304,8 @@ def _resolve_cfg(args) -> ProjectionConfig:
         if args.t is None:
             raise ParameterError("provide --k (to size the projection) or --t")
         k = 1
-    t = args.t
-    if isinstance(t, list):
-        t = t[0] if t else None
     return ProjectionConfig(k=k, epsilon=args.epsilon, c=args.c,
-                            t_override=t, seed=args.seed)
+                            t_override=args.t, seed=args.seed)
 
 
 def _cmd_project(args) -> int:
@@ -371,48 +322,38 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    _import_sparse()
     start = time.perf_counter()
     dataset = _load_dataset(args.input, args.normalize_pixels)
-    loaded = time.perf_counter()
+    load_ms = (time.perf_counter() - start) * 1000.0
     cfg = _resolve_cfg(args)
     spec = _solver_from_args(args, dataset.n, args.k)
-    proj, t_used = apply_projection(dataset.points, cfg, METHOD_MAP[args.method])
-    projected = time.perf_counter()
-    res = solve(proj, args.k, spec, args.seed)
-    clustered = time.perf_counter()
-    plugback = objective(dataset.points, res.assignment)
+    run = project_and_cluster(dataset.points, args.k, cfg, spec, METHOD_MAP[args.method])
+    res = run.projected
+    scored = time.perf_counter()
     fro = frobenius_norm(dataset.points)
     acc = (accuracy(res.assignment, dataset.labels)
            if dataset.labels is not None else None)
-    scored = time.perf_counter()
-    manifest = RunManifest(
-        subcommand="cluster",
-        params={"input": str(args.input), "k": args.k, "method": args.method,
-                "t": t_used, "epsilon": args.epsilon, "c": args.c,
-                "solver": spec.kind, "max_iter": spec.max_iter,
-                "replicates": spec.replicates},
-        seed=args.seed,
-        version=__version__,
-        timings={"load_ms": (loaded - start) * 1000.0,
-                 "projection_ms": (projected - loaded) * 1000.0,
-                 "clustering_ms": (clustered - projected) * 1000.0,
-                 "score_ms": (scored - clustered) * 1000.0},
-    )
+    score_ms = run.plugback_ms + (time.perf_counter() - scored) * 1000.0
+    params = {"input": str(args.input), "k": args.k, "method": args.method,
+              "t": run.t, "epsilon": args.epsilon, "c": args.c,
+              "solver": spec.kind, "max_iter": spec.max_iter,
+              "replicates": spec.replicates}
+    timings = {"load_ms": load_ms, "projection_ms": run.projection_ms,
+               "clustering_ms": run.clustering_ms, "score_ms": score_ms}
     payload = {
         "schema_version": JSON_SCHEMA_VERSION,
-        "manifest": manifest.to_dict(),
+        "manifest": _manifest("cluster", params, args.seed, timings),
         "result": {
             "labels": res.assignment.labels.tolist(),
             "projected_objective": res.objective,
-            "original_objective": plugback,
-            "f_tilde": plugback / (fro * fro) if fro > 0 else None,
+            "original_objective": run.original_objective,
+            "f_tilde": run.original_objective / (fro * fro) if fro > 0 else None,
             "accuracy": acc,
             "iterations": res.iterations,
             "converged": res.converged,
             "objective_trace": res.objective_trace.tolist(),
             "method": args.method,
-            "t": t_used,
+            "t": run.t,
         },
     }
     _write_json(args.output, payload)
@@ -426,29 +367,28 @@ def _cmd_experiment(args) -> int:
         args.k, args.epsilon, args.c)]
     records = run_experiment_sweep(dataset, args.k, t_list, args.method, spec,
                                    args.seed, epsilon=args.epsilon, c=args.c)
-    manifest = RunManifest(
-        subcommand="experiment",
-        params={"input": str(args.input), "k": args.k, "t_list": t_list,
-                "methods": args.method, "epsilon": args.epsilon, "c": args.c,
-                "solver": spec.kind, "max_iter": spec.max_iter},
-        seed=args.seed,
-        version=__version__,
-    )
-    _write_experiment_csv(args.output, records, manifest)
+    manifest = _manifest("experiment", {
+        "input": str(args.input), "k": args.k, "t_list": t_list,
+        "methods": args.method, "epsilon": args.epsilon, "c": args.c,
+        "solver": spec.kind, "max_iter": spec.max_iter}, args.seed)
+    _write_table(args.output, manifest, EXPERIMENT_COLUMNS, (
+        [r.method, str(r.t), str(r.k), repr(r.epsilon), str(r.seed), repr(r.f_tilde),
+         "" if r.accuracy is None else repr(r.accuracy),
+         f"{r.projection_ms:.3f}", f"{r.clustering_ms:.3f}"]
+        for r in records))
     return 0
 
 
 def _cmd_bench(args) -> int:
     rows = run_bench(args.d, args.t, args.n, args.seed, impls=args.impl,
                      repeats=args.repeats)
-    manifest = RunManifest(
-        subcommand="bench",
-        params={"d_list": args.d, "t_list": args.t, "n": args.n,
-                "impls": list(args.impl), "repeats": args.repeats},
-        seed=args.seed,
-        version=__version__,
-    )
-    _write_bench_csv(args.output, rows, manifest)
+    manifest = _manifest("bench", {
+        "d_list": args.d, "t_list": args.t, "n": args.n,
+        "impls": list(args.impl), "repeats": args.repeats}, args.seed)
+    _write_table(args.output, manifest, BENCH_COLUMNS, (
+        [r["impl"], str(r["d"]), str(r["t"]), str(r["n"]), str(r["seed"]),
+         f"{r['median_ms']:.4f}", str(r["repeats"])]
+        for r in rows))
     return 0
 
 
@@ -559,10 +499,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CrossCheckError as exc:

@@ -26,6 +26,11 @@ def _validate_epsilon(epsilon: float):
         raise ParameterError(f"epsilon={epsilon} outside (0, 1/3]")
 
 
+def _validate_c(c: float):
+    if not (0.0 < c < math.inf):
+        raise ParameterError(f"c={c} must be positive and finite")
+
+
 def target_dimension(k: int, epsilon: float, c: float = 1.0) -> int:
     """Projection dimension t = ceil(c * k / epsilon**2).
 
@@ -35,9 +40,13 @@ def target_dimension(k: int, epsilon: float, c: float = 1.0) -> int:
     if k < 1:
         raise ParameterError("k must be at least 1")
     _validate_epsilon(epsilon)
-    if c <= 0:
-        raise ParameterError("c must be positive")
+    _validate_c(c)
+    if epsilon * epsilon == 0.0:
+        raise ParameterError(f"epsilon={epsilon} squared underflows to 0")
     x = c * k / (epsilon * epsilon)
+    if not math.isfinite(x):
+        raise ParameterError(f"c * k / epsilon**2 overflows for c={c}, k={k}, "
+                             f"epsilon={epsilon}")
     return max(1, math.ceil(x - 1e-12 * x))
 
 
@@ -55,8 +64,7 @@ class ProjectionConfig:
         if self.k < 1:
             raise ParameterError("k must be at least 1")
         _validate_epsilon(self.epsilon)
-        if self.c <= 0:
-            raise ParameterError("c must be positive")
+        _validate_c(self.c)
         if self.t_override is not None and self.t_override < 1:
             raise ParameterError("t_override must be at least 1")
 

@@ -10,6 +10,8 @@ import pytest
 
 from rpkmeans import cli, dataio
 from rpkmeans.errors import ParameterError
+from rpkmeans.kmeans import FirstOfEachGroup, SolverSpec, project_and_cluster
+from rpkmeans.projection import ProjectionConfig
 
 
 def make_dataset(tmp_path, n=60, d=64, k=4, seed=0):
@@ -79,6 +81,28 @@ def test_cluster_emits_versioned_json(tmp_path):
     assert 0.0 <= result["accuracy"] <= 1.0
     trace = result["objective_trace"]
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+def test_cluster_runs_the_library_pipeline(tmp_path):
+    # cluster must report exactly what kmeans.project_and_cluster computes on
+    # the same points, projection config and solver spec
+    data = make_dataset(tmp_path)
+    points = dataio.read_csv(data).points
+    cfg = ProjectionConfig(k=4, t_override=16, seed=2)
+    spec = SolverSpec(init=FirstOfEachGroup(60 // 4), replicates=2)
+    out = tmp_path / "result.json"
+    for method in ("rp_mailman", "rp_naive", "gaussian", "svd", "hd"):
+        assert cli.main(["cluster", "--input", str(data), "--output", str(out), "--k", "4",
+                         "--method", method, "--t", "16", "--replicates", "2",
+                         "--seed", "2"]) == 0
+        result = json.loads(out.read_text())["result"]
+        run = project_and_cluster(points, 4, cfg, spec, cli.METHOD_MAP[method])
+        assert result["labels"] == run.projected.assignment.labels.tolist()
+        assert result["projected_objective"] == run.projected.objective
+        assert result["original_objective"] == run.original_objective
+        assert result["objective_trace"] == run.projected.objective_trace.tolist()
+        assert result["t"] == run.t == (64 if method == "hd" else 16)
+        assert min(run.projection_ms, run.clustering_ms, run.plugback_ms) >= 0.0
 
 
 def test_cluster_hd_is_deterministic(tmp_path):
@@ -270,9 +294,14 @@ def test_check_tightened_bound_fails(tmp_path):
 
 
 def test_missing_input_exits_three(tmp_path):
-    code = cli.main(["cluster", "--input", str(tmp_path / "nope.csv"),
-                     "--k", "2"])
-    assert code == 3
+    data = make_dataset(tmp_path)
+    # a missing file, a path through a file (NotADirectoryError), and an
+    # output that cannot be written
+    for where in (["--input", str(tmp_path / "nope.csv")],
+                  ["--input", str(data / "x")],
+                  ["--input", str(data), "--output", str(tmp_path / "no_such_dir" / "out.json")]):
+        code = cli.main(["cluster", *where, "--k", "2"])
+        assert code == 3
 
 
 def test_unparsable_input_exits_three(tmp_path):
@@ -292,9 +321,15 @@ def test_non_utf8_input_exits_three(tmp_path, capsys):
 
 def test_bad_epsilon_exits_two(tmp_path):
     data = make_dataset(tmp_path)
-    for bad in (["--epsilon", "0.9", "--method", "rp_naive", "--t", "8"],
-                ["--init-indices", "0,x,2,3"], ["--init-indices", "0,,2,3"]):
-        code = cli.main(["cluster", "--input", str(data), "--k", "4", *bad])
+    out = tmp_path / "out.csv"
+    for bad in (["cluster", "--epsilon", "0.9", "--method", "rp_naive", "--t", "8"],
+                ["cluster", "--init-indices", "0,x,2,3"], ["cluster", "--init-indices", "0,,2,3"],
+                ["cluster", "--c", "inf", "--method", "rp_naive"],
+                ["cluster", "--c", "nan", "--method", "rp_naive"],
+                ["cluster", "--epsilon", "1e-200", "--method", "rp_naive"],
+                ["cluster", "--tol", "nan"],
+                ["experiment", "--c", "inf", "--output", str(out)]):
+        code = cli.main([*bad, "--input", str(data), "--k", "4"])
         assert code == 2
 
 

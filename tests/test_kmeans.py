@@ -287,6 +287,8 @@ def test_solver_spec_validation():
         kmeans.SolverSpec(kind="annealing")
     with pytest.raises(ParameterError):
         kmeans.SolverSpec(replicates=0)
+    with pytest.raises(ParameterError):
+        kmeans.SolverSpec(tol=float("nan"))
 
 
 def test_brute_force_collinear_hand_case():

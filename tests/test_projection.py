@@ -15,13 +15,19 @@ def test_target_dimension_arithmetic():
 
 
 def test_target_dimension_rejects_bad_epsilon():
-    for eps in (0.0, -0.1, 0.34, 0.5, 1.0):
+    # 1e-200 squared underflows to 0
+    for eps in (0.0, -0.1, 0.34, 0.5, 1.0, float("nan"), 1e-200):
         with pytest.raises(ParameterError):
             projection.target_dimension(4, eps)
     with pytest.raises(ParameterError):
         projection.target_dimension(0, 0.2)
-    with pytest.raises(ParameterError):
-        projection.target_dimension(4, 0.2, c=0.0)
+    # 1e308 is finite, but c * k / epsilon**2 overflows
+    for c in (0.0, float("inf"), float("nan"), 1e308):
+        with pytest.raises(ParameterError):
+            projection.target_dimension(4, 0.2, c=c)
+    for c in (float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            projection.ProjectionConfig(k=4, c=c)
 
 
 def test_config_resolves_t_and_guards_dimension():
