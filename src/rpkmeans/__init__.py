@@ -9,11 +9,11 @@ tiny instances, a property-check suite, and a CLI.
 __version__ = "0.1.0"
 
 from .dataio import Dataset, MixtureSpec, generate_mixture, load_image_dir, read_csv, write_csv
-from .errors import ConvergenceError, CrossCheckError, DataFormatError, ParameterError
+from .errors import CrossCheckError, DataFormatError, ParameterError
 from .evaluation import (ExperimentRecord, PropertyReport, accuracy,
                          decomposition_residual_check, jl_distortion_check,
                          matmul_moment_check, moment_identity_check,
-                         norm_bound_check, normalized_objective,
+                         norm_bound_check, normalized_objective, property_suite,
                          pseudo_inverse_bound_check, singular_value_check,
                          theorem_distortion_trial)
 from .kmeans import (Assignment, FirstOfEachGroup, GivenIndices, KMeansResult,

@@ -54,7 +54,7 @@ def _manifest(subcommand: str, params: dict, seed: int, timings=None) -> dict:
 
 
 def _solver_from_args(args, n: int, k: int) -> SolverSpec:
-    if getattr(args, "init_indices", None):
+    if args.init_indices:
         try:
             indices = tuple(int(x) for x in args.init_indices.split(","))
         except ValueError:
@@ -62,15 +62,10 @@ def _solver_from_args(args, n: int, k: int) -> SolverSpec:
                                  f"got {args.init_indices!r}") from None
         init = GivenIndices(indices)
     else:
-        stride = getattr(args, "init_stride", None)
-        init = FirstOfEachGroup(stride if stride is not None else max(1, n // k))
-    return SolverSpec(
-        kind=getattr(args, "solver", "lloyd"),
-        max_iter=getattr(args, "max_iter", 100),
-        tol=getattr(args, "tol", 1e-9),
-        init=init,
-        replicates=getattr(args, "replicates", 1),
-    )
+        init = FirstOfEachGroup(args.init_stride if args.init_stride is not None
+                                else max(1, n // k))
+    return SolverSpec(kind=args.solver, max_iter=args.max_iter, tol=args.tol,
+                      init=init, replicates=args.replicates)
 
 
 def _load_dataset(path, normalize_pixels: bool) -> Dataset:
@@ -170,108 +165,6 @@ def run_bench(d_list, t_list, n: int, seed: int, impls=BENCH_IMPLS,
                              "median_ms": statistics.median(times),
                              "repeats": repeats})
     return rows
-
-
-def _suite_checks(seed: int, scale: str, bound_scale: float) -> list:
-    """Run every property check at the named scale; returns suite entries."""
-    if scale == "full":
-        p = {
-            "jl": dict(n=50, d=1000, t=2000, epsilon=0.3, seeds=10),
-            "moment": dict(t=400, seeds=200),
-            "norm": dict(k=2, epsilon=0.5, trials=100, required=95),
-            "singular": dict(k=5, epsilon=0.5, t=2000, trials=100, required=95),
-            "product": dict(t=512, seeds=200),
-            "pinv": dict(k=3, epsilon=0.5, t=2000, trials=100, required=90),
-            "residual": dict(k=3, epsilon=0.5, t=2000, trials=100, required=90),
-            "theorem": dict(n=10, d=40, k=2, epsilon=0.2, t=500, trials=100,
-                            required=90),
-        }
-    elif scale == "quick":
-        p = {
-            "jl": dict(n=30, d=256, t=512, epsilon=0.3, seeds=3),
-            "moment": dict(t=200, seeds=50),
-            "norm": dict(k=2, epsilon=0.5, trials=30, required=27),
-            "singular": dict(k=5, epsilon=0.5, t=800, trials=30, required=27),
-            "product": dict(t=256, seeds=50),
-            "pinv": dict(k=3, epsilon=0.5, t=800, trials=30, required=26),
-            "residual": dict(k=3, epsilon=0.5, t=800, trials=30, required=26),
-            "theorem": dict(n=8, d=20, k=2, epsilon=0.2, t=200, trials=20,
-                            required=16),
-        }
-    else:
-        raise ParameterError(f"unknown scale {scale!r}")
-
-    c_small = _rng.stream(seed, _rng.INSTANCE, 1).standard_normal((20, 30))
-    c_norm = _rng.stream(seed, _rng.INSTANCE, 2).standard_normal((30, 50))
-    a_basis = _rng.stream(seed, _rng.INSTANCE, 3).standard_normal((50, 80))
-    s_left = _rng.stream(seed, _rng.INSTANCE, 4).standard_normal((20, 40))
-    t_right = _rng.stream(seed, _rng.INSTANCE, 5).standard_normal((40, 3))
-
-    def check_seed(i):
-        return _rng.derive_seed(seed, _rng.TRIAL, 1000 + i)
-
-    runs = [
-        (p["jl"], lambda q: evaluation.jl_distortion_check(
-            q["n"], q["d"], q["t"], q["epsilon"], q["seeds"], check_seed(0),
-            bound_scale=bound_scale), None),
-        (p["moment"], lambda q: evaluation.moment_identity_check(
-            c_small, q["t"], q["seeds"], check_seed(1),
-            bound_scale=bound_scale), None),
-        (p["norm"], lambda q: evaluation.norm_bound_check(
-            c_norm, q["k"], q["epsilon"], q["trials"], check_seed(2),
-            bound_scale=bound_scale), p["norm"]["required"]),
-        (p["singular"], lambda q: evaluation.singular_value_check(
-            a_basis, q["k"], q["epsilon"], q["t"], q["trials"], check_seed(3),
-            bound_scale=bound_scale), p["singular"]["required"]),
-        (p["product"], lambda q: evaluation.matmul_moment_check(
-            s_left, t_right, q["t"], q["seeds"], check_seed(4),
-            bound_scale=bound_scale), None),
-        (p["pinv"], lambda q: evaluation.pseudo_inverse_bound_check(
-            a_basis, q["k"], q["epsilon"], q["t"], q["trials"], check_seed(5),
-            bound_scale=bound_scale), p["pinv"]["required"]),
-        (p["residual"], lambda q: evaluation.decomposition_residual_check(
-            a_basis, q["k"], q["epsilon"], q["t"], q["trials"], check_seed(6),
-            bound_scale=bound_scale), p["residual"]["required"]),
-        (p["theorem"], lambda q: evaluation.theorem_distortion_trial(
-            q["n"], q["d"], q["k"], q["epsilon"], q["t"], q["trials"],
-            check_seed(7), bound_scale=bound_scale), p["theorem"]["required"]),
-    ]
-    entries = []
-    for params, runner, required in runs:
-        report = runner(params)
-        need = required if required is not None else report.trials
-        entries.append({
-            "name": report.check_name,
-            "params": {key: val for key, val in params.items()
-                       if key != "required"},
-            "trials": report.trials,
-            "passes": report.passes,
-            "required": need,
-            "statistic": report.statistic,
-            "bound": report.bound,
-            "ok": report.passes >= need,
-        })
-    return entries
-
-
-def run_property_suite(seed: int = 0, scale: str = "full",
-                       bound_scale: float = 1.0):
-    """Run the whole check suite; returns (all_ok, json-ready payload).
-
-    The payload carries no wall times, so identical seeds give identical
-    bytes.  bound_scale below 1 tightens every acceptance bound and is the
-    hook negative-control tests use to force a failing exit.
-    """
-    checks = _suite_checks(seed, scale, bound_scale)
-    all_ok = all(entry["ok"] for entry in checks)
-    payload = {
-        "schema_version": JSON_SCHEMA_VERSION,
-        "manifest": _manifest("check", {"scale": scale, "bound_scale": bound_scale},
-                              seed),
-        "checks": checks,
-        "all_ok": all_ok,
-    }
-    return all_ok, payload
 
 
 def _write_table(path, manifest, columns, rows):
@@ -393,9 +286,22 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    all_ok, payload = run_property_suite(seed=args.seed, scale=args.scale,
-                                         bound_scale=args.bound_scale)
-    _write_json(args.output, payload)
+    """Run the property suite and write its JSON; exits 1 unless every check
+    passes.
+
+    The payload carries no wall times, so identical seeds give identical
+    bytes.  --bound-scale below 1 tightens every acceptance bound and is
+    the hook negative-control tests use to force a failing exit.
+    """
+    checks = evaluation.property_suite(args.seed, args.scale, args.bound_scale)
+    all_ok = all(entry["ok"] for entry in checks)
+    _write_json(args.output, {
+        "schema_version": JSON_SCHEMA_VERSION,
+        "manifest": _manifest("check", {"scale": args.scale,
+                                        "bound_scale": args.bound_scale}, args.seed),
+        "checks": checks,
+        "all_ok": all_ok,
+    })
     return 0 if all_ok else 1
 
 

@@ -9,13 +9,5 @@ class DataFormatError(ValueError):
     """Input text or bytes cannot be parsed into the requested structure."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative method exhausted its budget; carries the last estimate."""
-
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class CrossCheckError(RuntimeError):
     """Two implementations that must agree produced different results."""

@@ -103,8 +103,9 @@ class SolverSpec:
             raise ParameterError(f"unknown solver kind {self.kind!r}")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
-        if not self.tol >= 0:
-            raise ParameterError("tol must be nonnegative")
+        # tol >= 1 would stop every run after two iterations as converged
+        if not 0.0 <= self.tol < 1.0:
+            raise ParameterError(f"tol={self.tol!r} outside [0, 1)")
         if self.replicates < 1:
             raise ParameterError("replicates must be at least 1")
 
@@ -251,7 +252,11 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     falls below tol, or max_iter is hit.
 
     Emptied clusters are repaired by reassigning the point farthest from
-    its current centroid.  The recorded objective trace is non-increasing.
+    its current centroid.  The recorded objective trace is non-increasing
+    up to rounding: each entry is sum ||a_i||^2 - sum_j ||S_j||^2 / z_j, and
+    that difference can rise from one iteration to the next by rounding
+    alone (by up to 1.3 eps * sum ||a_i||^2 in random draws; the tests
+    allow 16 eps * sum ||a_i||^2).
     With replicates > 1, restarts r >= 1 draw k distinct seed rows from the
     (seed, restart r) stream and the best objective wins.
 

@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as _rng
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
 
 # sigma_i <= SINGULAR_VALUE_CUTOFF * sigma_max counts as zero everywhere.
 SINGULAR_VALUE_CUTOFF = 1e-12
@@ -34,41 +33,9 @@ def frobenius_norm(a) -> float:
     return math.sqrt(float(np.einsum("ij,ij->", a, a)))
 
 
-def spectral_norm(a, tol: float = 1e-10, max_iter: int = 1000) -> float:
-    """Largest singular value, by power iteration on the Gram matrix.
-
-    The start vector comes from a fixed internal stream, so repeated calls
-    on the same input return bit-identical values.  Raises ConvergenceError
-    (carrying the last Rayleigh-quotient estimate) if the relative change
-    is still above tol after max_iter iterations.
-    """
-    a = as_matrix(a)
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    if max_iter < 1:
-        raise ParameterError("max_iter must be at least 1")
-    v = _rng.stream(0, _rng.POWER_ITERATION).standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    prev = None
-    est = 0.0
-    for _ in range(max_iter):
-        u = a @ v
-        est = float(np.sqrt(u @ u))  # Rayleigh quotient of a.T a at unit v
-        if est == 0.0:
-            return 0.0
-        w = a.T @ u
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return est
-        v = w / nw
-        if prev is not None and abs(est - prev) <= tol * max(est, 1e-300):
-            return est
-        prev = est
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations "
-        f"(last estimate {est!r})",
-        estimate=est,
-    )
+def spectral_norm(a) -> float:
+    """Largest singular value, from a full SVD."""
+    return float(np.linalg.svd(as_matrix(a), compute_uv=False)[0])
 
 
 @dataclass

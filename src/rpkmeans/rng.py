@@ -12,10 +12,10 @@ import numpy as np
 from .errors import ParameterError
 
 # Domain tags keep unrelated consumers of the same user seed on disjoint
-# streams.  The per-domain index must fit in 48 bits.
+# streams.  The per-domain index must fit in 48 bits.  A tag's value keys
+# every stream it owns, so tags are never renumbered; 3 is retired.
 SIGN_BLOCK = 1
 GAUSSIAN = 2
-POWER_ITERATION = 3
 MIXTURE_CENTERS = 4
 MIXTURE_NOISE = 5
 LLOYD_RESTART = 6

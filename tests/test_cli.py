@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rpkmeans import cli, dataio
+from rpkmeans import cli, dataio, evaluation, rng
 from rpkmeans.errors import ParameterError
 from rpkmeans.kmeans import FirstOfEachGroup, SolverSpec, project_and_cluster
 from rpkmeans.projection import ProjectionConfig
@@ -121,21 +121,24 @@ def test_cluster_hd_is_deterministic(tmp_path):
 def test_cluster_output_independent_of_blas_threads(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     out = tmp_path / "out"
-    # cluster JSON at d = 256, and an experiment CSV at d = 777, where BLAS
-    # products differ between 1 and 2 threads; each case is one pair of runs
+    # cluster JSON at d = 256, an experiment CSV at d = 777, where BLAS
+    # products differ between 1 and 2 threads, and the check suite (no
+    # input); each case is one pair of runs
     cases = [(256, ["cluster", "--method", "rp_mailman", "--t", "40", "--replicates", "3"],
               b'"labels"'),
              (777, ["experiment", "--method", "hd", "--method", "rp_mailman",
-                    "--method", "rp_naive", "--t", "40", "--t", "100"], b"\nrp_naive,100,")]
+                    "--method", "rp_naive", "--t", "40", "--t", "100"], b"\nrp_naive,100,"),
+             (None, ["check", "--scale", "quick", "--seed", "0"], b'"all_ok": true')]
     for d, args, marker in cases:
-        data = make_dataset(tmp_path, n=400, d=d, k=8, seed=6)
+        if d is not None:
+            data = make_dataset(tmp_path, n=400, d=d, k=8, seed=6)
+            args = [*args, "--input", str(data), "--k", "8"]
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                 filter(None, [src, os.environ.get("PYTHONPATH")])))
             subprocess.run(
-                [sys.executable, "-m", "rpkmeans.cli", *args, "--input", str(data),
-                 "--k", "8", "--output", str(out)],
+                [sys.executable, "-m", "rpkmeans.cli", *args, "--output", str(out)],
                 env=env, capture_output=True, timeout=120, check=True)
             # the timing fields and columns are the only part allowed to differ
             text = re.sub(rb'("\w+_ms": )[^,\n]+', rb"\1null", out.read_bytes())
@@ -278,10 +281,21 @@ def test_check_quick_scale_passes_and_is_deterministic(tmp_path):
     payload = json.loads(out1.read_text())
     assert payload["all_ok"] is True
     assert payload["schema_version"] == cli.JSON_SCHEMA_VERSION
-    names = {c["name"] for c in payload["checks"]}
-    assert len(names) == 8
+    assert [c["name"] for c in payload["checks"]] == [
+        "jl_pairwise_distortion", "norm_moment_identity", "projected_norm_upper_bound",
+        "projected_basis_singular_values", "matrix_product_moment",
+        "pseudo_inverse_transpose_gap", "rank_k_decomposition_residual",
+        "cluster_distortion_guarantee"]
     for check in payload["checks"]:
         assert check["passes"] >= check["required"]
+    # row 5 of the suite: INSTANCE stream 3 as input, trial seed 1000 + 5
+    pinv = payload["checks"][5]
+    assert pinv["params"] == dict(k=3, epsilon=0.5, t=800, trials=30)
+    report = evaluation.pseudo_inverse_bound_check(
+        rng.stream(0, rng.INSTANCE, 3).standard_normal((50, 80)), **pinv["params"],
+        seed=rng.derive_seed(0, rng.TRIAL, 1005))
+    assert (pinv["passes"], pinv["required"], pinv["statistic"], pinv["bound"]) == (
+        report.passes, 26, report.statistic, report.bound)
 
 
 def test_check_tightened_bound_fails(tmp_path):
@@ -327,7 +341,8 @@ def test_bad_epsilon_exits_two(tmp_path):
                 ["cluster", "--c", "inf", "--method", "rp_naive"],
                 ["cluster", "--c", "nan", "--method", "rp_naive"],
                 ["cluster", "--epsilon", "1e-200", "--method", "rp_naive"],
-                ["cluster", "--tol", "nan"],
+                ["cluster", "--tol", "nan"], ["cluster", "--tol", "inf"],
+                ["cluster", "--tol", "1"],
                 ["experiment", "--c", "inf", "--output", str(out)]):
         code = cli.main([*bad, "--input", str(data), "--k", "4"])
         assert code == 2

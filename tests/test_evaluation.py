@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpkmeans import evaluation, kmeans, matrix, projection, rng
-from rpkmeans.errors import ConvergenceError, ParameterError
+from rpkmeans.errors import ParameterError
 
 from _oracles import accuracy_by_assignment, accuracy_by_permutation
 
@@ -177,16 +177,15 @@ def test_pseudo_inverse_bound_check_holds():
 
 
 def test_pseudo_inverse_check_survives_a_power_iteration_stall():
-    # the inputs of check --scale full --seed 21, which used to exit 1: in
+    # the inputs of check --scale full --seed 21, which once exited 1: in
     # trial 42 the gap's top two singular values are 0.027808 and 0.027780,
-    # and power iteration does not converge
+    # on which a power iteration for the spectral norm did not converge
     a = rng.stream(21, rng.INSTANCE, 3).standard_normal((50, 80))
     seed = rng.derive_seed(21, rng.TRIAL, 1005)
     v = matrix.svd_thin(a, 3).v
     vr = v.T @ projection.sample_sign_matrix(80, 2000, evaluation._trial_seed(seed, 42)).dense()
     gap = matrix.pseudo_inverse(vr) - vr.T
-    with pytest.raises(ConvergenceError):
-        matrix.spectral_norm(gap)
+    assert matrix.spectral_norm(gap) == np.linalg.svd(gap, compute_uv=False)[0]
     report = evaluation.pseudo_inverse_bound_check(a, k=3, epsilon=0.5, t=2000,
                                                    trials=43, seed=seed)
     assert report.trials == 43 and report.passes == 43

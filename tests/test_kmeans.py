@@ -287,8 +287,9 @@ def test_solver_spec_validation():
         kmeans.SolverSpec(kind="annealing")
     with pytest.raises(ParameterError):
         kmeans.SolverSpec(replicates=0)
-    with pytest.raises(ParameterError):
-        kmeans.SolverSpec(tol=float("nan"))
+    for tol in (float("nan"), 1.0, 2.0, float("inf")):
+        with pytest.raises(ParameterError):
+            kmeans.SolverSpec(tol=tol)
 
 
 def test_brute_force_collinear_hand_case():
