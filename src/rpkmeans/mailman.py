@@ -49,11 +49,6 @@ ROW_TILE = 64
 # tiles, 1 MiB measured as fast as 0.5 or 2 MiB, and 32 or 128-row tiles
 # no faster, on a 2 MiB-L2 Xeon.
 TILE_BYTES = 1 << 20
-# plan_blocks samples, and densify expands, blocks in batches whose
-# temporaries stay near this many bytes: a batch shares one re-keyed Philox,
-# one range check and one set of vector operations, and memory stays flat
-# next to the plan or the dense output.
-BATCH_BYTES = 1 << 16
 
 
 @dataclass
@@ -102,11 +97,11 @@ class SignMatrix:
 
     def signs(self) -> np.ndarray:
         """Dense +-1 entries."""
-        return densify(self.blocks, scaled=False)
+        return densify(self, scaled=False)
 
     def dense(self) -> np.ndarray:
         """Dense entries with the 1/sqrt(t) scale folded in."""
-        return densify(self.blocks, scaled=True)
+        return densify(self, scaled=True)
 
 
 def block_widths(d: int, t: int) -> list:
@@ -148,18 +143,13 @@ def plan_blocks(d: int, t: int, seed: int) -> list:
     """Sample the pattern codes for every block of a d x t sign matrix.
 
     Block j draws from the (seed, block j) stream, so blocks can be
-    generated independently and in any order.  Blocks are sampled in
-    batches of BATCH_BYTES of codes; batching changes no code.
+    generated independently and in any order.  All blocks are sampled in
+    one pass, and each block's codes are a row view of one array.
     """
     scale = 1.0 / math.sqrt(t)
     widths = block_widths(d, t)
-    per_batch = max(1, BATCH_BYTES // (8 * d))
-    blocks = []
-    for first in range(0, len(widths), per_batch):
-        batch = widths[first:first + per_batch]
-        codes = _sample_codes(d, batch, seed, first)
-        blocks.extend(MailmanBlock._checked(p, row, scale) for p, row in zip(batch, codes))
-    return blocks
+    codes = _sample_codes(d, widths, seed, 0)
+    return [MailmanBlock._checked(p, row, scale) for p, row in zip(widths, codes)]
 
 
 def build_plan(d: int, t: int, seed: int) -> SignMatrix:
@@ -351,40 +341,31 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
     return out
 
 
-def densify(sign_or_blocks, scaled: bool = False) -> np.ndarray:
-    """Expand packed blocks into the dense d x t sign matrix.
+def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
+    """Expand a packed sign matrix into its dense d x t entries.
 
     Entries are +-1 (bit b of a code set -> +1 in block column b), times
-    the block scale when scaled=True.  Runs of blocks of one width are
-    expanded in batches and copied into the output; besides the output,
-    memory goes to one batch's codes, bits and entries: about BATCH_BYTES,
-    or one block's when a block needs more.
+    the block scale when scaled=True.  Each run of blocks of one width is
+    expanded in one pass, straight into its output columns; besides the
+    output, memory goes to the run's codes and one byte per entry of bits.
     """
-    blocks = sign_or_blocks.blocks if hasattr(sign_or_blocks, "blocks") else sign_or_blocks
-    if not blocks:
-        raise ParameterError("no blocks to densify")
-    d = blocks[0].d
-    t = sum(b.p for b in blocks)
-    dense = np.empty((d, t))
+    dense = np.empty((sign.d, sign.t))
     offset = 0
-    for p, run in itertools.groupby(blocks, key=lambda b: b.p):
+    for p, run in itertools.groupby(sign.blocks, key=lambda b: b.p):
         run = list(run)
-        # per block and row: an 8-byte code, p bytes of bits, p float entries
-        per_batch = max(1, BATCH_BYTES // (d * (8 + 9 * p)))
-        for first in range(0, len(run), per_batch):
-            batch = run[first:first + per_batch]
-            g = len(batch)
-            codes = np.stack([b.codes for b in batch], axis=1).astype("<i8", copy=False)
-            # the bytes of a little-endian code, least significant first,
-            # unpack to its bits 0, 1, ..., p - 1
-            bits = np.unpackbits(codes.view(np.uint8).reshape(d, g, 8), axis=2,
-                                 count=p, bitorder="little")
-            # a contiguous batch, then one copy: three passes over the strided
-            # output columns measured slower
-            entries = np.multiply(bits, 2.0)
-            entries -= 1.0
-            if scaled:
-                entries *= np.array([b.scale for b in batch])[:, None]
-            dense[:, offset:offset + g * p] = entries.reshape(d, g * p)
-            offset += g * p
+        width = len(run) * p
+        # little-endian codes in the narrowest unsigned type that holds p
+        # bits: their bytes, least significant first, unpack to bits 0..p-1
+        code_type = np.dtype(f"<u{next(n for n in (1, 2, 4, 8) if 8 * n >= p)}")
+        codes = np.stack([b.codes for b in run], axis=1, dtype=code_type, casting="unsafe")
+        bits = np.unpackbits(codes.view(np.uint8).reshape(sign.d, len(run), -1), axis=2,
+                             count=p, bitorder="little")
+        # via the 2-D column slice: in-place ops on a 3-D view of these
+        # strided columns allocate an output-sized temporary
+        cols = dense[:, offset:offset + width]
+        np.multiply(bits.reshape(sign.d, width), 2.0, out=cols)
+        cols -= 1.0
+        if scaled:
+            cols *= np.repeat([b.scale for b in run], p)
+        offset += width
     return dense

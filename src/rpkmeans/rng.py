@@ -50,15 +50,17 @@ def stream_words(seed: int, domain: int, indices, count: int) -> np.ndarray:
     built per stream, which costs more than drawing a few hundred words.
     """
     indices = list(indices)
+    for index in (min(indices, default=0), max(indices, default=0)):
+        _key_word(domain, index)  # the two ends bound every index
     words = np.empty((len(indices), count), dtype=np.uint64)
     bits = np.random.Philox(0)
-    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
-    zeros = np.zeros(4, dtype=np.uint64)
-    # the state of a freshly keyed Philox: counter 0, buffer empty
-    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    # a freshly keyed Philox (counter 0, buffer empty), in plain ints: the
+    # setter reads each field by index, about 1 us a numpy scalar
+    key = [seed % (1 << 64), 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for row, index in enumerate(indices):
-        key[1] = _key_word(domain, index)
+        key[1] = (domain << _INDEX_BITS) | index
         bits.state = state
         words[row] = bits.random_raw(count)
     return words

@@ -337,15 +337,16 @@ def test_densify_matches_per_block_oracle(scaled):
              mailman.plan_blocks(1000, 19, 1), mailman.plan_blocks(50, 1600, 11),
              mailman.plan_blocks(2, 3, 0), mailman.plan_blocks(1, 4, 0)]
     for blocks in cases:
-        assert np.array_equal(mailman.densify(blocks, scaled=scaled),
+        sign = mailman.SignMatrix(blocks[0].d, sum(b.p for b in blocks), blocks)
+        assert np.array_equal(mailman.densify(sign, scaled=scaled),
                               densify_by_block(blocks, scaled=scaled))
 
 
 def test_densify_allocates_little_beyond_its_output():
-    blocks = mailman.plan_blocks(1000, 2000, 0)
+    sign = mailman.SignMatrix(1000, 2000, mailman.plan_blocks(1000, 2000, 0))
     tracemalloc.start()
     try:
-        dense = mailman.densify(blocks)
+        dense = mailman.densify(sign)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -196,6 +196,18 @@ def test_matmul_matches_triple_loop_exactly():
     assert np.array_equal(matrix.matmul(a, b), matmul_triple_loop(a, b))
 
 
+def test_matmul_matches_triple_loop_in_signed_zeros_and_cancellations():
+    # -0.0 entries make -0.0 products (all of them in the last row times
+    # the last column); exact cancellations make +0.0 sums
+    a = np.array([[-0.0, 1.0, -1.0, 0.5], [2.0, -0.0, 0.0, -2.0], [-0.0, -0.0, -0.0, -0.0]])
+    b = np.array([[1.0, -0.0, 3.0, 1.0], [0.25, -1.0, -0.0, 2.0], [0.25, -1.0, 0.0, 0.5],
+                  [-0.0, 2.0, 1.5, 4.0]])
+    got = matrix.matmul(a, b)
+    expect = matmul_triple_loop(a, b)
+    assert np.array_equal(got, expect) and np.array_equal(np.signbit(got), np.signbit(expect))
+    assert (got == 0.0).sum() >= 4
+
+
 def test_matmul_dimension_mismatch():
     with pytest.raises(ParameterError):
         matrix.matmul(np.eye(3), np.eye(4))
