@@ -6,9 +6,12 @@ library, the cluster and experiment subcommands and the benchmark all run
 it, and it times its own three phases.
 
 Lloyd's mean update and the plug-back objective both take their per-cluster
-sums from cluster_sums, one sparse one-hot product whose sums have the bits
-of np.add.at."""
+sums from one sparse k x n one-hot product, whose sums have the bits of
+np.add.at: cluster_sums builds the one-hot for one call, and lloyd builds
+it once per call and writes each iteration's labels into it.  cluster_sums
+stays the statement of that bit contract."""
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,8 +24,9 @@ from .matrix import as_matrix
 
 BRUTE_FORCE_MAX_POINTS = 14
 _ENUM_CHUNK = 1 << 15
-# objective gathers the centroid rows of this many bytes of points at a time.
-OBJECTIVE_TILE_BYTES = 1 << 18
+# objective squares and sums the differences this many elements at a time;
+# at least 128, the size up to which numpy sums without splitting.
+OBJECTIVE_LEAF = 1 << 16
 
 
 @dataclass
@@ -119,6 +123,20 @@ class KMeansResult:
     objective_trace: np.ndarray
 
 
+def _onehot(labels, k: int):
+    """The k x n CSC one-hot of labels: column i holds a single 1.0 in row
+    labels[i].  Labels are trusted to lie in [0, k)."""
+    # imported here so that importing the package does not load scipy
+    from scipy import sparse
+
+    n = labels.size
+    index = np.int32 if max(n, k) <= np.iinfo(np.int32).max else np.int64
+    return sparse.csc_matrix(
+        (np.ones(n), labels.astype(index), np.arange(n + 1, dtype=index)),
+        shape=(k, n),
+    )
+
+
 def cluster_sums(a, labels, k: int) -> np.ndarray:
     """Per-cluster row sums: row j of the k x d result sums the rows of a
     labelled j (zero for an empty cluster).
@@ -128,46 +146,75 @@ def cluster_sums(a, labels, k: int) -> np.ndarray:
     cluster in ascending i, the same order as np.add.at, so the sums are
     bit-identical to it.  Labels outside [0, k) raise ParameterError.
     """
-    # imported here so that importing the package does not load scipy
-    from scipy import sparse
-
     labels = np.asarray(labels)
-    n = labels.size
     # scipy trusts the row indices of a matrix built this way, so check them
-    if n and (labels.min() < 0 or labels.max() >= k):
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ParameterError("labels must lie in [0, k)")
-    index = np.int32 if max(n, k) <= np.iinfo(np.int32).max else np.int64
-    onehot = sparse.csc_matrix(
-        (np.ones(n), labels.astype(index), np.arange(n + 1, dtype=index)),
-        shape=(k, n),
-    )
-    return np.asarray(onehot @ a)
+    return np.asarray(_onehot(labels, k) @ a)
+
+
+def _pairwise_sum(lo, hi, leaf_sum):
+    """Sum of leaf_sum over the flat index range lo..hi, split as numpy's
+    pairwise sum splits it until a part holds at most OBJECTIVE_LEAF
+    elements.  A module-level function, not a closure: a closure that calls
+    itself is a reference cycle, which would keep the leaf buffer alive
+    until the cyclic garbage collector runs."""
+    n = hi - lo
+    if n <= OBJECTIVE_LEAF:
+        return leaf_sum(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(lo, lo + half, leaf_sum) + _pairwise_sum(lo + half, hi, leaf_sum)
+
+
+def _squared_leaf(flat, d, centroids, labels, buf, lo, hi):
+    """Sum of the squared differences at flat indices lo..hi of
+    a - centroids[labels], where flat is a.reshape(-1) and d the row length
+    of a; buf holds at least hi - lo elements."""
+    r0, c0 = divmod(lo, d)
+    r1, c1 = divmod(hi, d)
+    out = buf[:hi - lo]
+    # the centroid entries at those indices: the rest of row r0, rows
+    # r0 + 1 .. r1 - 1 whole, and the start of row r1
+    if r0 == r1:
+        out[:] = centroids[labels[r0], c0:c1]
+    else:
+        out[:d - c0] = centroids[labels[r0], c0:]
+        # mode="clip" writes straight into out; "raise" would buffer it, and
+        # the labels are in range
+        np.take(centroids, labels[r0 + 1:r1], axis=0, mode="clip",
+                out=out[d - c0:hi - lo - c1].reshape(-1, d))
+        if c1:
+            out[hi - lo - c1:] = centroids[labels[r1], :c1]
+    np.subtract(flat[lo:hi], out, out=out)
+    np.multiply(out, out, out=out)
+    return out.sum()
 
 
 def objective(a, asg: Assignment) -> float:
     """Sum of squared distances from each point to its cluster mean.
 
-    Each row's difference from its centroid goes into one n x d buffer, a
-    tile of OBJECTIVE_TILE_BYTES of centroid rows at a time; the buffer is
-    then squared in place and summed once.  That is the same arithmetic,
-    and the same summation order, as np.sum(diff * diff) with
-    diff = a - centroids[labels], without their two n x d temporaries.
+    Returns the bits of np.sum(diff * diff) with diff = a - centroids[labels],
+    without an n x d temporary.  numpy sums a contiguous array pairwise: a
+    range of more than 128 elements splits at n2 = n // 2 - (n // 2) % 8
+    and the two halves' sums are added.  objective splits the flat range
+    0..n*d the same way until a part (a leaf) holds at most OBJECTIVE_LEAF
+    elements.  Each leaf fills one reused buffer with its squared
+    differences and sums it with numpy's own sum, which splits it as the
+    whole array's sum would; the leaves' sums are then added back up the
+    tree.  Every addition is the one np.sum makes, so the bits are equal.
     """
     a = as_matrix(a)
     if asg.labels.size != a.shape[0]:
         raise ParameterError("assignment length does not match row count")
     if (asg.cluster_sizes[asg.labels] == 0).any():
         raise ParameterError("assignment references an empty cluster")
-    sums = cluster_sums(a, asg.labels, asg.k)
-    denom = np.maximum(asg.cluster_sizes, 1)[:, None]
-    centroids = sums / denom
-    diff = np.empty_like(a)
-    rows = max(1, OBJECTIVE_TILE_BYTES // (8 * a.shape[1]))
-    for r0 in range(0, a.shape[0], rows):
-        np.subtract(a[r0:r0 + rows], centroids[asg.labels[r0:r0 + rows]],
-                    out=diff[r0:r0 + rows])
-    np.multiply(diff, diff, out=diff)
-    return float(diff.sum())
+    centroids = cluster_sums(a, asg.labels, asg.k)
+    centroids /= np.maximum(asg.cluster_sizes, 1)[:, None]
+    buf = np.empty(min(OBJECTIVE_LEAF, a.size))
+    leaf_sum = functools.partial(_squared_leaf, a.reshape(-1), a.shape[1],
+                                 centroids, asg.labels, buf)
+    return float(_pairwise_sum(0, a.size, leaf_sum))
 
 
 def _initial_centroids(a, k, init):
@@ -198,8 +245,8 @@ def _partition_cost(a_sq_total, sums_sq, sizes):
     return max(float(val), 0.0)
 
 
-def _lloyd_once(a, a_sq, a_sq_total, k, centroids, max_iter, tol):
-    n = a.shape[0]
+def _lloyd_once(a, a_sq, a_sq_total, onehot, centroids, max_iter, tol):
+    n, k = a.shape[0], onehot.shape[0]
     labels_prev = None
     trace = []
     converged = False
@@ -224,7 +271,9 @@ def _lloyd_once(a, a_sq, a_sq_total, k, centroids, max_iter, tol):
             sizes[labels[moved]] -= 1
             labels[moved] = empty
             sizes[empty] = 1
-        sums = cluster_sums(a, labels, k)
+        # the cluster_sums product, on the call's one one-hot
+        onehot.indices[:] = labels
+        sums = np.asarray(onehot @ a)
         centroids = sums / np.maximum(sizes, 1)[:, None]
         sums_sq = np.einsum("ij,ij->i", sums, sums)
         trace.append(_partition_cost(a_sq_total, sums_sq, sizes))
@@ -260,10 +309,11 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     With replicates > 1, restarts r >= 1 draw k distinct seed rows from the
     (seed, restart r) stream and the best objective wins.
 
-    The rows' squared norms, and the check that they do not overflow, are
-    computed once per call and shared by the replicates.  Each mean update
-    sums the clusters with cluster_sums, so labels, trace and objective are
-    bit-identical to updates by np.add.at.
+    The rows' squared norms, the check that they do not overflow, and the
+    k x n one-hot of cluster_sums are made once per call and shared by the
+    replicates.  Each mean update writes its labels into the one-hot and
+    multiplies it by the rows, the product cluster_sums makes, so labels,
+    trace and objective are bit-identical to updates by np.add.at.
     """
     a = as_matrix(a)
     spec = spec if spec is not None else SolverSpec()
@@ -276,6 +326,7 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     # Lloyd forms; where it overflows, the objective would become inf or NaN.
     if not math.isfinite(a_sq_total * max(n, 4)):
         raise ParameterError("squared norms of the input overflow float64; rescale it")
+    onehot = _onehot(np.zeros(n, dtype=np.int64), k)
     best = None
     for rep in range(spec.replicates):
         if rep == 0:
@@ -285,7 +336,7 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
                 n, size=k, replace=False
             )
             centroids = a[np.sort(idx)].copy()
-        res = _lloyd_once(a, a_sq, a_sq_total, k, centroids, spec.max_iter, spec.tol)
+        res = _lloyd_once(a, a_sq, a_sq_total, onehot, centroids, spec.max_iter, spec.tol)
         if best is None or res.objective < best.objective:
             best = res
     return best

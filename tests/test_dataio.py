@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -289,6 +291,71 @@ def test_load_image_dir_hand_fixture(tmp_path):
     ds = dataio.load_image_dir(tmp_path)
     assert np.array_equal(ds.points, [[0, 1, 2, 3], [4, 5, 6, 7]])
     assert np.array_equal(ds.labels, [0, 1])
+
+
+# Headers the one-pattern reader takes, then ones only the token parser
+# reads: comments, and a width written 1_0 or +10, which int() reads as 10.
+PGM_HEADERS = [
+    b"P5\n10 3\n255\n",
+    b"P5 10 3 255 ",
+    b"P5\t\r\n 10\x0b\x0c3\r\n255\r",
+    b"P5\n# made by hand\n10 3\n# maxval next\n255\n",
+    b"  # leading comment\nP5 10 #width\n3 255\n",
+    b"P5\n1_0 3\n255\n",
+    b"P5\n+10 3\n0255\n",
+]
+
+
+def test_load_image_dir_bits_equal_per_image_rasters(tmp_path):
+    rng = np.random.default_rng(331)
+    expect, labels = [], []
+    for c, header in enumerate(PGM_HEADERS):
+        (tmp_path / f"c{c}").mkdir()
+        for i in range(3):
+            raster = rng.integers(0, 256, size=30, dtype=np.uint8).tobytes()
+            (tmp_path / f"c{c}" / f"img{i}.pgm").write_bytes(header + raster)
+            expect.append(np.frombuffer(raster, dtype=np.uint8).astype(np.float64))
+            labels.append(c)
+    ds = dataio.load_image_dir(tmp_path, expected_size=(3, 10))
+    assert ds.points.dtype == np.float64
+    assert np.array_equal(ds.points, np.stack(expect))
+    assert np.array_equal(ds.labels, labels)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n0 3\n255\n", "bad dimensions 0x3"),
+    (b"P5\n# comment\n0 3\n255\n", "bad dimensions 0x3"),
+    (b"P5\n2 2\n65535\n" + bytes(8), "maxval 65535 unsupported (8-bit only)"),
+    (b"P5\n2 2\n255\n" + bytes(3), "raster has 3 bytes, expected 4"),
+    (b"P5 2 2 255", "raster has 0 bytes, expected 4"),
+    (b"P2\n2 2\n255\n0 1 2 3\n", "unsupported magic number b'P2' (want binary P5)"),
+    (b"P5\n2 x\n255\n" + bytes(4), "non-numeric header field"),
+    (b"P5\n2 2\n", "non-numeric header field"),  # how a header cut short reads
+    (b" \n# only a comment\n", "truncated header"),
+])
+def test_read_pgm_errors_name_the_file_and_the_fault(tmp_path, data, message):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    with pytest.raises(DataFormatError) as err:
+        dataio._read_pgm(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_load_image_dir_allocates_little_beyond_its_output(tmp_path):
+    rng = np.random.default_rng(337)
+    for c in range(4):
+        (tmp_path / f"c{c}").mkdir()
+        for i in range(5):
+            write_pgm(tmp_path / f"c{c}" / f"img{i}.pgm", 64, 64,
+                      rng.integers(0, 256, size=64 * 64).tolist())
+    tracemalloc.start()
+    try:
+        ds = dataio.load_image_dir(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.points.shape == (20, 64 * 64)
+    assert peak <= 1.25 * ds.points.nbytes
 
 
 def test_load_image_dir_empty_root(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -75,32 +76,67 @@ def _labelled(n, d, k, seed):
     return a, kmeans.Assignment(labels, k, np.bincount(labels, minlength=k))
 
 
-def _tile_rows(d):
-    return max(1, kmeans.OBJECTIVE_TILE_BYTES // (8 * d))
+LEAF = kmeans.OBJECTIVE_LEAF
 
 
 @pytest.mark.parametrize("n, d, k", [
-    (2 * _tile_rows(64) + 37, 64, 9),  # n not a multiple of the row tile
-    (_tile_rows(3) + 1, 3, 4),         # a last tile of one row
-    (1, 40, 1),                        # n = 1
-    (500, 30, 1),                      # k = 1
-    (2 * _tile_rows(1) + 5, 1, 6),     # d = 1
-    (7, 5000, 7),                      # one row per cluster, one tile
+    (100, 7, 3),                # n * d below one leaf
+    (LEAF // 64, 64, 5),        # exactly one leaf
+    (LEAF + 1, 1, 6),           # one leaf + 1, d = 1
+    (1, LEAF + 1, 1),           # n = 1, k = 1, a row longer than a leaf
+    (3, 2 * LEAF + 5, 2),       # leaves inside one row and across two
+    (1061, 64, 9),              # rows straddle the leaves
+    (777, 333, 5),              # rows straddle the leaves, odd d
+    (10923, 3, 4),              # one leaf of many short rows
+    (65541, 1, 6),              # d = 1
+    (1, 40, 1),                 # n = 1
+    (500, 30, 1),               # k = 1
+    (7, 5000, 7),               # one row per cluster
 ])
 def test_objective_bits_equal_the_gathered_form(n, d, k):
     a, asg = _labelled(n, d, k, seed=n + d + k)
     assert kmeans.objective(a, asg) == objective_by_gather(a, asg.labels, k)
 
 
+@pytest.mark.parametrize("size", [LEAF + 1, 2 * LEAF + 12, 3 * LEAF + 13,
+                                  5 * LEAF + 7, 7 * LEAF + 100])
+def test_leaf_tree_adds_as_numpys_pairwise_sum(size):
+    # signs and twelve decades of magnitude make any other split show
+    g = np.random.default_rng(size)
+    x = g.standard_normal(size) * 10.0 ** g.uniform(-6, 6, size=size)
+    total = kmeans._pairwise_sum(0, size, lambda lo, hi: x[lo:hi].sum())
+    assert total == np.sum(x)
+
+
 def test_objective_allocates_at_most_one_and_a_half_inputs():
-    a, asg = _labelled(4000, 64, 10, seed=5)
+    n, d, k = 4000, 64, 10
+    a, asg = _labelled(n, d, k, seed=5)
     tracemalloc.start()
     try:
         kmeans.objective(a, asg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * a.nbytes
+    # the leaf buffer, the k x d sums (divided in place into the
+    # centroids), and per row the one-hot's index, pointer and data and the
+    # empty-cluster check's gather
+    bound = 8 * (LEAF + k * d) + 40 * n + 4096
+    assert bound < 0.5 * a.nbytes
+    assert peak <= bound
+
+
+def test_objective_and_lloyd_leave_no_reference_cycles():
+    # a cycle would keep the leaf buffer or the one-hot alive until the
+    # cyclic collector runs, which raised peak memory in a full pipeline
+    a, asg = _labelled(300, 40, 6, seed=11)
+    gc.collect()
+    gc.disable()
+    try:
+        kmeans.objective(a, asg)
+        kmeans.lloyd(a, 6, kmeans.SolverSpec(replicates=2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_objective_length_mismatch():
