@@ -3,7 +3,6 @@
 import csv
 import io
 import math
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,15 +213,10 @@ def _parse_cells(text, path):
             np.array(labels, dtype=np.int64) if has_label else None)
 
 
-# A plain binary PGM header: magic, width, height and maxval in decimal,
-# separated by whitespace, and the one whitespace byte before the raster.
-# Any other header (comments, signs, underscores) goes to the token parser.
-_PGM_HEADER = re.compile(rb"P5\s+([0-9]+)\s+([0-9]+)\s+([0-9]+)\s")
-
-
-def _pgm_header_tokens(data, path):
-    """(width, height, maxval, raster offset) read token by token, with
-    comments; raises DataFormatError for a header it cannot read."""
+def _read_pgm(path) -> np.ndarray:
+    """Parse one binary (P5) PGM file into an h x w uint8 array of 0..255,
+    a read-only view of the file's bytes."""
+    data = Path(path).read_bytes()
     pos = 0
 
     def token():
@@ -254,30 +248,13 @@ def _pgm_header_tokens(data, path):
         maxval = int(token())
     except ValueError:
         raise DataFormatError(f"{path}: non-numeric header field") from None
-    return width, height, maxval, pos + 1  # single whitespace byte after maxval
-
-
-def _read_pgm(path) -> np.ndarray:
-    """Parse one binary (P5) PGM file into an h x w uint8 array of 0..255,
-    a read-only view of the file's bytes.
-
-    A plain decimal header is read by one regular expression; any other
-    header goes to the token parser, which reads comments and whatever
-    int() accepts.  Both give the same values and the same errors.
-    """
-    data = Path(path).read_bytes()
-    plain = _PGM_HEADER.match(data)
-    if plain:
-        width, height, maxval = map(int, plain.groups())
-        pos = plain.end()
-    else:
-        width, height, maxval, pos = _pgm_header_tokens(data, path)
     if width < 1 or height < 1:
         raise DataFormatError(f"{path}: bad dimensions {width}x{height}")
     if not 0 < maxval <= 255:
         raise DataFormatError(
             f"{path}: maxval {maxval} unsupported (8-bit only)"
         )
+    pos += 1  # single whitespace byte after maxval
     raster = memoryview(data)[pos:]
     if len(raster) != width * height:
         raise DataFormatError(
@@ -300,26 +277,21 @@ def load_image_dir(path, expected_size=None) -> Dataset:
     root = Path(path)
     if not root.is_dir():
         raise DataFormatError(f"{root}: not a directory")
-    base = str(root)
-    with os.scandir(base) as entries:
-        class_names = sorted(e.name for e in entries if e.is_dir())
-    if not class_names:
+    class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    if not class_dirs:
         raise DataFormatError(f"{root}: no class subdirectories")
-    classes = []
-    for name in class_names:
-        with os.scandir(os.path.join(base, name)) as entries:
-            classes.append(sorted(e.name for e in entries
-                                  if e.is_file() and not e.name.startswith(".")))
+    classes = [sorted(p for p in class_dir.iterdir()
+                      if p.is_file() and not p.name.startswith("."))
+               for class_dir in class_dirs]
     labels = np.repeat(np.arange(len(classes), dtype=np.int64),
                        [len(files) for files in classes])
     size = tuple(expected_size) if expected_size is not None else None
     pixels = None
     row = 0
-    for name, files in zip(class_names, classes):
+    for class_dir, files in zip(class_dirs, classes):
         if not files:
-            raise DataFormatError(f"{root / name}: class directory is empty")
-        for file_name in files:
-            file = os.path.join(base, name, file_name)
+            raise DataFormatError(f"{class_dir}: class directory is empty")
+        for file in files:
             img = _read_pgm(file)
             if size is None:
                 size = img.shape
