@@ -242,10 +242,11 @@ def _read_pgm(path) -> np.ndarray:
         raise DataFormatError(
             f"{path}: unsupported magic number {magic!r} (want binary P5)"
         )
+    # read before converting: a cut-short header is reported as truncated,
+    # not caught below as a ValueError (DataFormatError subclasses it)
+    fields = token(), token(), token()
     try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
+        width, height, maxval = map(int, fields)
     except ValueError:
         raise DataFormatError(f"{path}: non-numeric header field") from None
     if width < 1 or height < 1:

@@ -53,13 +53,11 @@ class ExperimentRecord:
             raise ParameterError("accuracy must lie in [0, 1]")
 
 
-def normalized_objective(a, asg: Assignment) -> float:
-    """Clustering objective divided by the squared Frobenius norm of a."""
-    a = as_matrix(a)
+def normalized_objective(value: float, a) -> float | None:
+    """f~: a clustering objective of the rows of a divided by the squared
+    Frobenius norm of a; None when a is all zero."""
     fro = frobenius_norm(a)
-    if fro == 0.0:
-        raise ParameterError("normalized objective undefined for the zero matrix")
-    return objective(a, asg) / (fro * fro)
+    return value / (fro * fro) if fro > 0 else None
 
 
 def accuracy(pred: Assignment, truth) -> float:

@@ -60,19 +60,6 @@ class Assignment:
     def n(self) -> int:
         return self.labels.size
 
-    def indicator(self) -> np.ndarray:
-        """The n x k normalized indicator matrix X with X[i, j] = 1/sqrt(z_j).
-
-        Columns of empty clusters are zero; over nonempty clusters the
-        columns are orthonormal, so X @ X.T @ a averages within clusters.
-        """
-        x = np.zeros((self.n, self.k))
-        inv = np.zeros(self.k)
-        nonempty = self.cluster_sizes > 0
-        inv[nonempty] = 1.0 / np.sqrt(self.cluster_sizes[nonempty])
-        x[np.arange(self.n), self.labels] = inv[self.labels]
-        return x
-
 
 @dataclass
 class GivenIndices:
@@ -449,7 +436,6 @@ class PipelineResult:
 
     projected: KMeansResult
     original_objective: float
-    method: str
     t: int
     projection_ms: float
     clustering_ms: float
@@ -487,7 +473,6 @@ def project_and_cluster(a, k: int, cfg: _projection.ProjectionConfig,
     return PipelineResult(
         projected=res,
         original_objective=plugback,
-        method=method,
         t=t_used,
         projection_ms=(projected_at - start) * 1000.0,
         clustering_ms=(clustered_at - projected_at) * 1000.0,

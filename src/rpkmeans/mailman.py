@@ -2,7 +2,8 @@
 
 SignMatrix holds a d x t matrix of +-1/sqrt(t) entries in column blocks of
 width p = floor(log2 d).  Each block keeps one integer pattern code per row
-(bit b of the code is the sign of block column b: 1 -> +1, 0 -> -1).
+(bit b of the code is the sign of block column b: 1 -> +1, 0 -> -1).  The
+scale 1/sqrt(t) is one number for the whole matrix, so no block stores it.
 Multiplying a row vector by one block then costs d bucket additions plus
 a fold over the 2**p buckets, instead of d*p multiply-adds (Liberty and
 Zucker, "The Mailman algorithm", 2009).
@@ -57,7 +58,6 @@ class MailmanBlock:
 
     p: int
     codes: np.ndarray  # (d,) integers in [0, 2**p)
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.p < 1:
@@ -69,10 +69,10 @@ class MailmanBlock:
             raise ParameterError(f"codes must lie in [0, 2**{self.p})")
 
     @classmethod
-    def _checked(cls, p: int, codes: np.ndarray, scale: float):
+    def _checked(cls, p: int, codes: np.ndarray):
         """A block of int64 codes that the caller has range-checked."""
         block = object.__new__(cls)
-        block.p, block.codes, block.scale = p, codes, scale
+        block.p, block.codes = p, codes
         return block
 
     @property
@@ -146,10 +146,9 @@ def plan_blocks(d: int, t: int, seed: int) -> list:
     generated independently and in any order.  All blocks are sampled in
     one pass, and each block's codes are a row view of one array.
     """
-    scale = 1.0 / math.sqrt(t)
     widths = block_widths(d, t)
     codes = _sample_codes(d, widths, seed, 0)
-    return [MailmanBlock._checked(p, row, scale) for p, row in zip(widths, codes)]
+    return [MailmanBlock._checked(p, row) for p, row in zip(widths, codes)]
 
 
 def build_plan(d: int, t: int, seed: int) -> SignMatrix:
@@ -198,8 +197,9 @@ def fold_buckets(buckets: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def block_row_multiply_counted(block: MailmanBlock, x):
-    """Scalar reference multiply of the row vector x by one packed block.
+def block_row_multiply_counted(block: MailmanBlock, x, scale: float = 1.0):
+    """Scalar reference multiply of the row vector x by one packed block,
+    times scale.
 
     Returns (y, additions) where additions is every floating-point add or
     subtract performed.  The count is at most d + 2**(p+1) per call.
@@ -235,7 +235,7 @@ def block_row_multiply_counted(block: MailmanBlock, x):
         for b, hi_sum in stashed:
             out[b] = 2.0 * hi_sum - total
             adds += 1
-    y = np.array([block.scale * value for value in out])
+    y = np.array([scale * value for value in out])
     return y, adds
 
 
@@ -258,8 +258,8 @@ def bit_slices(p: int) -> list:
 
 
 def _slice_groups(plan: SignMatrix) -> list:
-    """project_mailman's slice groups: (one-hot, width, output columns,
-    scales), one per group of equal-width slices."""
+    """project_mailman's slice groups: (one-hot, width, output columns),
+    one per group of equal-width slices."""
     # imported here so that importing the package does not load scipy
     from scipy import sparse
 
@@ -280,7 +280,6 @@ def _slice_groups(plan: SignMatrix) -> list:
     # otherwise convert them on every product
     index = np.int32 if max(max(d, 1 << w) * len(c) for w, c in chunks) < 2**31 else np.int64
     codes = np.stack([b.codes for b in plan.blocks], axis=1, dtype=index)
-    scales = np.array([b.scale for b in plan.blocks])
     # every one-hot entry is 1.0: the groups share one array of them
     ones = np.ones(d * max(len(c) for _, c in chunks))
     groups = []
@@ -295,13 +294,13 @@ def _slice_groups(plan: SignMatrix) -> list:
         onehot = sparse.csc_matrix(
             (ones[:d * g], rows.reshape(-1), np.arange(0, (d + 1) * g, g, dtype=index)),
             shape=(g << w, d))
-        groups.append((onehot, w, (first[None, :] + np.arange(w)[:, None]).reshape(-1),
-                       scales[blk][:, None]))
+        groups.append((onehot, w, (first[None, :] + np.arange(w)[:, None]).reshape(-1)))
     return groups
 
 
 def project_mailman(a, plan: SignMatrix) -> np.ndarray:
-    """Multiply every row of a by the packed sign matrix: a @ R, scaled.
+    """Multiply every row of a by the packed sign matrix: a @ R, scaled by
+    1/sqrt(t).
 
     The matrix is applied in bit-slices rather than whole p-bit blocks: each
     block's codes are cut by bit_slices into ceil(p / SLICE_BITS) slices of
@@ -329,14 +328,15 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
         raise ParameterError(f"a has {a.shape[1]} columns, the sign matrix expects {plan.d}")
     n = a.shape[0]
     groups = _slice_groups(plan)
+    scale = 1.0 / math.sqrt(plan.t)
     out = np.empty((n, plan.t))
     for r0 in range(0, n, ROW_TILE):
         tile = np.ascontiguousarray(a[r0:r0 + ROW_TILE].T)
         m = tile.shape[1]
-        for onehot, w, cols, group_scales in groups:
+        for onehot, w, cols in groups:
             # (2**w, g, m) buckets fold to (w, g, m): bit, slice, row
             folded = fold_buckets((onehot @ tile).reshape(1 << w, -1, m), axis=0)
-            folded *= group_scales
+            folded *= scale
             out[r0:r0 + m, cols] = folded.reshape(-1, m).T
     return out
 
@@ -345,7 +345,7 @@ def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
     """Expand a packed sign matrix into its dense d x t entries.
 
     Entries are +-1 (bit b of a code set -> +1 in block column b), times
-    the block scale when scaled=True.  Each run of blocks of one width is
+    1/sqrt(t) when scaled=True.  Each run of blocks of one width is
     expanded in one pass, straight into its output columns; besides the
     output, memory goes to the run's codes and one byte per entry of bits.
     """
@@ -366,6 +366,6 @@ def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
         np.multiply(bits.reshape(sign.d, width), 2.0, out=cols)
         cols -= 1.0
         if scaled:
-            cols *= np.repeat([b.scale for b in run], p)
+            cols *= 1.0 / math.sqrt(sign.t)
         offset += width
     return dense

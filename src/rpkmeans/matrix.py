@@ -43,25 +43,19 @@ class SvdResult:
     u: np.ndarray       # n x k, orthonormal columns
     sigma: np.ndarray   # k, nonnegative, nonincreasing
     v: np.ndarray       # d x k, orthonormal columns
-    rank_estimate: int  # numerical rank of the full input
 
 
 def svd_thin(a, k: int) -> SvdResult:
-    """Top-k singular triplets of a, plus the numerical rank of a."""
+    """Top-k singular triplets of a."""
     a = as_matrix(a)
     n, d = a.shape
     if not 1 <= k <= min(n, d):
         raise ParameterError(f"k={k} outside [1, min(n, d)={min(n, d)}]")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] > 0:
-        rank = int(np.sum(s > SINGULAR_VALUE_CUTOFF * s[0]))
-    else:
-        rank = 0
     return SvdResult(
         u=np.ascontiguousarray(u[:, :k]),
         sigma=s[:k].copy(),
         v=np.ascontiguousarray(vt[:k].T),
-        rank_estimate=rank,
     )
 
 

@@ -92,7 +92,6 @@ class GaussianMatrix:
     d: int
     t: int
     entries: np.ndarray = field(repr=False)
-    seed: int = 0
 
     def dense(self) -> np.ndarray:
         return self.entries
@@ -103,7 +102,7 @@ def sample_gaussian_matrix(d: int, t: int, seed: int) -> GaussianMatrix:
         raise ParameterError("d and t must be positive")
     entries = _rng.stream(seed, _rng.GAUSSIAN).standard_normal((d, t))
     entries /= math.sqrt(t)
-    return GaussianMatrix(d=d, t=t, entries=entries, seed=seed)
+    return GaussianMatrix(d=d, t=t, entries=entries)
 
 
 def project_naive(a, r) -> np.ndarray:

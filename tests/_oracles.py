@@ -98,20 +98,31 @@ def sign_sum_columns(codes, p, x):
     return y
 
 
-def densify_by_block(blocks, scaled=False):
+def densify_by_block(blocks, scale=None):
     """The dense d x t sign matrix of packed blocks, expanded one block at a
-    time: (bit * 2 - 1), times the block scale when scaled."""
+    time: (bit * 2 - 1), times scale when one is given."""
     d = blocks[0].d
     dense = np.empty((d, sum(b.p for b in blocks)))
     offset = 0
     for block in blocks:
         bits = (block.codes[:, None] >> np.arange(block.p)[None, :]) & 1
         cols = bits.astype(np.float64) * 2.0 - 1.0
-        if scaled:
-            cols *= block.scale
+        if scale is not None:
+            cols *= scale
         dense[:, offset:offset + block.p] = cols
         offset += block.p
     return dense
+
+
+def normalized_indicator(labels, k):
+    """The n x k matrix X with X[i, j] = 1/sqrt(z_j) where point i is in
+    cluster j, z_j its size; X @ X.T @ a averages rows within clusters."""
+    labels = np.asarray(labels, dtype=np.int64)
+    sizes = np.bincount(labels, minlength=k)
+    x = np.zeros((labels.size, k))
+    for i, label in enumerate(labels.tolist()):
+        x[i, label] = 1.0 / math.sqrt(sizes[label])
+    return x
 
 
 def accuracy_by_permutation(pred_labels, truth):

@@ -356,6 +356,22 @@ def test_cluster_overflowing_input_exits_two(tmp_path):
     assert cli.main(["cluster", "--input", str(path), "--k", "2"]) == 2
 
 
+def test_all_zero_data_has_no_f_tilde(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    dataio.write_csv(dataio.Dataset(points=np.zeros((20, 8)), labels=None, source="zero"),
+                     path)
+    for method in ("hd", "rp_mailman"):
+        out = tmp_path / f"{method}.json"
+        assert cli.main(["cluster", "--input", str(path), "--k", "2", "--method", method,
+                         "--t", "4", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["f_tilde"] is None
+    capsys.readouterr()
+    code = cli.main(["experiment", "--input", str(path), "--k", "2", "--t", "4",
+                     "--output", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert "sweep undefined for an all-zero dataset" in capsys.readouterr().err
+
+
 def test_missing_k_exits_two(tmp_path):
     data = make_dataset(tmp_path)
     assert cli.main(["cluster", "--input", str(data)]) == 2

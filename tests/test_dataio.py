@@ -331,6 +331,9 @@ def test_load_image_dir_bits_equal_per_image_rasters(tmp_path):
     (b"P2\n2 2\n255\n0 1 2 3\n", "unsupported magic number b'P2' (want binary P5)"),
     (b"P5\n2 x\n255\n" + bytes(4), "non-numeric header field"),
     (b" \n# only a comment\n", "truncated header"),
+    (b"P5\n2 2\n", "truncated header"),
+    (b"P5\n2", "truncated header"),
+    (b"P5\n", "truncated header"),
 ])
 def test_read_pgm_errors_name_the_file_and_the_fault(tmp_path, data, message):
     path = tmp_path / "img.pgm"

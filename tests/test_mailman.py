@@ -51,22 +51,22 @@ def test_block_codes_validate_range():
 
 
 def test_block_row_multiply_zero_vector():
-    block = mailman.MailmanBlock(p=3, codes=np.arange(8) % 8, scale=0.5)
-    assert np.array_equal(mailman.block_row_multiply_counted(block, np.zeros(8))[0],
+    block = mailman.MailmanBlock(p=3, codes=np.arange(8) % 8)
+    assert np.array_equal(mailman.block_row_multiply_counted(block, np.zeros(8), 0.5)[0],
                           np.zeros(3))
 
 
 def test_block_row_multiply_all_plus_block():
     # every code all-ones: each output coordinate sums the whole vector
     d, p = 12, 3
-    block = mailman.MailmanBlock(p=p, codes=np.full(d, (1 << p) - 1), scale=0.25)
-    y = mailman.block_row_multiply_counted(block, np.ones(d))[0]
+    block = mailman.MailmanBlock(p=p, codes=np.full(d, (1 << p) - 1))
+    y = mailman.block_row_multiply_counted(block, np.ones(d), 0.25)[0]
     assert np.allclose(y, d * 0.25, atol=1e-12)
 
 
 def test_block_row_multiply_hand_case():
-    block = mailman.MailmanBlock(p=2, codes=np.array([0, 1, 2, 3]), scale=1.0)
-    y = mailman.block_row_multiply_counted(block, np.array([1.0, 2.0, 3.0, 4.0]))[0]
+    block = mailman.MailmanBlock(p=2, codes=np.array([0, 1, 2, 3]))
+    y = mailman.block_row_multiply_counted(block, np.array([1.0, 2.0, 3.0, 4.0]), 1.0)[0]
     assert np.allclose(y, [2.0, 4.0], atol=1e-12)
 
 
@@ -75,10 +75,10 @@ def test_block_row_multiply_matches_sign_sum_oracle():
     for p in (1, 2, 4, 5):
         d = 3 << p
         codes = rng.integers(0, 1 << p, size=d)
-        block = mailman.MailmanBlock(p=p, codes=codes, scale=1.0)
+        block = mailman.MailmanBlock(p=p, codes=codes)
         x = rng.standard_normal(d)
         expect = sign_sum_columns(codes, p, x)
-        assert np.allclose(mailman.block_row_multiply_counted(block, x)[0], expect,
+        assert np.allclose(mailman.block_row_multiply_counted(block, x, 1.0)[0], expect,
                            atol=1e-10 * max(1.0, np.abs(expect).max()))
 
 
@@ -128,7 +128,7 @@ def test_counted_multiply_agrees_and_respects_add_budget():
         fast = mailman.project_mailman(x[None], plan)[0]
         col = 0
         for block in plan.blocks:
-            y_slow, adds = mailman.block_row_multiply_counted(block, x)
+            y_slow, adds = mailman.block_row_multiply_counted(block, x, 1.0 / np.sqrt(t))
             assert np.allclose(fast[col:col + block.p], y_slow, atol=1e-10)
             assert adds <= d + (1 << (block.p + 1))
             col += block.p
@@ -289,6 +289,43 @@ def test_plan_blocks_codes_match_golden_digests(cell, digest):
     assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
 
 
+def _dyadic_rows(n, d):
+    # integers in [-1023, 1023] over 64, from integer arithmetic alone: every
+    # bucket sum and fold is exact, so the one rounding per output element is
+    # the multiply by 1/sqrt(t), and no libm or BLAS enters the bits
+    k = np.arange(n * d, dtype=np.int64) * 2654435761 % 2047 - 1023
+    return k.reshape(n, d) / 64.0
+
+
+# sha256 of project_mailman's output on _dyadic_rows(n, d), and of
+# densify(scaled=True), both written as little-endian float64.
+GOLDEN_OUTPUT_DIGESTS = [
+    # the rp-faces shape, two row tiles (the second of one row)
+    ((65, 10304, 360, 2**64 - 1),
+     "9dc3996af9bb8ecb0308c91f7599766950cb7b89e484ef78d14fae683f358427",
+     "19f8463123e515e4f8f7928a37e3caf71c7ee861506fac923e848d6dbc7f8e4f"),
+    # a width-2 remainder block
+    ((7, 777, 29, 3),
+     "a8e57a281dee935e0416a2e503376965519e042e41490ead73ddefa02ffd4640",
+     "372a70d9ecb1e669b6ae67116cd8a0a8a3afee64e44182c69f195f7a4af03ca8"),
+    # four row tiles, three slice groups (_multi_tile_shape at the default tiling)
+    ((193, 64, 200, 5),
+     "200c5d8a67a1e3010fa9eb32a845e0f8d439484f4505a906987a063636201ec6",
+     "6d493559967016aeaa47d005670d7bce7d2876c11358cba0e479ff60af2e07be"),
+]
+
+
+@pytest.mark.parametrize("cell, projected, dense", GOLDEN_OUTPUT_DIGESTS,
+                         ids=[f"n{n}-d{d}-t{t}" for (n, d, t, _), _, _ in GOLDEN_OUTPUT_DIGESTS])
+def test_scaled_outputs_match_golden_digests(cell, projected, dense):
+    n, d, t, seed = cell
+    plan = mailman.build_plan(d, t, seed)
+    out = mailman.project_mailman(_dyadic_rows(n, d), plan)
+    assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == projected
+    scaled = mailman.densify(plan, scaled=True)
+    assert hashlib.sha256(scaled.astype("<f8").tobytes()).hexdigest() == dense
+
+
 SEEDS = st.one_of(st.integers(-(2**64), 2**66),
                   st.sampled_from([0, -1, -7, 2**63, 2**64 - 1, 2**64]))
 
@@ -306,7 +343,6 @@ def test_plan_blocks_equal_per_stream_integers(d, t, seed):
         g = rng.stream(seed, rng.SIGN_BLOCK, j)
         expect = g.integers(0, 1 << block.p, size=d, dtype=np.int64)
         assert block.codes.dtype == np.int64 and np.array_equal(block.codes, expect)
-        assert block.scale == 1.0 / np.sqrt(t)
     count = (d + 1) // 2
     words = rng.stream_words(seed, rng.SIGN_BLOCK, range(len(blocks)), count)
     for j in range(len(blocks)):
@@ -327,8 +363,7 @@ def test_codes_wider_than_32_bits_take_whole_words(p):
 def _mixed_blocks():
     g = np.random.default_rng(97)
     widths = [3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40]
-    return [mailman.MailmanBlock(p=p, codes=g.integers(0, 1 << p, size=37),
-                                 scale=float(g.random())) for p in widths]
+    return [mailman.MailmanBlock(p=p, codes=g.integers(0, 1 << p, size=37)) for p in widths]
 
 
 @pytest.mark.parametrize("scaled", [False, True])
@@ -339,7 +374,7 @@ def test_densify_matches_per_block_oracle(scaled):
     for blocks in cases:
         sign = mailman.SignMatrix(blocks[0].d, sum(b.p for b in blocks), blocks)
         assert np.array_equal(mailman.densify(sign, scaled=scaled),
-                              densify_by_block(blocks, scaled=scaled))
+                              densify_by_block(blocks, 1.0 / np.sqrt(sign.t) if scaled else None))
 
 
 def test_densify_allocates_little_beyond_its_output():

@@ -80,8 +80,7 @@ def test_project_naive_zero_matrix():
 
 def test_project_naive_forced_all_plus():
     d, t = 10, 4
-    blocks = [mailman.MailmanBlock(p=p, codes=np.full(d, (1 << p) - 1),
-                                   scale=1.0 / np.sqrt(t))
+    blocks = [mailman.MailmanBlock(p=p, codes=np.full(d, (1 << p) - 1))
               for p in mailman.block_widths(d, t)]
     r = projection.SignMatrix(d=d, t=t, blocks=blocks)
     out = projection.project_naive(np.ones((1, d)), r)
