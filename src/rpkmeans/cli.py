@@ -23,6 +23,7 @@ from .kmeans import (FirstOfEachGroup, GivenIndices, SolverSpec,
 # unused here, but the benchmark's tracing self-test wraps and restores
 # the binding cli.lloyd (perfbench/test_perfbench.py)
 from .kmeans import lloyd  # noqa: F401
+from .matrix import frobenius_norm
 from .projection import ProjectionConfig
 
 JSON_SCHEMA_VERSION = 1
@@ -84,6 +85,9 @@ def run_experiment_sweep(dataset: Dataset, k: int, t_list, methods, spec: Solver
 
     The hd method clusters the raw points once and records t = d.
     """
+    fro = frobenius_norm(dataset.points)
+    if fro == 0.0:
+        raise ParameterError("sweep undefined for an all-zero dataset")
     records = []
     for method in methods:
         if method not in METHOD_MAP:
@@ -95,13 +99,10 @@ def run_experiment_sweep(dataset: Dataset, k: int, t_list, methods, spec: Solver
             cfg = ProjectionConfig(k=k, epsilon=epsilon, c=c,
                                    t_override=int(t), seed=seed)
             run = project_and_cluster(dataset.points, k, cfg, spec, METHOD_MAP[method])
-            f_tilde = normalized_objective(run.original_objective, dataset.points)
-            if f_tilde is None:
-                raise ParameterError("sweep undefined for an all-zero dataset")
             records.append(ExperimentRecord(
                 method=method,
                 t=run.t,
-                f_tilde=f_tilde,
+                f_tilde=normalized_objective(run.original_objective, fro),
                 accuracy=(accuracy(run.projected.assignment, dataset.labels)
                           if dataset.labels is not None else None),
                 projection_ms=run.projection_ms,
@@ -222,7 +223,7 @@ def _cmd_cluster(args) -> int:
     run = project_and_cluster(dataset.points, args.k, cfg, spec, METHOD_MAP[args.method])
     res = run.projected
     scored = time.perf_counter()
-    f_tilde = normalized_objective(run.original_objective, dataset.points)
+    fro = frobenius_norm(dataset.points)
     acc = (accuracy(res.assignment, dataset.labels)
            if dataset.labels is not None else None)
     score_ms = run.plugback_ms + (time.perf_counter() - scored) * 1000.0
@@ -239,7 +240,7 @@ def _cmd_cluster(args) -> int:
             "labels": res.assignment.labels.tolist(),
             "projected_objective": res.objective,
             "original_objective": run.original_objective,
-            "f_tilde": f_tilde,
+            "f_tilde": normalized_objective(run.original_objective, fro),
             "accuracy": acc,
             "iterations": res.iterations,
             "converged": res.converged,

@@ -53,10 +53,9 @@ class ExperimentRecord:
             raise ParameterError("accuracy must lie in [0, 1]")
 
 
-def normalized_objective(value: float, a) -> float | None:
-    """f~: a clustering objective of the rows of a divided by the squared
-    Frobenius norm of a; None when a is all zero."""
-    fro = frobenius_norm(a)
+def normalized_objective(value: float, fro: float) -> float | None:
+    """f~: a clustering objective divided by the squared Frobenius norm fro
+    of the data it clusters; None when the data are all zero."""
     return value / (fro * fro) if fro > 0 else None
 
 

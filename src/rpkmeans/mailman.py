@@ -197,9 +197,9 @@ def fold_buckets(buckets: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def block_row_multiply_counted(block: MailmanBlock, x, scale: float = 1.0):
-    """Scalar reference multiply of the row vector x by one packed block,
-    times scale.
+def block_row_multiply_counted(block: MailmanBlock, x):
+    """Scalar reference multiply of the row vector x by one packed block's
+    unscaled ±1 columns.
 
     Returns (y, additions) where additions is every floating-point add or
     subtract performed.  The count is at most d + 2**(p+1) per call.
@@ -235,8 +235,7 @@ def block_row_multiply_counted(block: MailmanBlock, x, scale: float = 1.0):
         for b, hi_sum in stashed:
             out[b] = 2.0 * hi_sum - total
             adds += 1
-    y = np.array([scale * value for value in out])
-    return y, adds
+    return np.array(out), adds
 
 
 def bit_slices(p: int) -> list:

@@ -33,7 +33,8 @@ def test_experiment_record_validates_scores():
 def test_normalized_objective_identical_points():
     a = np.full((5, 3), 2.0)
     asg = kmeans.Assignment.from_labels([0] * 5, 1)
-    assert evaluation.normalized_objective(kmeans.objective(a, asg), a) == pytest.approx(
+    assert evaluation.normalized_objective(kmeans.objective(a, asg),
+                                           matrix.frobenius_norm(a)) == pytest.approx(
         0.0, abs=1e-15)
 
 
@@ -42,22 +43,26 @@ def test_normalized_objective_recomputation():
     asg = kmeans.Assignment.from_labels(np.arange(9) % 3, 3)
     value = kmeans.objective(a, asg)
     expect = value / matrix.frobenius_norm(a) ** 2
-    assert evaluation.normalized_objective(value, a) == pytest.approx(expect, rel=1e-12)
+    assert evaluation.normalized_objective(value, matrix.frobenius_norm(a)) == pytest.approx(
+        expect, rel=1e-12)
 
 
 def test_normalized_objective_zero_matrix():
     # f~ is undefined on all-zero data: None, which cluster writes as null
     asg = kmeans.Assignment.from_labels([0, 0], 1)
     a = np.zeros((2, 2))
-    assert evaluation.normalized_objective(kmeans.objective(a, asg), a) is None
+    assert evaluation.normalized_objective(kmeans.objective(a, asg),
+                                           matrix.frobenius_norm(a)) is None
 
 
 def test_normalized_objective_scale_invariant():
     a = seeded((8, 3), 223)
     asg = kmeans.Assignment.from_labels(np.arange(8) % 2, 2)
-    base = evaluation.normalized_objective(kmeans.objective(a, asg), a)
+    base = evaluation.normalized_objective(kmeans.objective(a, asg),
+                                           matrix.frobenius_norm(a))
     for c in (0.5, 7.0):
-        scaled = evaluation.normalized_objective(kmeans.objective(c * a, asg), c * a)
+        scaled = evaluation.normalized_objective(kmeans.objective(c * a, asg),
+                                                 matrix.frobenius_norm(c * a))
         assert scaled == pytest.approx(base, rel=1e-10)
 
 
