@@ -1,9 +1,10 @@
 """The packed sign matrix and the mailman multiply that applies it.
 
 SignMatrix holds a d x t matrix of +-1/sqrt(t) entries in column blocks of
-width p = floor(log2 d).  Each block keeps one integer pattern code per row
-(bit b of the code is the sign of block column b: 1 -> +1, 0 -> -1).  The
-scale 1/sqrt(t) is one number for the whole matrix, so no block stores it.
+width p = floor(log2 d), as one codes array: row j holds block j's integer
+pattern code for each input row (bit b of a code is the sign of block column
+b: 1 -> +1, 0 -> -1).  Its blocks are MailmanBlock views of those rows,
+made only when read.  The scale 1/sqrt(t) is one number for the whole matrix.
 Multiplying a row vector by one block then costs d bucket additions plus
 a fold over the 2**p buckets, instead of d*p multiply-adds (Liberty and
 Zucker, "The Mailman algorithm", 2009).
@@ -29,7 +30,6 @@ constants bound its pieces:
 None of these grow with n; the output is the only n-sized allocation.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,23 +50,30 @@ ROW_TILE = 64
 # tiles, 1 MiB measured as fast as 0.5 or 2 MiB, and 32 or 128-row tiles
 # no faster, on a 2 MiB-L2 Xeon.
 TILE_BYTES = 1 << 20
+# Widest block: codes are int64, so 2**p must fit in 63 bits.
+MAX_WIDTH = 63
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """values as int64, refusing (never truncating) entries that are not integers."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ParameterError(f"{what} must be integers")
+    return array.astype(np.int64, copy=False)
 
 
 @dataclass
 class MailmanBlock:
-    """One column block: width p, one pattern code per input row."""
+    """One column block: width p, one pattern code per input row.  A
+    SignMatrix's blocks are these, over row views of its codes."""
 
     p: int
     codes: np.ndarray  # (d,) integers in [0, 2**p)
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ParameterError("block width p must be at least 1")
-        self.codes = np.asarray(self.codes, dtype=np.int64)
-        if self.codes.ndim != 1 or self.codes.size == 0:
-            raise ParameterError("codes must be a nonempty 1-D integer array")
-        if self.codes.min() < 0 or self.codes.max() >= (1 << self.p):
-            raise ParameterError(f"codes must lie in [0, 2**{self.p})")
+        # checked as the one block of a d x p sign matrix
+        self.codes = SignMatrix(d=np.size(self.codes), t=self.p, widths=[self.p],
+                                codes=[self.codes]).codes[0]
 
     @classmethod
     def _checked(cls, p: int, codes: np.ndarray):
@@ -75,29 +82,36 @@ class MailmanBlock:
         block.p, block.codes = p, codes
         return block
 
-    @property
-    def d(self) -> int:
-        return self.codes.size
-
 
 @dataclass
 class SignMatrix:
-    """A d x t matrix of +-1/sqrt(t) entries, packed in column blocks."""
+    """A d x t matrix of +-1/sqrt(t) entries, packed in column blocks: row j
+    of codes holds block j's pattern codes, one per input row."""
 
     d: int
     t: int
-    blocks: list = field(repr=False)
+    widths: np.ndarray  # (blocks,) integers in [1, MAX_WIDTH]
+    codes: np.ndarray = field(repr=False)  # (blocks, d) integers in [0, 2**widths[j])
 
     def __post_init__(self):
-        if sum(b.p for b in self.blocks) != self.t:
+        if self.d < 1 or self.t < 1:
+            raise ParameterError("d and t must be positive")
+        self.widths = _integers(self.widths, "block widths")
+        self.codes = _integers(self.codes, "codes")
+        if self.widths.ndim != 1 or self.widths.sum() != self.t:
             raise ParameterError("block widths must sum to t")
-        for b in self.blocks:
-            if b.d != self.d:
-                raise ParameterError("all blocks must share the matrix's d")
+        if self.widths.min() < 1 or self.widths.max() > MAX_WIDTH:
+            raise ParameterError(f"block widths must lie in [1, {MAX_WIDTH}]")
+        if self.codes.shape != (self.widths.size, self.d):
+            raise ParameterError(f"codes must have shape (len(widths), d), not {self.codes.shape}")
+        # codes >> p is nonzero exactly for codes outside [0, 2**p)
+        if (self.codes >> self.widths[:, None]).any():
+            raise ParameterError("codes must lie in [0, 2**p) for block width p")
 
-    def signs(self) -> np.ndarray:
-        """Dense +-1 entries."""
-        return densify(self, scaled=False)
+    @property
+    def blocks(self) -> list:
+        """The column blocks in order, each one's codes a row view of codes."""
+        return [MailmanBlock._checked(p, row) for p, row in zip(self.widths.tolist(), self.codes)]
 
     def dense(self) -> np.ndarray:
         """Dense entries with the 1/sqrt(t) scale folded in."""
@@ -131,24 +145,18 @@ def _sample_codes(d: int, widths: list, seed: int, first: int) -> np.ndarray:
         draws, draw_bits = words.astype("<u8", copy=False).view("<u4")[:, :d], 32
     else:
         draws, draw_bits = _rng.stream_words(seed, _rng.SIGN_BLOCK, indices, d), 64
-    codes = (draws >> (draw_bits - p).astype(draws.dtype)).astype(np.int64)
-    # one range check for the batch: codes >> p is nonzero exactly for codes
-    # outside [0, 2**p)
-    if (codes >> p).any():
-        raise ParameterError("sampled codes must lie in [0, 2**p) for block width p")
-    return codes
+    return (draws >> (draw_bits - p).astype(draws.dtype)).astype(np.int64)
 
 
-def plan_blocks(d: int, t: int, seed: int) -> list:
-    """Sample the pattern codes for every block of a d x t sign matrix.
+def plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
+    """Sample the pattern codes of every block of a d x t sign matrix.
 
     Block j draws from the (seed, block j) stream, so blocks can be
     generated independently and in any order.  All blocks are sampled in
-    one pass, and each block's codes are a row view of one array.
+    one pass, into the one codes array of the matrix.
     """
     widths = block_widths(d, t)
-    codes = _sample_codes(d, widths, seed, 0)
-    return [MailmanBlock._checked(p, row) for p, row in zip(widths, codes)]
+    return SignMatrix(d=d, t=t, widths=widths, codes=_sample_codes(d, widths, seed, 0))
 
 
 def build_plan(d: int, t: int, seed: int) -> SignMatrix:
@@ -157,7 +165,7 @@ def build_plan(d: int, t: int, seed: int) -> SignMatrix:
         raise ParameterError("d must be at least 2 to form column blocks")
     if t < 1:
         raise ParameterError("t must be at least 1")
-    return SignMatrix(d=d, t=t, blocks=plan_blocks(d, t, seed))
+    return plan_blocks(d, t, seed)
 
 
 def _halve(v: np.ndarray) -> np.ndarray:
@@ -205,8 +213,8 @@ def block_row_multiply_counted(block: MailmanBlock, x):
     subtract performed.  The count is at most d + 2**(p+1) per call.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != block.d:
-        raise ParameterError(f"x must be a length-{block.d} vector")
+    if x.ndim != 1 or x.size != block.codes.size:
+        raise ParameterError(f"x must be a length-{block.codes.size} vector")
     adds = 0
     buckets = [0.0] * (1 << block.p)
     for code, value in zip(block.codes.tolist(), x.tolist()):
@@ -267,10 +275,10 @@ def _slice_groups(plan: SignMatrix) -> list:
     # output column)
     by_width = {}
     col = 0
-    for j, block in enumerate(plan.blocks):
-        for shift, width in bit_slices(block.p):
+    for j, p in enumerate(plan.widths.tolist()):
+        for shift, width in bit_slices(p):
             by_width.setdefault(width, []).append((j, shift, col + shift))
-        col += block.p
+        col += p
     chunks = []
     for w, slices in by_width.items():
         per_group = max(1, TILE_BYTES // (8 * ROW_TILE << w))
@@ -278,7 +286,7 @@ def _slice_groups(plan: SignMatrix) -> list:
     # int32 indices when every group's rows and nonzeros fit; scipy would
     # otherwise convert them on every product
     index = np.int32 if max(max(d, 1 << w) * len(c) for w, c in chunks) < 2**31 else np.int64
-    codes = np.stack([b.codes for b in plan.blocks], axis=1, dtype=index)
+    codes = plan.codes.T.astype(index, order="C")
     # every one-hot entry is 1.0: the groups share one array of them
     ones = np.ones(d * max(len(c) for _, c in chunks))
     groups = []
@@ -345,26 +353,29 @@ def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
 
     Entries are +-1 (bit b of a code set -> +1 in block column b), times
     1/sqrt(t) when scaled=True.  Each run of blocks of one width is
-    expanded in one pass, straight into its output columns; besides the
-    output, memory goes to the run's codes and one byte per entry of bits.
+    expanded in one pass, straight from its rows of codes into its output
+    columns; besides the output, memory goes to the run's codes and one
+    byte per entry of bits.
     """
     dense = np.empty((sign.d, sign.t))
+    # bit b maps to 2 * scale * b - scale: +-scale exactly, as 2 * scale is
+    scale = 1.0 / math.sqrt(sign.t) if scaled else 1.0
+    # runs of equal widths: blocks bounds[i] to bounds[i + 1]
+    bounds = [0, *(np.flatnonzero(np.diff(sign.widths)) + 1).tolist(), sign.widths.size]
     offset = 0
-    for p, run in itertools.groupby(sign.blocks, key=lambda b: b.p):
-        run = list(run)
-        width = len(run) * p
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        p = int(sign.widths[lo])
+        width = (hi - lo) * p
         # little-endian codes in the narrowest unsigned type that holds p
         # bits: their bytes, least significant first, unpack to bits 0..p-1
         code_type = np.dtype(f"<u{next(n for n in (1, 2, 4, 8) if 8 * n >= p)}")
-        codes = np.stack([b.codes for b in run], axis=1, dtype=code_type, casting="unsafe")
-        bits = np.unpackbits(codes.view(np.uint8).reshape(sign.d, len(run), -1), axis=2,
+        codes = sign.codes[lo:hi].T.astype(code_type, order="C")
+        bits = np.unpackbits(codes.view(np.uint8).reshape(sign.d, hi - lo, -1), axis=2,
                              count=p, bitorder="little")
         # via the 2-D column slice: in-place ops on a 3-D view of these
         # strided columns allocate an output-sized temporary
         cols = dense[:, offset:offset + width]
-        np.multiply(bits.reshape(sign.d, width), 2.0, out=cols)
-        cols -= 1.0
-        if scaled:
-            cols *= 1.0 / math.sqrt(sign.t)
+        np.multiply(bits.reshape(sign.d, width), 2.0 * scale, out=cols)
+        cols -= scale
         offset += width
     return dense

@@ -82,7 +82,7 @@ def sample_sign_matrix(d: int, t: int, seed: int) -> SignMatrix:
     """Sample a d x t sign matrix scaled by 1/sqrt(t), packed by block."""
     if d < 1 or t < 1:
         raise ParameterError("d and t must be positive")
-    return SignMatrix(d=d, t=t, blocks=mailman.plan_blocks(d, t, seed))
+    return mailman.plan_blocks(d, t, seed)
 
 
 @dataclass

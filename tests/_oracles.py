@@ -101,7 +101,7 @@ def sign_sum_columns(codes, p, x):
 def densify_by_block(blocks, scale=None):
     """The dense d x t sign matrix of packed blocks, expanded one block at a
     time: (bit * 2 - 1), times scale when one is given."""
-    d = blocks[0].d
+    d = blocks[0].codes.size
     dense = np.empty((d, sum(b.p for b in blocks)))
     offset = 0
     for block in blocks:

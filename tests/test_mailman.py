@@ -37,10 +37,9 @@ def test_densified_plan_matches_sampled_sign_matrix():
     sign = projection.sample_sign_matrix(32, 7, seed=1)
     assert projection.SignMatrix is mailman.SignMatrix
     assert type(plan) is type(sign) is mailman.SignMatrix
-    assert [b.p for b in plan.blocks] == [b.p for b in sign.blocks]
-    for one, two in zip(plan.blocks, sign.blocks):
-        assert np.array_equal(one.codes, two.codes)
-    assert np.array_equal(mailman.densify(plan), sign.signs())
+    assert np.array_equal(plan.widths, sign.widths)
+    assert np.array_equal(plan.codes, sign.codes)
+    assert np.array_equal(mailman.densify(plan), mailman.densify(sign))
 
 
 def test_block_codes_validate_range():
@@ -48,6 +47,20 @@ def test_block_codes_validate_range():
         mailman.MailmanBlock(p=2, codes=np.array([0, 4]))
     with pytest.raises(ParameterError):
         mailman.MailmanBlock(p=2, codes=np.array([-1, 0]))
+
+
+def test_block_refuses_non_integer_codes_and_widths_above_63():
+    # float codes were once truncated: [0.5, 3.9] became [0, 3]
+    with pytest.raises(ParameterError, match="codes must be integers"):
+        mailman.MailmanBlock(p=2, codes=[0.5, 3.9])
+    with pytest.raises(ParameterError, match="block widths must lie"):
+        mailman.MailmanBlock(p=64, codes=[0, 1])
+    with pytest.raises(ParameterError):
+        mailman.MailmanBlock(p=0, codes=[0, 0])
+    with pytest.raises(ParameterError):
+        mailman.MailmanBlock(p=2, codes=[])
+    with pytest.raises(ParameterError):
+        mailman.MailmanBlock(p=2, codes=[[0, 1]])
 
 
 def test_block_row_multiply_zero_vector():
@@ -173,11 +186,33 @@ def test_project_mailman_dimension_mismatch():
 
 
 def test_plan_widths_sum_is_validated():
-    blocks = mailman.plan_blocks(16, 6, seed=0)
+    sign = mailman.plan_blocks(16, 6, seed=0)
     with pytest.raises(ParameterError, match="sum to t"):
-        mailman.SignMatrix(d=16, t=7, blocks=blocks)
-    with pytest.raises(ParameterError, match="all blocks must share"):
-        mailman.SignMatrix(d=17, t=6, blocks=blocks)
+        mailman.SignMatrix(d=16, t=7, widths=sign.widths, codes=sign.codes)
+    with pytest.raises(ParameterError, match="codes must have shape"):
+        mailman.SignMatrix(d=17, t=6, widths=sign.widths, codes=sign.codes)
+
+
+def test_sign_matrix_refuses_malformed_arrays():
+    codes = np.array([[0, 1, 1], [1, 0, 1]])
+    assert mailman.densify(mailman.SignMatrix(d=3, t=2, widths=[1, 1], codes=codes)).shape == (3, 2)
+    # t < 1 was once accepted when there were no blocks
+    with pytest.raises(ParameterError, match="positive"):
+        mailman.SignMatrix(d=2, t=0, widths=[], codes=np.empty((0, 2), dtype=np.int64))
+    # a width above 63 once escaped densify as a bare StopIteration
+    with pytest.raises(ParameterError, match="block widths must lie"):
+        mailman.SignMatrix(d=3, t=64, widths=[64], codes=codes[:1])
+    with pytest.raises(ParameterError, match="block widths must lie"):
+        mailman.SignMatrix(d=3, t=2, widths=[3, -1], codes=codes)
+    for shape_wrong in (codes.T, codes[:, :2], codes[:1], codes.reshape(-1)):
+        with pytest.raises(ParameterError, match="codes must have shape"):
+            mailman.SignMatrix(d=3, t=2, widths=[1, 1], codes=shape_wrong)
+    with pytest.raises(ParameterError, match="codes must be integers"):
+        mailman.SignMatrix(d=3, t=2, widths=[1, 1], codes=codes + 0.5)
+    with pytest.raises(ParameterError, match="block widths must be integers"):
+        mailman.SignMatrix(d=3, t=2, widths=[1.0, 1.0], codes=codes)
+    with pytest.raises(ParameterError, match=r"\[0, 2\*\*p\)"):
+        mailman.SignMatrix(d=3, t=2, widths=[1, 1], codes=codes * 2)
 
 
 def test_project_mailman_deterministic():
@@ -285,7 +320,7 @@ GOLDEN_CODE_DIGESTS = [
 @pytest.mark.parametrize("cell, digest", GOLDEN_CODE_DIGESTS,
                          ids=[f"d{d}-t{t}-seed{seed}" for (d, t, seed), _ in GOLDEN_CODE_DIGESTS])
 def test_plan_blocks_codes_match_golden_digests(cell, digest):
-    codes = np.stack([b.codes for b in mailman.plan_blocks(*cell)]).astype("<i8")
+    codes = mailman.plan_blocks(*cell).codes.astype("<i8")
     assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
 
 
@@ -315,6 +350,23 @@ GOLDEN_OUTPUT_DIGESTS = [
 ]
 
 
+# sha256 of densify(scaled=True) of sample_sign_matrix(d, t, seed), written
+# as little-endian float64: shapes that GOLDEN_OUTPUT_DIGESTS does not reach.
+GOLDEN_DENSE_DIGESTS = [
+    # the quick check suite's heaviest shape: 320 five-bit blocks
+    ((50, 1600, 11), "f36e35a9fdde684f5372abb115b2c11cfb6c233152ac19de820cf97f73ebc363"),
+    # d = 1: nine width-1 blocks of one row each
+    ((1, 9, 3), "1442059350be81e5da6a79c9495ba8b33c61ad1b15690a21da0be1f866368242"),
+]
+
+
+@pytest.mark.parametrize("cell, dense", GOLDEN_DENSE_DIGESTS,
+                         ids=[f"d{d}-t{t}" for (d, t, _), _ in GOLDEN_DENSE_DIGESTS])
+def test_sampled_dense_matches_golden_digests(cell, dense):
+    scaled = projection.sample_sign_matrix(*cell).dense()
+    assert hashlib.sha256(scaled.astype("<f8").tobytes()).hexdigest() == dense
+
+
 @pytest.mark.parametrize("cell, projected, dense", GOLDEN_OUTPUT_DIGESTS,
                          ids=[f"n{n}-d{d}-t{t}" for (n, d, t, _), _, _ in GOLDEN_OUTPUT_DIGESTS])
 def test_scaled_outputs_match_golden_digests(cell, projected, dense):
@@ -337,15 +389,16 @@ SEEDS = st.one_of(st.integers(-(2**64), 2**66),
 @example(d=3000, t=2000, seed=2**63)
 def test_plan_blocks_equal_per_stream_integers(d, t, seed):
     """Every block's codes are what its own stream's Generator.integers draws."""
-    blocks = mailman.plan_blocks(d, t, seed)
-    assert [b.p for b in blocks] == mailman.block_widths(d, t)
-    for j, block in enumerate(blocks):
+    sign = mailman.plan_blocks(d, t, seed)
+    assert sign.widths.tolist() == mailman.block_widths(d, t)
+    assert sign.codes.dtype == np.int64
+    for j, (p, codes) in enumerate(zip(sign.widths.tolist(), sign.codes)):
         g = rng.stream(seed, rng.SIGN_BLOCK, j)
-        expect = g.integers(0, 1 << block.p, size=d, dtype=np.int64)
-        assert block.codes.dtype == np.int64 and np.array_equal(block.codes, expect)
+        expect = g.integers(0, 1 << p, size=d, dtype=np.int64)
+        assert np.array_equal(codes, expect)
     count = (d + 1) // 2
-    words = rng.stream_words(seed, rng.SIGN_BLOCK, range(len(blocks)), count)
-    for j in range(len(blocks)):
+    words = rng.stream_words(seed, rng.SIGN_BLOCK, range(sign.widths.size), count)
+    for j in range(sign.widths.size):
         raw = rng.stream(seed, rng.SIGN_BLOCK, j).bit_generator.random_raw(count)
         assert np.array_equal(words[j], raw)
 
@@ -360,25 +413,56 @@ def test_codes_wider_than_32_bits_take_whole_words(p):
         assert np.array_equal(codes, expect[None, :])
 
 
-def _mixed_blocks():
-    g = np.random.default_rng(97)
-    widths = [3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40]
-    return [mailman.MailmanBlock(p=p, codes=g.integers(0, 1 << p, size=37)) for p in widths]
+def _drawn_sign_matrix(widths, d, seed):
+    # widths in any order, each row's codes drawn uniformly from [0, 2**p)
+    g = np.random.default_rng(seed)
+    codes = np.array([g.integers(0, 1 << p, size=d) for p in widths])
+    return mailman.SignMatrix(d=d, t=sum(widths), widths=widths, codes=codes)
+
+
+def _assert_densify_matches_blocks(sign, scaled):
+    for j, block in enumerate(sign.blocks):
+        assert block.p == sign.widths[j] and np.shares_memory(block.codes, sign.codes[j])
+    assert np.array_equal(mailman.densify(sign, scaled=scaled),
+                          densify_by_block(sign.blocks, 1.0 / np.sqrt(sign.t) if scaled else None))
 
 
 @pytest.mark.parametrize("scaled", [False, True])
 def test_densify_matches_per_block_oracle(scaled):
-    cases = [_mixed_blocks(), mailman.plan_blocks(777, 29, 3),
+    # mixed widths, up to 40 bits: the reason widths are stored, not derived
+    # from (d, t)
+    cases = [_drawn_sign_matrix([3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40], 37, 97),
+             mailman.plan_blocks(777, 29, 3),
              mailman.plan_blocks(1000, 19, 1), mailman.plan_blocks(50, 1600, 11),
              mailman.plan_blocks(2, 3, 0), mailman.plan_blocks(1, 4, 0)]
-    for blocks in cases:
-        sign = mailman.SignMatrix(blocks[0].d, sum(b.p for b in blocks), blocks)
-        assert np.array_equal(mailman.densify(sign, scaled=scaled),
-                              densify_by_block(blocks, 1.0 / np.sqrt(sign.t) if scaled else None))
+    for sign in cases:
+        _assert_densify_matches_blocks(sign, scaled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 600), t=st.integers(1, 300), seed=SEEDS)
+@example(d=1, t=9, seed=3)             # d = 1: width-1 blocks of one row
+@example(d=2**16, t=35, seed=0)        # 16-bit blocks: 2-byte codes
+@example(d=2**17 + 3, t=20, seed=-1)   # 17-bit blocks: 4-byte codes
+@example(d=600, t=300, seed=2**63)     # 9-bit blocks and a 3-bit remainder
+def test_sampled_densify_equals_per_block_oracle(d, t, seed):
+    sign = projection.sample_sign_matrix(d, t, seed)
+    for scaled in (False, True):
+        _assert_densify_matches_blocks(sign, scaled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths=st.lists(st.integers(1, mailman.MAX_WIDTH), min_size=1, max_size=12),
+       d=st.integers(1, 20), seed=st.integers(0, 2**32))
+@example(widths=[8, 8, 9, 16, 17, 32, 33, 63], d=5, seed=0)  # 1-, 2-, 4- and 8-byte codes
+def test_mixed_width_densify_equals_per_block_oracle(widths, d, seed):
+    sign = _drawn_sign_matrix(widths, d, seed)
+    for scaled in (False, True):
+        _assert_densify_matches_blocks(sign, scaled)
 
 
 def test_densify_allocates_little_beyond_its_output():
-    sign = mailman.SignMatrix(1000, 2000, mailman.plan_blocks(1000, 2000, 0))
+    sign = mailman.plan_blocks(1000, 2000, 0)
     tracemalloc.start()
     try:
         dense = mailman.densify(sign)

@@ -44,14 +44,14 @@ def test_config_resolves_t_and_guards_dimension():
 def test_sign_matrix_same_seed_same_entries():
     one = projection.sample_sign_matrix(24, 6, seed=5)
     two = projection.sample_sign_matrix(24, 6, seed=5)
-    assert np.array_equal(one.signs(), two.signs())
+    assert np.array_equal(mailman.densify(one), mailman.densify(two))
 
 
 def test_sign_matrix_entries_are_unit_signs():
     sign = projection.sample_sign_matrix(50, 8, seed=2)
-    values = np.unique(sign.signs())
+    values = np.unique(mailman.densify(sign))
     assert set(values.tolist()) <= {-1.0, 1.0}
-    assert np.allclose(sign.dense(), sign.signs() / np.sqrt(8), atol=1e-15)
+    assert np.allclose(sign.dense(), mailman.densify(sign) / np.sqrt(8), atol=1e-15)
 
 
 def test_sign_matrix_column_means_concentrate():
@@ -59,7 +59,7 @@ def test_sign_matrix_column_means_concentrate():
     # 4/sqrt(d) of zero for at least 9 of the 10 columns
     d = 10_000
     sign = projection.sample_sign_matrix(d, 10, seed=0)
-    means = sign.signs().mean(axis=0)
+    means = mailman.densify(sign).mean(axis=0)
     inside = np.sum(np.abs(means) <= 4.0 / np.sqrt(d))
     assert inside >= 9
 
@@ -69,7 +69,7 @@ def test_sign_matrix_nearby_seeds_differ():
     one = projection.sample_sign_matrix(3, 2, seed=s0)
     two = projection.sample_sign_matrix(3, 2, seed=s0 + 1)
     # 6 entries agree with probability 2**-6 per seed pair; this seed differs
-    assert not np.array_equal(one.signs(), two.signs())
+    assert not np.array_equal(mailman.densify(one), mailman.densify(two))
 
 
 def test_project_naive_zero_matrix():
@@ -80,9 +80,9 @@ def test_project_naive_zero_matrix():
 
 def test_project_naive_forced_all_plus():
     d, t = 10, 4
-    blocks = [mailman.MailmanBlock(p=p, codes=np.full(d, (1 << p) - 1))
-              for p in mailman.block_widths(d, t)]
-    r = projection.SignMatrix(d=d, t=t, blocks=blocks)
+    widths = np.array(mailman.block_widths(d, t))
+    codes = np.repeat((1 << widths[:, None]) - 1, d, axis=1)
+    r = projection.SignMatrix(d=d, t=t, widths=widths, codes=codes)
     out = projection.project_naive(np.ones((1, d)), r)
     assert np.allclose(out, d / np.sqrt(t), atol=1e-12)
 
