@@ -329,28 +329,51 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     return best
 
 
-def _growth_strings(n, k):
-    """Yield every restricted-growth string of length n with at most k values."""
-    a = [0] * n
+def _growth_chunks(n, k):
+    """Yield every restricted-growth string of length n with at most k values
+    (one per partition of n items into at most k clusters), in lexicographic
+    order, as int64 arrays of at most _ENUM_CHUNK rows.
 
-    def rec(i, used):
-        if i == n:
-            yield tuple(a)
-            return
-        top = min(used + 1, k - 1)
-        for v in range(top + 1):
-            a[i] = v
-            yield from rec(i + 1, max(used, v))
-
-    yield from rec(1, 0)
+    Strings grow one position at a time: each row is repeated once per value
+    its next position may take (0 up to one above its largest value so far,
+    and below k), and those values are the offsets within each row's group of
+    repeats.  A prefix array is cut so that its rows' repeats fit in
+    _ENUM_CHUNK rows, and the rest waits on a stack, so every array stays
+    within that size and prefixes are finished in order.
+    """
+    # (strings, each string's largest value), prefixes of length 1 first
+    stack = [(np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64))]
+    while stack:
+        part, top = stack.pop()
+        if part.shape[1] == n:
+            if part.shape[0] > _ENUM_CHUNK:
+                stack.append((part[_ENUM_CHUNK:], top[_ENUM_CHUNK:]))
+                part = part[:_ENUM_CHUNK]
+            yield part
+            continue
+        fan = np.minimum(top + 2, k)
+        ends = fan.cumsum()
+        # at least one row: when k exceeds _ENUM_CHUNK its repeats can too,
+        # and the next pass cuts them
+        cut = max(1, int(ends.searchsorted(_ENUM_CHUNK, side="right")))
+        if cut < part.shape[0]:
+            stack.append((part[cut:], top[cut:]))
+            part, top, fan, ends = part[:cut], top[:cut], fan[:cut], ends[:cut]
+        values = np.arange(ends[-1]) - (ends - fan).repeat(fan)
+        part = np.concatenate((part.repeat(fan, axis=0), values[:, None]), axis=1)
+        stack.append((part, np.maximum(top.repeat(fan), values)))
 
 
 def brute_force_optimal(a, k: int) -> KMeansResult:
     """Exact k-means by enumerating every partition into at most k clusters.
 
     Partition counts grow as Bell numbers, so inputs are refused beyond
-    n = 14 rows.  Costs come from the Gram matrix, making the scan cheap in
-    the point dimension.  iterations reports the number of partitions tried.
+    n = 14 rows.  Partitions are scanned as restricted-growth strings in
+    lexicographic order, in chunks of at most _ENUM_CHUNK (_growth_chunks).
+    Costs come from the Gram matrix, making the scan cheap in the point
+    dimension.  Of partitions of equal cost the first in that order wins,
+    within a chunk and across chunks.  iterations reports the number of
+    partitions tried.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -365,10 +388,7 @@ def brute_force_optimal(a, k: int) -> KMeansResult:
     best_cost = np.inf
     best_labels = None
     examined = 0
-
-    def scan(chunk):
-        nonlocal best_cost, best_labels, examined
-        part = np.array(chunk, dtype=np.int64)
+    for part in _growth_chunks(n, k):
         onehot = np.zeros((part.shape[0], n, k))
         rows = np.arange(n)
         onehot[np.arange(part.shape[0])[:, None], rows[None, :], part] = 1.0
@@ -382,15 +402,6 @@ def brute_force_optimal(a, k: int) -> KMeansResult:
         if costs[j] < best_cost:
             best_cost = float(costs[j])
             best_labels = part[j].copy()
-
-    chunk = []
-    for labels in _growth_strings(n, k):
-        chunk.append(labels)
-        if len(chunk) == _ENUM_CHUNK:
-            scan(chunk)
-            chunk = []
-    if chunk:
-        scan(chunk)
     best_cost = max(best_cost, 0.0)
     return KMeansResult(
         assignment=Assignment.from_labels(best_labels, k),

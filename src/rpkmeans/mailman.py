@@ -50,6 +50,9 @@ ROW_TILE = 64
 # tiles, 1 MiB measured as fast as 0.5 or 2 MiB, and 32 or 128-row tiles
 # no faster, on a 2 MiB-L2 Xeon.
 TILE_BYTES = 1 << 20
+# Bytes of bits that densify unpacks at a time: one row chunk of codes,
+# every bit of each code.
+UNPACK_BYTES = 1 << 20
 # Widest block: codes are int64, so 2**p must fit in 63 bits.
 MAX_WIDTH = 63
 
@@ -108,6 +111,13 @@ class SignMatrix:
         if (self.codes >> self.widths[:, None]).any():
             raise ParameterError("codes must lie in [0, 2**p) for block width p")
 
+    @classmethod
+    def _checked(cls, d: int, t: int, widths: np.ndarray, codes: np.ndarray):
+        """A sign matrix of int64 widths and codes that the caller has checked."""
+        sign = object.__new__(cls)
+        sign.d, sign.t, sign.widths, sign.codes = d, t, widths, codes
+        return sign
+
     @property
     def blocks(self) -> list:
         """The column blocks in order, each one's codes a row view of codes."""
@@ -154,9 +164,14 @@ def plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
     Block j draws from the (seed, block j) stream, so blocks can be
     generated independently and in any order.  All blocks are sampled in
     one pass, into the one codes array of the matrix.
+
+    The matrix skips the constructor's checks: block_widths sums to t in
+    widths of 1 to floor(log2 d), the codes array is (blocks, d) int64, and
+    each code is the top p bits of a draw, so it lies in [0, 2**p).
     """
     widths = block_widths(d, t)
-    return SignMatrix(d=d, t=t, widths=widths, codes=_sample_codes(d, widths, seed, 0))
+    return SignMatrix._checked(d, t, np.array(widths, dtype=np.int64),
+                               _sample_codes(d, widths, seed, 0))
 
 
 def build_plan(d: int, t: int, seed: int) -> SignMatrix:
@@ -353,9 +368,11 @@ def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
 
     Entries are +-1 (bit b of a code set -> +1 in block column b), times
     1/sqrt(t) when scaled=True.  Each run of blocks of one width is
-    expanded in one pass, straight from its rows of codes into its output
-    columns; besides the output, memory goes to the run's codes and one
-    byte per entry of bits.
+    expanded straight from its rows of codes into its output columns, a
+    chunk of input rows at a time: every code of the chunk is unpacked to
+    all of its bits in one flat pass, and bits 0..p-1 are kept.  Besides the
+    output, memory goes to one row chunk's codes and bits, within about
+    UNPACK_BYTES.
     """
     dense = np.empty((sign.d, sign.t))
     # bit b maps to 2 * scale * b - scale: +-scale exactly, as 2 * scale is
@@ -369,13 +386,16 @@ def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
         # little-endian codes in the narrowest unsigned type that holds p
         # bits: their bytes, least significant first, unpack to bits 0..p-1
         code_type = np.dtype(f"<u{next(n for n in (1, 2, 4, 8) if 8 * n >= p)}")
-        codes = sign.codes[lo:hi].T.astype(code_type, order="C")
-        bits = np.unpackbits(codes.view(np.uint8).reshape(sign.d, hi - lo, -1), axis=2,
-                             count=p, bitorder="little")
-        # via the 2-D column slice: in-place ops on a 3-D view of these
-        # strided columns allocate an output-sized temporary
-        cols = dense[:, offset:offset + width]
-        np.multiply(bits.reshape(sign.d, width), 2.0 * scale, out=cols)
-        cols -= scale
+        code_bits = 8 * code_type.itemsize
+        step = max(1, UNPACK_BYTES // ((hi - lo) * code_bits))
+        for r0 in range(0, sign.d, step):
+            codes = sign.codes[lo:hi, r0:r0 + step].T.astype(code_type, order="C")
+            bits = np.unpackbits(codes.view(np.uint8), bitorder="little")
+            bits = bits.reshape(-1, hi - lo, code_bits)[:, :, :p]
+            # via the 2-D column slice: in-place ops on a 3-D view of these
+            # strided columns allocate a float temporary the chunk's size
+            cols = dense[r0:r0 + step, offset:offset + width]
+            np.multiply(bits.reshape(-1, width), 2.0 * scale, out=cols)
+            cols -= scale
         offset += width
     return dense

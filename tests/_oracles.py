@@ -114,6 +114,24 @@ def densify_by_block(blocks, scale=None):
     return dense
 
 
+def growth_strings(n, k):
+    """Yield every restricted-growth string of length n with at most k values,
+    recursively, in lexicographic order: the reference for the partition
+    enumeration of kmeans.brute_force_optimal."""
+    a = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            yield tuple(a)
+            return
+        top = min(used + 1, k - 1)
+        for v in range(top + 1):
+            a[i] = v
+            yield from rec(i + 1, max(used, v))
+
+    yield from rec(1, 0)
+
+
 def normalized_indicator(labels, k):
     """The n x k matrix X with X[i, j] = 1/sqrt(z_j) where point i is in
     cluster j, z_j its size; X @ X.T @ a averages rows within clusters."""

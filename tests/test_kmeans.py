@@ -9,7 +9,8 @@ from rpkmeans import kmeans
 from rpkmeans.errors import ParameterError
 from rpkmeans.projection import ProjectionConfig
 
-from _oracles import lloyd_by_add_at, normalized_indicator, objective_by_gather, scatter_about_mean
+from _oracles import (growth_strings, lloyd_by_add_at, normalized_indicator, objective_by_gather,
+                      scatter_about_mean)
 
 
 def random_assignment(rng, n, k):
@@ -407,6 +408,42 @@ def test_pipeline_rejects_unknown_method():
 
 def test_growth_strings_count_small_cases():
     # partitions of n items into at most k nonempty blocks
-    assert sum(1 for _ in kmeans._growth_strings(3, 2)) == 4
-    assert sum(1 for _ in kmeans._growth_strings(4, 4)) == 15
-    assert sum(1 for _ in kmeans._growth_strings(1, 1)) == 1
+    assert sum(len(chunk) for chunk in kmeans._growth_chunks(3, 2)) == 4
+    assert sum(len(chunk) for chunk in kmeans._growth_chunks(4, 4)) == 15
+    assert sum(len(chunk) for chunk in kmeans._growth_chunks(1, 1)) == 1
+
+
+def _assert_chunks_equal_recursive_strings(n, k):
+    chunks = list(kmeans._growth_chunks(n, k))
+    assert all(c.dtype == np.int64 and 1 <= len(c) <= kmeans._ENUM_CHUNK for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), np.array(list(growth_strings(n, k))))
+
+
+def test_growth_chunks_equal_the_recursive_strings():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            _assert_chunks_equal_recursive_strings(n, k)
+
+
+def test_small_chunks_keep_the_order_and_the_brute_force_result(monkeypatch):
+    rng = np.random.default_rng(181)
+    cases = [(rng.standard_normal((n, 3)), k) for n, k in ((8, 3), (7, 7), (6, 2), (5, 1))]
+    # a unit square: splits {0, 1}{2, 3} (string 0011) and {0, 3}{1, 2}
+    # (0110) tie exactly, and fall in different chunks of at most 5 rows
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cases.append((square, 2))
+    default = [kmeans.brute_force_optimal(a, k) for a, k in cases]
+    monkeypatch.setattr(kmeans, "_ENUM_CHUNK", 5)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            _assert_chunks_equal_recursive_strings(n, k)
+    holds = {tuple(row): i for i, c in enumerate(kmeans._growth_chunks(4, 2)) for row in c.tolist()}
+    assert holds[(0, 0, 1, 1)] < holds[(0, 1, 1, 0)]
+    for (a, k), base in zip(cases, default):
+        res = kmeans.brute_force_optimal(a, k)
+        assert np.array_equal(res.assignment.labels, base.assignment.labels)
+        assert res.objective == base.objective
+        assert res.iterations == base.iterations
+    tie = kmeans.Assignment.from_labels(np.array([0, 1, 1, 0]), 2)
+    assert kmeans.objective(square, tie) == res.objective == 1.0
+    assert res.assignment.labels.tolist() == [0, 0, 1, 1]

@@ -387,11 +387,15 @@ SEEDS = st.one_of(st.integers(-(2**64), 2**66),
 @example(d=2, t=5, seed=0)
 @example(d=1000, t=19, seed=-1)
 @example(d=3000, t=2000, seed=2**63)
+@example(d=1, t=9, seed=3)
 def test_plan_blocks_equal_per_stream_integers(d, t, seed):
     """Every block's codes are what its own stream's Generator.integers draws."""
     sign = mailman.plan_blocks(d, t, seed)
     assert sign.widths.tolist() == mailman.block_widths(d, t)
-    assert sign.codes.dtype == np.int64
+    assert sign.widths.dtype == sign.codes.dtype == np.int64
+    # plan_blocks skips the constructor's checks; its arrays pass them unchanged
+    checked = mailman.SignMatrix(d=d, t=t, widths=sign.widths, codes=sign.codes)
+    assert checked.widths is sign.widths and checked.codes is sign.codes
     for j, (p, codes) in enumerate(zip(sign.widths.tolist(), sign.codes)):
         g = rng.stream(seed, rng.SIGN_BLOCK, j)
         expect = g.integers(0, 1 << p, size=d, dtype=np.int64)
@@ -459,6 +463,25 @@ def test_mixed_width_densify_equals_per_block_oracle(widths, d, seed):
     sign = _drawn_sign_matrix(widths, d, seed)
     for scaled in (False, True):
         _assert_densify_matches_blocks(sign, scaled)
+
+
+@pytest.mark.parametrize("d, t", [(1000, 2000), (10304, 360)])
+def test_densify_over_several_row_chunks_equals_per_block_oracle(d, t):
+    sign = mailman.plan_blocks(d, t, 5)
+    # 2-byte codes, 16 bits unpacked per code: at least three row chunks
+    assert d * sign.widths.size * 16 >= 3 * mailman.UNPACK_BYTES
+    for scaled in (False, True):
+        _assert_densify_matches_blocks(sign, scaled)
+
+
+@pytest.mark.parametrize("budget", [1, 40, 1000])
+def test_densify_row_chunks_of_any_size_equal_per_block_oracle(monkeypatch, budget):
+    monkeypatch.setattr(mailman, "UNPACK_BYTES", budget)
+    cases = [_drawn_sign_matrix([3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40], 37, 97),
+             mailman.plan_blocks(777, 29, 3), mailman.plan_blocks(1, 4, 0)]
+    for sign in cases:
+        for scaled in (False, True):
+            _assert_densify_matches_blocks(sign, scaled)
 
 
 def test_densify_allocates_little_beyond_its_output():
