@@ -23,8 +23,8 @@ from .mailman import (MailmanBlock, block_row_multiply_counted, build_plan,
                       densify, fold_buckets, project_mailman)
 from .matrix import (SvdResult, as_matrix, best_rank_k, frobenius_norm,
                      matmul, pseudo_inverse, spectral_norm, svd_thin)
-from .projection import (DistortionReport, GaussianMatrix, ProjectionConfig,
-                         SignMatrix, jl_distortion_report, project_naive,
+from .projection import (DistortionReport, ProjectionConfig, SignMatrix,
+                         jl_distortion_report, project_naive,
                          sample_gaussian_matrix, sample_sign_matrix, svd_embed,
                          target_dimension)
 

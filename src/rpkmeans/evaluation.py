@@ -9,6 +9,7 @@ import numpy as np
 from . import projection as _projection, rng as _rng
 from .errors import ParameterError
 from .kmeans import Assignment, brute_force_optimal, objective
+from .mailman import densify
 from .matrix import (as_matrix, best_rank_k, frobenius_norm, pseudo_inverse,
                      spectral_norm, svd_thin)
 
@@ -62,14 +63,18 @@ def normalized_objective(value: float, fro: float) -> float | None:
 def accuracy(pred: Assignment, truth) -> float:
     """Fraction of points correctly labeled under the best one-to-one map
     between predicted clusters and true classes (maximum-weight matching
-    on the confusion matrix, padded square when the counts differ)."""
+    on the confusion matrix, padded square when the counts differ).
+
+    Classes are the distinct truth labels, numbered densely, so the cost
+    follows their count, not their largest value.
+    """
     truth = np.asarray(truth, dtype=np.int64)
     if truth.ndim != 1 or truth.size != pred.n:
         raise ParameterError("truth labels must match the assignment length")
     if truth.min() < 0:
         raise ParameterError("truth labels must be nonnegative")
-    k_true = int(truth.max()) + 1
-    size = max(pred.k, k_true)
+    classes, truth = np.unique(truth, return_inverse=True)
+    size = max(pred.k, classes.size)
     conf = np.bincount(pred.labels * size + truth,
                        minlength=size * size).reshape(size, size)
     return _max_matching_weight(conf) / pred.n
@@ -201,7 +206,7 @@ def singular_value_check(a, k: int, epsilon: float, t: int, trials: int,
     worst = 0.0
     for i in range(trials):
         r = _projection.sample_sign_matrix(d, t, _trial_seed(seed, i))
-        sig = np.linalg.svd(v.T @ r.dense(), compute_uv=False)
+        sig = np.linalg.svd(v.T @ densify(r, scaled=True), compute_uv=False)
         dev = float(np.max(np.abs(1.0 - sig)))
         worst = max(worst, dev)
         if dev <= half:
@@ -221,9 +226,8 @@ def matmul_moment_check(s, tmat, t: int, seeds: int, seed: int,
     exact = s @ tmat
     total = 0.0
     for i in range(seeds):
-        dense = _projection.sample_sign_matrix(
-            s.shape[1], t, _trial_seed(seed, i)
-        ).dense()
+        dense = densify(_projection.sample_sign_matrix(s.shape[1], t, _trial_seed(seed, i)),
+                        scaled=True)
         err = exact - (s @ dense) @ (dense.T @ tmat)
         total += float(np.sum(err * err))
     mean = total / seeds
@@ -246,7 +250,7 @@ def pseudo_inverse_bound_check(a, k: int, epsilon: float, t: int, trials: int,
     worst = 0.0
     for i in range(trials):
         r = _projection.sample_sign_matrix(a.shape[1], t, _trial_seed(seed, i))
-        vr = v.T @ r.dense()
+        vr = v.T @ densify(r, scaled=True)
         gap = spectral_norm(pseudo_inverse(vr) - vr.T)
         worst = max(worst, gap)
         if gap <= limit:
@@ -274,7 +278,7 @@ def decomposition_residual_check(a, k: int, epsilon: float, t: int,
     worst = 0.0
     for i in range(trials):
         r = _projection.sample_sign_matrix(a.shape[1], t, _trial_seed(seed, i))
-        dense = r.dense()
+        dense = densify(r, scaled=True)
         vr = v.T @ dense
         recon = (a @ dense) @ pseudo_inverse(vr) @ v.T
         ratio = frobenius_norm(ak - recon) / base

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mailman as _mailman, projection as _projection, rng as _rng
 from .errors import ParameterError
-from .matrix import as_matrix
+from .matrix import as_matrix, matmul
 
 BRUTE_FORCE_MAX_POINTS = 14
 _ENUM_CHUNK = 1 << 15
@@ -431,8 +431,7 @@ def apply_projection(a, cfg: _projection.ProjectionConfig, method: str):
         r = _projection.sample_sign_matrix(d, t, cfg.seed)
         return _projection.project_naive(a, r), t
     if method == "gaussian":
-        g = _projection.sample_gaussian_matrix(d, t, cfg.seed)
-        return _projection.project_naive(a, g), t
+        return matmul(a, _projection.sample_gaussian_matrix(d, t, cfg.seed)), t
     # svd_embed: top-t factor embedding, needs t within both dimensions
     if t > min(a.shape):
         raise ParameterError(f"svd_embed needs t <= min(n, d), got t={t}")

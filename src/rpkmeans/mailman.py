@@ -1,10 +1,14 @@
 """The packed sign matrix and the mailman multiply that applies it.
 
 SignMatrix holds a d x t matrix of +-1/sqrt(t) entries in column blocks of
-width p = floor(log2 d), as one codes array: row j holds block j's integer
-pattern code for each input row (bit b of a code is the sign of block column
-b: 1 -> +1, 0 -> -1).  Its blocks are MailmanBlock views of those rows,
-made only when read.  The scale 1/sqrt(t) is one number for the whole matrix.
+width p = floor(log2 d) (1 at d = 1), as one codes array: row j holds block
+j's integer pattern code for each input row (bit b of a code is the sign of
+block column b: 1 -> +1, 0 -> -1).  Its blocks are MailmanBlock views of
+those rows, made only when read.  The scale 1/sqrt(t) is one number for the
+whole matrix, and densify(sign, scaled=True) gives the dense entries.  The
+SignMatrix constructor is the one place widths and codes are checked:
+sampled matrices, blocks and caller-built matrices all go through it, so
+every sampler accepts exactly the sizes d, t >= 1.
 Multiplying a row vector by one block then costs d bucket additions plus
 a fold over the 2**p buckets, instead of d*p multiply-adds (Liberty and
 Zucker, "The Mailman algorithm", 2009).
@@ -74,16 +78,10 @@ class MailmanBlock:
     codes: np.ndarray  # (d,) integers in [0, 2**p)
 
     def __post_init__(self):
-        # checked as the one block of a d x p sign matrix
+        # checked as the one block of a d x p sign matrix; int64 codes stay a
+        # view of the caller's array
         self.codes = SignMatrix(d=np.size(self.codes), t=self.p, widths=[self.p],
-                                codes=[self.codes]).codes[0]
-
-    @classmethod
-    def _checked(cls, p: int, codes: np.ndarray):
-        """A block of int64 codes that the caller has range-checked."""
-        block = object.__new__(cls)
-        block.p, block.codes = p, codes
-        return block
+                                codes=np.asarray(self.codes)[None]).codes[0]
 
 
 @dataclass
@@ -111,21 +109,10 @@ class SignMatrix:
         if (self.codes >> self.widths[:, None]).any():
             raise ParameterError("codes must lie in [0, 2**p) for block width p")
 
-    @classmethod
-    def _checked(cls, d: int, t: int, widths: np.ndarray, codes: np.ndarray):
-        """A sign matrix of int64 widths and codes that the caller has checked."""
-        sign = object.__new__(cls)
-        sign.d, sign.t, sign.widths, sign.codes = d, t, widths, codes
-        return sign
-
     @property
     def blocks(self) -> list:
         """The column blocks in order, each one's codes a row view of codes."""
-        return [MailmanBlock._checked(p, row) for p, row in zip(self.widths.tolist(), self.codes)]
-
-    def dense(self) -> np.ndarray:
-        """Dense entries with the 1/sqrt(t) scale folded in."""
-        return densify(self, scaled=True)
+        return [MailmanBlock(p, row) for p, row in zip(self.widths.tolist(), self.codes)]
 
 
 def block_widths(d: int, t: int) -> list:
@@ -163,23 +150,15 @@ def plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
 
     Block j draws from the (seed, block j) stream, so blocks can be
     generated independently and in any order.  All blocks are sampled in
-    one pass, into the one codes array of the matrix.
-
-    The matrix skips the constructor's checks: block_widths sums to t in
-    widths of 1 to floor(log2 d), the codes array is (blocks, d) int64, and
-    each code is the top p bits of a draw, so it lies in [0, 2**p).
+    one pass, into the one codes array of the matrix.  Any d, t >= 1 is
+    accepted; block_widths refuses the rest.
     """
     widths = block_widths(d, t)
-    return SignMatrix._checked(d, t, np.array(widths, dtype=np.int64),
-                               _sample_codes(d, widths, seed, 0))
+    return SignMatrix(d=d, t=t, widths=widths, codes=_sample_codes(d, widths, seed, 0))
 
 
 def build_plan(d: int, t: int, seed: int) -> SignMatrix:
-    """Sample a packed d x t sign matrix, scaled by 1/sqrt(t)."""
-    if d < 2:
-        raise ParameterError("d must be at least 2 to form column blocks")
-    if t < 1:
-        raise ParameterError("t must be at least 1")
+    """Sample a packed d x t sign matrix, scaled by 1/sqrt(t): plan_blocks."""
     return plan_blocks(d, t, seed)
 
 

@@ -2,10 +2,11 @@
 
 SignMatrix is mailman.SignMatrix, re-exported; project_naive applies it by
 the fixed-order reference product, project_mailman by bucketing and folding.
+sample_gaussian_matrix returns a plain d x t array, applied by matmul.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,38 +80,24 @@ class ProjectionConfig:
 
 
 def sample_sign_matrix(d: int, t: int, seed: int) -> SignMatrix:
-    """Sample a d x t sign matrix scaled by 1/sqrt(t), packed by block."""
-    if d < 1 or t < 1:
-        raise ParameterError("d and t must be positive")
+    """Sample a d x t sign matrix scaled by 1/sqrt(t), packed by block:
+    mailman.plan_blocks, which accepts any d, t >= 1."""
     return mailman.plan_blocks(d, t, seed)
 
 
-@dataclass
-class GaussianMatrix:
-    """A d x t matrix of independent N(0, 1/t) entries."""
-
-    d: int
-    t: int
-    entries: np.ndarray = field(repr=False)
-
-    def dense(self) -> np.ndarray:
-        return self.entries
-
-
-def sample_gaussian_matrix(d: int, t: int, seed: int) -> GaussianMatrix:
+def sample_gaussian_matrix(d: int, t: int, seed: int) -> np.ndarray:
+    """A d x t array of independent N(0, 1/t) entries."""
     if d < 1 or t < 1:
         raise ParameterError("d and t must be positive")
     entries = _rng.stream(seed, _rng.GAUSSIAN).standard_normal((d, t))
     entries /= math.sqrt(t)
-    return GaussianMatrix(d=d, t=t, entries=entries)
+    return entries
 
 
-def project_naive(a, r) -> np.ndarray:
-    """Apply a projection matrix by plain (fixed-order) multiplication."""
-    a = as_matrix(a)
-    if a.shape[1] != r.d:
-        raise ParameterError(f"a has {a.shape[1]} columns, projection expects {r.d}")
-    return matmul(a, r.dense())
+def project_naive(a, sign: SignMatrix) -> np.ndarray:
+    """Apply a sign matrix by plain (fixed-order) multiplication with its
+    dense entries; matmul refuses a whose width is not sign.d."""
+    return matmul(a, mailman.densify(sign, scaled=True))
 
 
 def svd_embed(a, k: int) -> np.ndarray:

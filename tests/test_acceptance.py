@@ -215,17 +215,21 @@ def test_criterion_11_projection_speed_advantage():
                              replicates=5)
     # warm-up pass so allocator and import costs hit neither arm
     cli.run_experiment_sweep(ds, 40, [100], ["rp_mailman", "hd"], spec, seed=99)
-    wins = 0
-    detail = []
-    for seed in range(5):
-        records = cli.run_experiment_sweep(ds, 40, [100], ["rp_mailman", "hd"],
-                                           spec, seed=seed)
-        rp = next(r for r in records if r.method == "rp_mailman")
-        hd = next(r for r in records if r.method == "hd")
-        total_rp = rp.projection_ms + rp.clustering_ms
-        if total_rp < hd.clustering_ms:
-            wins += 1
-        detail.append(f"{total_rp:.0f}<{hd.clustering_ms:.0f}")
+    # each arm's time per seed is its fastest of three sweeps, taken in three
+    # rounds over the seeds, so that a stall of the machine that outlasts
+    # one seed's sweeps does not decide that seed
+    total_rp = [float("inf")] * 5
+    total_hd = [float("inf")] * 5
+    for _ in range(3):
+        for seed in range(5):
+            records = cli.run_experiment_sweep(ds, 40, [100], ["rp_mailman", "hd"],
+                                               spec, seed=seed)
+            rp = next(r for r in records if r.method == "rp_mailman")
+            hd = next(r for r in records if r.method == "hd")
+            total_rp[seed] = min(total_rp[seed], rp.projection_ms + rp.clustering_ms)
+            total_hd[seed] = min(total_hd[seed], hd.clustering_ms)
+    wins = sum(r < h for r, h in zip(total_rp, total_hd))
+    detail = [f"{r:.0f}<{h:.0f}" for r, h in zip(total_rp, total_hd)]
     _criterion(11, "projection plus reduced clustering beats full-dim clustering, 5/5 seeds",
                wins == 5, "ms " + " ".join(detail))
 

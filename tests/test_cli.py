@@ -256,11 +256,13 @@ def test_bench_writes_cross_checked_timings(tmp_path):
     assert all(float(r["median_ms"]) >= 0.0 for r in rows)
 
 
-def test_bench_rejects_zero_t(tmp_path):
+def test_bench_rejects_zero_t(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    for bad in (["--t", "0"], ["--t", "6", "--impl", "on_the_fly"]):
+    for bad in (["--t", "0"], ["--t", "6", "--impl", "on_the_fly"], ["--t", "2", "--d", "-3"]):
         code = cli.main(["bench", "--output", str(out), "--d", "64", *bad])
         assert code == 2
+    # a refused d draws no power-of-two warning
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_bench_vector_case_reports_all_impls():
@@ -354,6 +356,19 @@ def test_cluster_overflowing_input_exits_two(tmp_path):
     dataio.write_csv(dataio.Dataset(points=ds.points * 1e200, labels=ds.labels,
                                     source="huge"), path)
     assert cli.main(["cluster", "--input", str(path), "--k", "2"]) == 2
+
+
+def test_cluster_sign_methods_accept_one_column(tmp_path):
+    ds = dataio.generate_mixture(dataio.MixtureSpec(n=20, d=1, k=2, center_scale=6.0, seed=0))
+    path = tmp_path / "line.csv"
+    dataio.write_csv(ds, path)
+    labels = []
+    for method in ("rp_mailman", "rp_naive"):
+        out = tmp_path / f"{method}.json"
+        assert cli.main(["cluster", "--input", str(path), "--k", "2", "--method", method,
+                         "--t", "1", "--output", str(out)]) == 0
+        labels.append(json.loads(out.read_text())["result"]["labels"])
+    assert labels[0] == labels[1]
 
 
 def test_all_zero_data_has_no_f_tilde(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpkmeans import evaluation, kmeans, matrix, projection, rng
+from rpkmeans import evaluation, kmeans, mailman, matrix, projection, rng
 from rpkmeans.errors import ParameterError
 
 from _oracles import accuracy_by_assignment, accuracy_by_permutation
@@ -134,6 +134,13 @@ def test_accuracy_invariant_under_relabeling():
             kmeans.Assignment.from_labels(labels, 3), retruthed) == base
 
 
+def test_accuracy_cost_follows_class_count_not_label_value():
+    # the confusion matrix is sized by the number of classes, not by a label's value
+    pred = kmeans.Assignment.from_labels([0, 1, 1, 0], 2)
+    small = evaluation.accuracy(pred, np.array([0, 1, 0, 0]))
+    assert evaluation.accuracy(pred, np.array([0, 10**9, 0, 0])) == small == 0.75
+
+
 def test_accuracy_length_mismatch():
     pred = kmeans.Assignment.from_labels([0, 1], 2)
     with pytest.raises(ParameterError):
@@ -190,7 +197,8 @@ def test_pseudo_inverse_check_survives_a_power_iteration_stall():
     a = rng.stream(21, rng.INSTANCE, 3).standard_normal((50, 80))
     seed = rng.derive_seed(21, rng.TRIAL, 1005)
     v = matrix.svd_thin(a, 3).v
-    vr = v.T @ projection.sample_sign_matrix(80, 2000, evaluation._trial_seed(seed, 42)).dense()
+    vr = v.T @ mailman.densify(
+        projection.sample_sign_matrix(80, 2000, evaluation._trial_seed(seed, 42)), scaled=True)
     gap = matrix.pseudo_inverse(vr) - vr.T
     assert matrix.spectral_norm(gap) == np.linalg.svd(gap, compute_uv=False)[0]
     report = evaluation.pseudo_inverse_bound_check(a, k=3, epsilon=0.5, t=2000,

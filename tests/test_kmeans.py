@@ -389,6 +389,19 @@ def test_pipeline_sign_paths_give_identical_assignments():
                                                         rel=1e-10)
 
 
+def test_pipeline_sign_paths_agree_at_d_one():
+    # one input column: every block is one width-1 row
+    a = np.random.default_rng(192).standard_normal((12, 1))
+    spec = kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(6))
+    cfg = ProjectionConfig(k=2, t_override=1, seed=4)
+    fast = kmeans.project_and_cluster(a, 2, cfg, spec, method="sign_mailman")
+    slow = kmeans.project_and_cluster(a, 2, cfg, spec, method="sign_naive")
+    projected, t = kmeans.apply_projection(a, cfg, "sign_mailman")
+    assert t == 1 and np.array_equal(projected, kmeans.apply_projection(a, cfg, "sign_naive")[0])
+    assert np.array_equal(fast.projected.assignment.labels, slow.projected.assignment.labels)
+    assert fast.original_objective == slow.original_objective
+
+
 def test_pipeline_gaussian_and_svd_methods_run():
     rng = np.random.default_rng(193)
     a = rng.standard_normal((15, 12))

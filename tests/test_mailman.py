@@ -25,11 +25,18 @@ def test_block_widths_small_d():
     assert mailman.block_widths(3, 2) == [1, 1]
 
 
-def test_build_plan_rejects_degenerate_sizes():
-    with pytest.raises(ParameterError):
-        mailman.build_plan(1, 4, seed=0)
-    with pytest.raises(ParameterError):
-        mailman.build_plan(16, 0, seed=0)
+@pytest.mark.parametrize("sample", [mailman.plan_blocks, mailman.build_plan,
+                                    projection.sample_sign_matrix],
+                         ids=lambda sample: sample.__name__)
+def test_samplers_refuse_and_accept_the_same_sizes(sample):
+    # the SignMatrix constructor and block_widths are the only refusals
+    for d, t in [(0, 4), (4, 0), (-1, 3), (16, 0)]:
+        with pytest.raises(ParameterError):
+            sample(d, t, seed=0)
+    # d = 1: four width-1 blocks of one row each
+    sign = sample(1, 4, seed=0)
+    assert sign.widths.tolist() == [1, 1, 1, 1]
+    assert np.array_equal(sign.codes, mailman.plan_blocks(1, 4, seed=0).codes)
 
 
 def test_densified_plan_matches_sampled_sign_matrix():
@@ -363,7 +370,7 @@ GOLDEN_DENSE_DIGESTS = [
 @pytest.mark.parametrize("cell, dense", GOLDEN_DENSE_DIGESTS,
                          ids=[f"d{d}-t{t}" for (d, t, _), _ in GOLDEN_DENSE_DIGESTS])
 def test_sampled_dense_matches_golden_digests(cell, dense):
-    scaled = projection.sample_sign_matrix(*cell).dense()
+    scaled = mailman.densify(projection.sample_sign_matrix(*cell), scaled=True)
     assert hashlib.sha256(scaled.astype("<f8").tobytes()).hexdigest() == dense
 
 

@@ -51,7 +51,8 @@ def test_sign_matrix_entries_are_unit_signs():
     sign = projection.sample_sign_matrix(50, 8, seed=2)
     values = np.unique(mailman.densify(sign))
     assert set(values.tolist()) <= {-1.0, 1.0}
-    assert np.allclose(sign.dense(), mailman.densify(sign) / np.sqrt(8), atol=1e-15)
+    assert np.allclose(mailman.densify(sign, scaled=True), mailman.densify(sign) / np.sqrt(8),
+                       atol=1e-15)
 
 
 def test_sign_matrix_column_means_concentrate():
@@ -92,7 +93,7 @@ def test_project_naive_matches_dense_triple_loop():
     a = rng.standard_normal((5, 8))
     r = projection.sample_sign_matrix(8, 4, seed=6)
     assert np.array_equal(projection.project_naive(a, r),
-                          matmul_triple_loop(a, r.dense()))
+                          matmul_triple_loop(a, mailman.densify(r, scaled=True)))
 
 
 def test_project_naive_dimension_mismatch():
@@ -104,7 +105,7 @@ def test_project_naive_dimension_mismatch():
 def test_gaussian_matrix_moments():
     d, t = 500, 200  # d*t = 1e5 draws
     g = projection.sample_gaussian_matrix(d, t, seed=3)
-    entries = g.dense().ravel()
+    entries = g.ravel()
     assert abs(entries.mean()) <= 4.0 / np.sqrt(t * d * t)
     assert entries.var() == pytest.approx(1.0 / t, rel=0.05)
 
@@ -112,7 +113,7 @@ def test_gaussian_matrix_moments():
 def test_gaussian_matrix_deterministic():
     one = projection.sample_gaussian_matrix(20, 5, seed=4)
     two = projection.sample_gaussian_matrix(20, 5, seed=4)
-    assert np.array_equal(one.dense(), two.dense())
+    assert np.array_equal(one, two)
 
 
 def test_svd_embed_diagonal():
@@ -173,7 +174,7 @@ def test_sign_projection_preserves_seeded_cloud():
     rng = np.random.default_rng(109)
     pts = rng.standard_normal((50, 1000))
     r = projection.sample_sign_matrix(1000, 2000, seed=8)
-    emb = pts @ r.dense()
+    emb = pts @ mailman.densify(r, scaled=True)
     rep = projection.jl_distortion_report(pts, emb, epsilon=0.3)
     assert rep.fraction_ok >= 0.99
 
