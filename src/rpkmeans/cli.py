@@ -237,6 +237,8 @@ def _cmd_cluster(args) -> int:
             "accuracy": acc,
             "iterations": res.iterations,
             "converged": res.converged,
+            "replicate": res.replicate,
+            "settled": res.settled,
             "objective_trace": res.objective_trace.tolist(),
             "method": args.method,
             "t": run.t,

@@ -6,10 +6,18 @@ library, the cluster and experiment subcommands and the benchmark all run
 it, and it times its own three phases.
 
 Lloyd's mean update and the plug-back objective both take their per-cluster
-sums from one sparse k x n one-hot product, whose sums have the bits of
-np.add.at: cluster_sums builds the one-hot for one call, and lloyd builds
-it once per call and writes each iteration's labels into it.  cluster_sums
-stays the statement of that bit contract."""
+sums from one sparse one-hot product, whose sums have the bits of
+np.add.at: cluster_sums builds a k x n one-hot for one call, and lloyd
+stacks the labels of every live replicate into one (replicates * k) x n
+one-hot, built when the set of live replicates changes, and writes each
+iteration's labels into it.  cluster_sums stays the statement of that bit
+contract.
+
+Lloyd runs its replicates in lockstep on one distance product per
+iteration, and settles every label by a rule that does not depend on that
+product's bits (lloyd): its labels are the argmin of a fixed-form squared
+distance, whatever the BLAS build, the thread count or the number of
+replicates."""
 
 import functools
 import math
@@ -24,8 +32,9 @@ from .matrix import as_matrix, matmul
 
 BRUTE_FORCE_MAX_POINTS = 14
 _ENUM_CHUNK = 1 << 15
-# objective squares and sums the differences this many elements at a time;
-# at least 128, the size up to which numpy sums without splitting.
+# objective squares and sums the differences this many elements at a time,
+# and lloyd's fixed-form distances take at most this many per chunk; at
+# least 128, the size up to which numpy sums without splitting.
 OBJECTIVE_LEAF = 1 << 16
 
 
@@ -108,19 +117,25 @@ class KMeansResult:
     iterations: int
     converged: bool
     objective_trace: np.ndarray
+    # the index of the winning replicate, and the labels the fixed form
+    # decided in it (lloyd); 0 and 0 for the exhaustive solver
+    replicate: int
+    settled: int
 
 
-def _onehot(labels, k: int):
-    """The k x n CSC one-hot of labels: column i holds a single 1.0 in row
-    labels[i].  Labels are trusted to lie in [0, k)."""
+def _onehot(rows, height: int):
+    """The height x n CSC one-hot whose column i holds a 1.0 in each row
+    that rows[i] names.  rows is n labels, or n x m with each row of it
+    ascending; its entries are trusted to lie in [0, height)."""
     # imported here so that importing the package does not load scipy
     from scipy import sparse
 
-    n = labels.size
-    index = np.int32 if max(n, k) <= np.iinfo(np.int32).max else np.int64
+    rows = rows.reshape(rows.shape[0], -1)
+    n, m = rows.shape
+    index = np.int32 if max(n * m, height) <= np.iinfo(np.int32).max else np.int64
     return sparse.csc_matrix(
-        (np.ones(n), labels.astype(index), np.arange(n + 1, dtype=index)),
-        shape=(k, n),
+        (np.ones(n * m), rows.astype(index).ravel(), np.arange(0, n * m + 1, m, dtype=index)),
+        shape=(height, n),
     )
 
 
@@ -232,54 +247,46 @@ def _partition_cost(a_sq_total, sums_sq, sizes):
     return max(float(val), 0.0)
 
 
-def _lloyd_once(a, a_sq, a_sq_total, onehot, centroids, max_iter, tol):
-    n, k = a.shape[0], onehot.shape[0]
-    labels_prev = None
-    trace = []
-    converged = False
-    iterations = 0
-    labels = None
-    for iterations in range(1, max_iter + 1):
-        # a_sq - 2 a.c + c_sq, in the order and with the bits of that
-        # expression, in one n x k buffer
-        d2 = a @ centroids.T
-        d2 *= -2.0
-        d2 += a_sq[:, None]
-        d2 += np.einsum("ij,ij->i", centroids, centroids)
-        labels = np.argmin(d2, axis=1)  # ties break to the lowest index
-        sizes = np.bincount(labels, minlength=k)
-        while (sizes == 0).any():
-            empty = int(np.flatnonzero(sizes == 0)[0])
-            # move the point farthest from its current centroid, but never
-            # drain a singleton cluster (that would just shift the hole)
-            own = d2[np.arange(n), labels].copy()
-            own[sizes[labels] <= 1] = -np.inf
-            moved = int(np.argmax(own))
-            sizes[labels[moved]] -= 1
-            labels[moved] = empty
-            sizes[empty] = 1
-        # the cluster_sums product, on the call's one one-hot
-        onehot.indices[:] = labels
-        sums = np.asarray(onehot @ a)
-        centroids = sums / np.maximum(sizes, 1)[:, None]
-        sums_sq = np.einsum("ij,ij->i", sums, sums)
-        trace.append(_partition_cost(a_sq_total, sums_sq, sizes))
-        if labels_prev is not None and np.array_equal(labels, labels_prev):
-            converged = True
-            break
-        if len(trace) >= 2:
-            prev, cur = trace[-2], trace[-1]
-            if prev == 0.0 or (prev - cur) < tol * prev:
-                converged = True
-                break
-        labels_prev = labels
-    return KMeansResult(
-        assignment=Assignment.from_labels(labels, k),
-        objective=trace[-1],
-        iterations=iterations,
-        converged=converged,
-        objective_trace=np.array(trace),
-    )
+def _fixed_d2(a, rows, centroids, own=None):
+    """The fixed form of the squared distances from rows of a to the k x d
+    centroids: entry (m, j) is numpy's own sum of
+    (a[rows[m]] - centroids[j]) ** 2 over the columns, in row chunks of at
+    most OBJECTIVE_LEAF elements.  Given own, row m is priced against
+    centroids[own[m]] alone, in one column."""
+    k, d = (1, centroids.shape[1]) if own is not None else centroids.shape
+    out = np.empty((rows.size, k))
+    step = max(1, OBJECTIVE_LEAF // (k * d))
+    for lo in range(0, rows.size, step):
+        part = slice(lo, lo + step)
+        diff = a[rows[part], None, :] - (centroids if own is None else centroids[own[part], None, :])
+        np.multiply(diff, diff, out=diff)
+        # a sum along the last, contiguous axis is numpy's pairwise sum of
+        # each row, the bits np.sum gives that row alone
+        out[part] = diff.sum(axis=2)
+    return out
+
+
+def _repair(a, d2, labels, sizes, centroids, margin):
+    """Fill one replicate's empty clusters, in ascending order, each with the
+    point farthest from its current centroid that does not leave a cluster
+    empty.  d2 (k x n), labels (n) and sizes (k) are that replicate's, and
+    labels and sizes are updated in place.  Farthest is by the fixed form,
+    ties to the lowest index: the rows whose d2 comes within both rows'
+    margins of the largest are priced in the fixed form, and by lloyd's
+    bound every other row is nearer in it."""
+    n = a.shape[0]
+    while (sizes == 0).any():
+        empty = int(np.flatnonzero(sizes == 0)[0])
+        # never drain a singleton cluster: that would just shift the hole
+        own = d2[labels, np.arange(n)]
+        own[sizes[labels] <= 1] = -np.inf
+        moved = int(np.argmax(own))
+        near = np.flatnonzero(own + margin >= own[moved] - margin[moved])
+        if near.size > 1:
+            moved = int(near[np.argmax(_fixed_d2(a, near, centroids, labels[near]))])
+        sizes[labels[moved]] -= 1
+        labels[moved] = empty
+        sizes[empty] = 1
 
 
 def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansResult:
@@ -294,17 +301,53 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     alone (by up to 1.3 eps * sum ||a_i||^2 in random draws; the tests
     allow 16 eps * sum ||a_i||^2).
     With replicates > 1, restarts r >= 1 draw k distinct seed rows from the
-    (seed, restart r) stream and the best objective wins.
+    (seed, restart r) stream and the best objective wins, the first of
+    equal objectives.  The result's replicate names the winner and settled
+    counts the labels the fixed form decided in it, over all its
+    iterations.
+
+    The replicates run in lockstep.  Each iteration stacks the centroids of
+    every live replicate into one (live * k) x d matrix C and makes one
+    product C @ a.T, into one (live * k) x n buffer of squared distances
+    d2 = ||c_j||^2 - 2 c_j.a_i + ||a_i||^2 (0.8 MB at n = 1000, five
+    replicates, k = 20); each row's smallest d2 comes from one min over its
+    (live, k, n) view.  One stacked CSC one-hot, rebuilt only when a
+    replicate stops, gives every replicate's cluster sums in one product;
+    scipy adds each output row's points in ascending order, so the sums,
+    the trace and the objective are bit-identical to separate products and
+    to np.add.at.  A replicate stops when it converges, with the trace and
+    iteration count it would have alone.
+
+    Labels do not depend on the product's bits, which change with the BLAS
+    build, its thread split and the number of live replicates.  A row is
+    settled when every rival's d2 exceeds its smallest, d2_b, by more than
+    a margin; it then takes b, the index of its only d2 within the margin.
+    Every other row is priced in the fixed form
+    F_j = sum_l (a_il - c_jl)^2, numpy's own sum of the row's squared
+    differences, and takes the argmin of F, ties to the lowest index; those
+    rows are the ones settled counts.  The labels are therefore the argmin
+    of F in every row.  The margin is 2 (B_prod + B_fixed), where B bounds
+    the error of each form (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1, with u = 2^-53 and
+    gamma_m = m u / (1 - m u)).  The product form's three dot products of d
+    terms are off by at most gamma_d ||a||^2, 2 gamma_d ||a|| ||c|| and
+    gamma_d ||c||^2 in any order of addition, and its two additions add two
+    roundings, so |d2_j - ||a - c_j||^2| <= gamma_{d+2} (||a|| + ||c_j||)^2.
+    The fixed form's subtraction, square and sum of d terms give the same
+    bound.  So where the margin is met, F_j > F_b for every rival j.  The
+    margin uses gamma_{d+3}, the replicate's largest ||c_j||, and
+    16 (d + 3) times the smallest normal double for products that
+    underflow.  The extra unit of gamma, 4 u (||a|| + max ||c_j||)^2, covers
+    the rounding of the norms, of the margin and of d2_b + margin for d
+    below 10^7.  The empty-cluster repair picks its point by the same rule
+    (_repair).
 
     The rows' squared norms, the check that they do not overflow, and the
-    k x n one-hot of cluster_sums are made once per call and shared by the
-    replicates.  Each mean update writes its labels into the one-hot and
-    multiplies it by the rows, the product cluster_sums makes, so labels,
-    trace and objective are bit-identical to updates by np.add.at.
+    one-hot are made once per call and shared by the replicates.
     """
     a = as_matrix(a)
     spec = spec if spec is not None else SolverSpec()
-    n = a.shape[0]
+    n, d = a.shape
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} outside [1, n={n}]")
     a_sq = np.einsum("ij,ij->i", a, a)
@@ -313,20 +356,95 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     # Lloyd forms; where it overflows, the objective would become inf or NaN.
     if not math.isfinite(a_sq_total * max(n, 4)):
         raise ParameterError("squared norms of the input overflow float64; rescale it")
-    onehot = _onehot(np.zeros(n, dtype=np.int64), k)
-    best = None
-    for rep in range(spec.replicates):
-        if rep == 0:
-            centroids = _initial_centroids(a, k, spec.init)
-        else:
-            idx = _rng.stream(seed, _rng.LLOYD_RESTART, rep).choice(
-                n, size=k, replace=False
-            )
-            centroids = a[np.sort(idx)].copy()
-        res = _lloyd_once(a, a_sq, a_sq_total, onehot, centroids, spec.max_iter, spec.tol)
-        if best is None or res.objective < best.objective:
-            best = res
-    return best
+    a_norm = np.sqrt(a_sq)
+    u = np.finfo(np.float64).eps / 2
+    gamma = (d + 3) * u / (1 - (d + 3) * u)
+    underflow = 16 * (d + 3) * np.finfo(np.float64).tiny
+    index = np.arange(k, dtype=np.min_scalar_type(k - 1))
+    starts = [_initial_centroids(a, k, spec.init)]
+    for rep in range(1, spec.replicates):
+        idx = _rng.stream(seed, _rng.LLOYD_RESTART, rep).choice(n, size=k, replace=False)
+        starts.append(a[np.sort(idx)])
+    centroids = np.concatenate(starts)
+    live = list(range(spec.replicates))
+    traces = [[] for _ in live]
+    settled = [0] * len(live)
+    results = [None] * len(live)
+    labels_prev = np.full((len(live), n), -1)
+    onehot = None
+    for iterations in range(1, spec.max_iter + 1):
+        width = len(live)
+        if onehot is None:
+            offsets = np.arange(width)[:, None] * k
+            onehot = _onehot(np.tile(offsets.T, (n, 1)), width * k)
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
+        # a_sq - 2 c.a + c_sq for the centroids of every live replicate, in
+        # one (live * k) x n buffer
+        d2 = centroids @ a.T
+        d2 *= -2.0
+        d2 += a_sq
+        d2 += c_sq[:, None]
+        d3 = d2.reshape(width, k, n)
+        # the label rule: a row is settled when its smallest d2 is the only
+        # one within the margin of it
+        margin = np.sqrt(c_sq.reshape(width, k).max(axis=1))[:, None] + a_norm
+        margin *= margin
+        margin *= 4.0 * gamma
+        margin += underflow
+        limit = d3.min(axis=1)
+        limit += margin
+        close = d3 <= limit[:, None, :]
+        # in a settled row the index of its one close entry is its argmin
+        labels = np.einsum("rjn,j->rn", close.view(np.uint8), index).astype(np.int64)
+        if np.count_nonzero(close) > width * n:
+            reps, rows = np.nonzero(np.count_nonzero(close, axis=1) > 1)
+            for r in np.unique(reps):
+                near = rows[reps == r]
+                labels[r, near] = np.argmin(
+                    _fixed_d2(a, near, centroids[r * k:(r + 1) * k]), axis=1)
+                settled[live[r]] += near.size
+        flat = labels + offsets
+        sizes = np.bincount(flat.ravel(), minlength=width * k).reshape(width, k)
+        if not sizes.all():
+            for r in np.flatnonzero(~sizes.all(axis=1)):
+                _repair(a, d3[r], labels[r], sizes[r], centroids[r * k:(r + 1) * k], margin[r])
+            flat = labels + offsets
+        # every live replicate's cluster_sums product, on one one-hot
+        onehot.indices.reshape(n, width)[...] = flat.T
+        sums = np.asarray(onehot @ a)
+        centroids = sums / np.maximum(sizes, 1).reshape(-1, 1)
+        sums_sq = np.einsum("ij,ij->i", sums, sums).reshape(width, k)
+        stable = (labels == labels_prev).all(axis=1)
+        keep = []
+        for r, rep in enumerate(live):
+            trace = traces[rep]
+            trace.append(_partition_cost(a_sq_total, sums_sq[r], sizes[r]))
+            converged = bool(stable[r])
+            if not converged and len(trace) >= 2:
+                prev, cur = trace[-2], trace[-1]
+                converged = prev == 0.0 or (prev - cur) < spec.tol * prev
+            if converged or iterations == spec.max_iter:
+                results[rep] = KMeansResult(
+                    assignment=Assignment.from_labels(labels[r], k),
+                    objective=trace[-1],
+                    iterations=iterations,
+                    converged=converged,
+                    objective_trace=np.array(trace),
+                    replicate=rep,
+                    settled=settled[rep],
+                )
+            else:
+                keep.append(r)
+        if not keep:
+            break
+        if len(keep) < width:
+            live = [live[r] for r in keep]
+            centroids = centroids.reshape(width, k, d)[keep].reshape(-1, d)
+            labels = labels[keep]
+            onehot = None
+        labels_prev = labels
+    # min keeps the first of equal objectives
+    return min(results, key=lambda res: res.objective)
 
 
 def _growth_chunks(n, k):
@@ -409,6 +527,8 @@ def brute_force_optimal(a, k: int) -> KMeansResult:
         iterations=examined,
         converged=True,
         objective_trace=np.array([best_cost]),
+        replicate=0,
+        settled=0,
     )
 
 

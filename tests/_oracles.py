@@ -202,8 +202,13 @@ def objective_by_gather(a, labels, k):
 
 
 def lloyd_by_add_at(a, k, spec, seed=0):
-    """Lloyd's heuristic as it stood with np.add.at mean updates and the
-    per-replicate squared norms: the bit-for-bit reference for kmeans.lloyd.
+    """Lloyd's heuristic with np.add.at mean updates, run one replicate at
+    a time: the bit-for-bit reference for kmeans.lloyd.
+
+    Every label is the argmin of the fixed form sum_l (a_il - c_jl)^2 over
+    all rows, numpy's own sum of each row's squared differences, ties to
+    the lowest index; the empty-cluster repair picks its farthest point by
+    the same form.  No BLAS product enters a label.
 
     Returns (labels, objective, trace, iterations, converged) of the best
     replicate.  Inputs are assumed valid and finite.
@@ -226,6 +231,15 @@ def lloyd_by_add_at(a, k, spec, seed=0):
     return best
 
 
+def _fixed_form(a, centroids):
+    """The n x k squared distances, one row of a at a time."""
+    out = np.empty((a.shape[0], centroids.shape[0]))
+    for i in range(a.shape[0]):
+        diff = a[i] - centroids
+        out[i] = np.sum(diff * diff, axis=1)
+    return out
+
+
 def _lloyd_once_by_add_at(a, k, centroids, max_iter, tol):
     n = a.shape[0]
     a_sq = np.einsum("ij,ij->i", a, a)
@@ -235,8 +249,7 @@ def _lloyd_once_by_add_at(a, k, centroids, max_iter, tol):
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        d2 = a_sq[:, None] - 2.0 * (a @ centroids.T)
-        d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
+        d2 = _fixed_form(a, centroids)
         labels = np.argmin(d2, axis=1)
         sizes = np.bincount(labels, minlength=k)
         while (sizes == 0).any():

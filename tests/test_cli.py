@@ -101,6 +101,8 @@ def test_cluster_runs_the_library_pipeline(tmp_path):
         assert result["projected_objective"] == run.projected.objective
         assert result["original_objective"] == run.original_objective
         assert result["objective_trace"] == run.projected.objective_trace.tolist()
+        assert result["replicate"] == run.projected.replicate
+        assert result["settled"] == run.projected.settled
         assert result["t"] == run.t == (64 if method == "hd" else 16)
         assert min(run.projection_ms, run.clustering_ms, run.plugback_ms) >= 0.0
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rpkmeans import kmeans
 from rpkmeans.errors import ParameterError
+from rpkmeans.rng import LLOYD_RESTART, stream
 from rpkmeans.projection import ProjectionConfig
 
 from _oracles import (growth_strings, lloyd_by_add_at, normalized_indicator, objective_by_gather,
@@ -173,6 +174,16 @@ def test_cluster_sums_refuses_labels_outside_range(labels):
         kmeans.cluster_sums(np.ones((3, 2)), np.array(labels), 3)
 
 
+LLOYD_KINDS = ["mixture", "decades", "integers", "all_equal", "n_equals_k", "repair",
+               "near_tie", "repair_tie"]
+
+
+def _lloyd_stride(kind, n, k):
+    """The FirstOfEachGroup stride: 1 where the kind places its start rows
+    first, else n // k."""
+    return 1 if kind in ("repair", "near_tie", "repair_tie") else n // k
+
+
 def _lloyd_input(kind, n, d, k, seed):
     """Rows of one kind, and k (n for "n_equals_k")."""
     rng = np.random.default_rng(seed)
@@ -190,27 +201,50 @@ def _lloyd_input(kind, n, d, k, seed):
     elif kind == "n_equals_k":
         a = rng.standard_normal((n, d))
         k = n
-    else:  # "repair": k equal start rows put every point in cluster 0
+    elif kind == "near_tie":
+        # rows 0 and 1 hold a vector and its coordinates reversed, rows
+        # 2..k-1 lie far away, and the other rows are their own reversal:
+        # each is exactly as far from row 0 as from row 1 in real
+        # arithmetic, but the two distances sum their terms in different
+        # orders, so a BLAS product may round them differently
+        v = rng.standard_normal((n, d))
+        a = v + v[:, ::-1]
+        a[0] = rng.standard_normal(d) * 3.0
+        a[1:2] = a[0, ::-1]
+        a[2:k] += 1000.0
+    elif kind == "repair":  # k equal start rows put every point in cluster 0
         a = rng.standard_normal((n, d))
         a[:k] = a[0]
+    else:  # "repair_tie": as "repair", from a row that is its own reversal
+        # every other row is paired with its reversal, exactly as far from
+        # the start rows in real arithmetic: the repair's farthest point is
+        # a near-tie
+        a = rng.standard_normal((n, d))
+        a[1::2] = a[0:n - 1:2, ::-1]
+        a[:k] = a[0] + a[0, ::-1]
     return a, k
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["mixture", "decades", "integers", "all_equal",
-                             "n_equals_k", "repair"]),
+@given(kind=st.sampled_from(LLOYD_KINDS),
        n=st.integers(1, 60), d=st.integers(1, 12), k=st.integers(1, 8),
        replicates=st.sampled_from([1, 4]), max_iter=st.sampled_from([1, 100]),
        seed=st.integers(0, 2**31 - 1))
 @example(kind="mixture", n=1000, d=256, k=20, replicates=4, max_iter=15,
          seed=7)  # the hd-lloyd shape
+@example(kind="mixture", n=1000, d=256, k=20, replicates=5, max_iter=15,
+         seed=12)  # the hd-lloyd shape and replicate count
 @example(kind="repair", n=12, d=3, k=5, replicates=1, max_iter=100, seed=8)
 @example(kind="all_equal", n=9, d=2, k=9, replicates=4, max_iter=100, seed=9)
+@example(kind="near_tie", n=13, d=12, k=2, replicates=1, max_iter=100, seed=1)
+@example(kind="repair_tie", n=13, d=12, k=2, replicates=1, max_iter=100, seed=0)
+@example(kind="integers", n=600, d=2, k=257, replicates=2, max_iter=20,
+         seed=16)  # k past 256: the settled-row indices need 16 bits
 def test_lloyd_bit_identical_to_add_at_oracle(kind, n, d, k, replicates,
                                               max_iter, seed):
     k = min(k, n)
     a, k = _lloyd_input(kind, n, d, k, seed)
-    stride = 1 if kind == "repair" else n // k
+    stride = _lloyd_stride(kind, n, k)
     spec = kmeans.SolverSpec(max_iter=max_iter, replicates=replicates,
                              init=kmeans.FirstOfEachGroup(stride))
     res = kmeans.lloyd(a, k, spec, seed=seed)
@@ -229,6 +263,68 @@ def test_lloyd_bit_identical_to_add_at_oracle(kind, n, d, k, replicates,
     assert np.all(np.diff(res.objective_trace) <= slack)
     assert np.all(res.assignment.cluster_sizes > 0)
     assert res.assignment.labels.min() >= 0 and res.assignment.labels.max() < k
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(LLOYD_KINDS), n=st.integers(2, 60), d=st.integers(1, 12),
+       k=st.integers(1, 8), replicates=st.sampled_from([2, 5]),
+       max_iter=st.sampled_from([1, 100]), seed=st.integers(0, 2**31 - 1))
+@example(kind="mixture", n=1000, d=256, k=20, replicates=5, max_iter=15,
+         seed=13)  # the hd-lloyd shape
+@example(kind="near_tie", n=30, d=9, k=3, replicates=2, max_iter=100, seed=14)
+@example(kind="decades", n=60, d=4, k=5, replicates=5, max_iter=100,
+         seed=1)  # centroid norms that differ by decades between replicates
+@example(kind="near_tie", n=50, d=12, k=5, replicates=5, max_iter=100, seed=15)
+def test_lloyd_replicate_does_not_depend_on_its_neighbours(kind, n, d, k, replicates,
+                                                           max_iter, seed):
+    # the replicates run in lockstep on one stacked product, whose bits
+    # change with the number of live replicates; each must still end as it
+    # would alone, started from the same rows
+    k = min(k, n)
+    a, k = _lloyd_input(kind, n, d, k, seed)
+    stride = _lloyd_stride(kind, n, k)
+    spec = kmeans.SolverSpec(max_iter=max_iter, replicates=replicates,
+                             init=kmeans.FirstOfEachGroup(stride))
+    res = kmeans.lloyd(a, k, spec, seed=seed)
+    starts = [tuple(range(0, k * stride, stride))] + [
+        tuple(np.sort(stream(seed, LLOYD_RESTART, rep).choice(
+            a.shape[0], size=k, replace=False)).tolist())
+        for rep in range(1, replicates)]
+    alone = [kmeans.lloyd(a, k, kmeans.SolverSpec(max_iter=max_iter,
+                                                  init=kmeans.GivenIndices(rows)))
+             for rows in starts]
+    objectives = [run.objective for run in alone]
+    winner = objectives.index(min(objectives))
+    assert res.replicate == winner
+    best = alone[winner]
+    assert np.array_equal(res.assignment.labels, best.assignment.labels)
+    assert res.objective == best.objective
+    assert np.array_equal(res.objective_trace, best.objective_trace)
+    assert (res.iterations, res.converged, res.settled) == (
+        best.iterations, best.converged, best.settled)
+    if kind == "near_tie" and a.shape[0] > k > 1 and d > 1:
+        # replicate 0 starts from a vector and its reversal, and every
+        # other row is as far from both: the screen must send rows to the
+        # fixed form
+        assert alone[0].settled > 0
+
+
+@pytest.mark.parametrize("m, k, d", [(1, 1, 1), (3, 5, 7), (2, 4, 8), (5, 3, 9),
+                                     (4, 2, 127), (3, 3, 128), (2, 2, 129),
+                                     (2, 3, 300), (5, 3, 8193), (40, 1, 3)])
+def test_fixed_form_sums_each_pair_as_np_sum(m, k, d):
+    # the label rule's fixed form is numpy's own sum of each (row, centroid)
+    # pair's squared differences, whatever the row chunk around it (at
+    # d = 8193 and k = 3 a chunk holds two rows)
+    g = np.random.default_rng(m * k * d)
+    a = g.standard_normal((m + 2, d)) * 10.0 ** g.uniform(-6, 6, size=(m + 2, 1))
+    c = g.standard_normal((k, d))
+    rows = np.arange(1, m + 1)
+    expect = np.array([[np.sum((a[i] - c[j]) * (a[i] - c[j])) for j in range(k)] for i in rows])
+    assert np.array_equal(kmeans._fixed_d2(a, rows, c), expect)
+    # the repair prices each row against its own centroid alone
+    own = np.arange(m) % k
+    assert np.array_equal(kmeans._fixed_d2(a, rows, c, own)[:, 0], expect[np.arange(m), own])
 
 
 def _huge_cluster_sums():
