@@ -131,9 +131,6 @@ def run_bench(d_list, t_list, n: int, seed: int, impls=BENCH_IMPLS,
     rows = []
     cell = 0
     for d in d_list:
-        if d > 0 and d & (d - 1):
-            print(f"warning: d={d} is not a power of two; the packed blocks "
-                  f"waste part of their code range", file=sys.stderr)
         for t in t_list:
             cell_seed = _rng.derive_seed(seed, _rng.BENCH, cell)
             cell += 1

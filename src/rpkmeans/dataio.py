@@ -16,7 +16,10 @@ from .matrix import as_matrix
 
 @dataclass
 class Dataset:
-    """Points (n x d), optional integer class labels, and a source note."""
+    """Points (n x d), optional integer class labels, and a source note.
+
+    Labels are kept as given: any integers, one per row.  accuracy numbers
+    their distinct values densely, and project writes them back unchanged."""
 
     points: np.ndarray
     labels: np.ndarray | None
@@ -28,11 +31,6 @@ class Dataset:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.points.shape[0],):
                 raise ParameterError("labels must be one integer per row")
-            k = int(self.labels.max()) + 1
-            if self.labels.min() < 0 or len(np.unique(self.labels)) != k:
-                raise ParameterError(
-                    "labels must cover a contiguous range starting at 0"
-                )
 
     @property
     def n(self) -> int:
@@ -264,13 +262,12 @@ def _read_pgm(path) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
 
-def load_image_dir(path, expected_size=None) -> Dataset:
+def load_image_dir(path) -> Dataset:
     """Load a directory of grayscale PGM images as flattened rows.
 
     Each subdirectory is one class; classes are labeled 0, 1, ... in
     lexicographic subdirectory order, and files are read in lexicographic
-    order within each class.  All images must share one size (and match
-    expected_size = (height, width) when given).
+    order within each class.  All images must share one size.
 
     The rasters are copied into one n x d uint8 matrix, which is converted
     to float64 once.
@@ -286,7 +283,6 @@ def load_image_dir(path, expected_size=None) -> Dataset:
                for class_dir in class_dirs]
     labels = np.repeat(np.arange(len(classes), dtype=np.int64),
                        [len(files) for files in classes])
-    size = tuple(expected_size) if expected_size is not None else None
     pixels = None
     row = 0
     for class_dir, files in zip(class_dirs, classes):
@@ -294,14 +290,13 @@ def load_image_dir(path, expected_size=None) -> Dataset:
             raise DataFormatError(f"{class_dir}: class directory is empty")
         for file in files:
             img = _read_pgm(file)
-            if size is None:
+            if pixels is None:
                 size = img.shape
+                pixels = np.empty((labels.size, img.size), dtype=np.uint8)
             elif img.shape != size:
                 raise DataFormatError(
                     f"{file}: size {img.shape} does not match {size}"
                 )
-            if pixels is None:
-                pixels = np.empty((labels.size, img.size), dtype=np.uint8)
             pixels[row] = img.reshape(-1)
             row += 1
     points = pixels.astype(np.float64)

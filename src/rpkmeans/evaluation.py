@@ -28,10 +28,6 @@ class PropertyReport:
     statistic: float
     bound: float
 
-    def __post_init__(self):
-        if not 0 <= self.passes <= self.trials:
-            raise ParameterError("passes must lie in [0, trials]")
-
 
 @dataclass
 class ExperimentRecord:
@@ -47,12 +43,6 @@ class ExperimentRecord:
     k: int
     epsilon: float
 
-    def __post_init__(self):
-        if self.f_tilde < 0:
-            raise ParameterError("f_tilde must be nonnegative")
-        if self.accuracy is not None and not 0.0 <= self.accuracy <= 1.0:
-            raise ParameterError("accuracy must lie in [0, 1]")
-
 
 def normalized_objective(value: float, fro: float) -> float | None:
     """f~: a clustering objective divided by the squared Frobenius norm fro
@@ -65,14 +55,12 @@ def accuracy(pred: Assignment, truth) -> float:
     between predicted clusters and true classes (maximum-weight matching
     on the confusion matrix, padded square when the counts differ).
 
-    Classes are the distinct truth labels, numbered densely, so the cost
-    follows their count, not their largest value.
+    Classes are the distinct truth labels, any integers, numbered densely,
+    so the cost follows their count, not their values.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if truth.ndim != 1 or truth.size != pred.n:
         raise ParameterError("truth labels must match the assignment length")
-    if truth.min() < 0:
-        raise ParameterError("truth labels must be nonnegative")
     classes, truth = np.unique(truth, return_inverse=True)
     size = max(pred.k, classes.size)
     conf = np.bincount(pred.labels * size + truth,

@@ -145,7 +145,7 @@ def _sample_codes(d: int, widths: list, seed: int, first: int) -> np.ndarray:
     return (draws >> (draw_bits - p).astype(draws.dtype)).astype(np.int64)
 
 
-def plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
+def _plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
     """Sample the pattern codes of every block of a d x t sign matrix.
 
     Block j draws from the (seed, block j) stream, so blocks can be
@@ -158,8 +158,8 @@ def plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
 
 
 def build_plan(d: int, t: int, seed: int) -> SignMatrix:
-    """Sample a packed d x t sign matrix, scaled by 1/sqrt(t): plan_blocks."""
-    return plan_blocks(d, t, seed)
+    """Sample a packed d x t sign matrix, scaled by 1/sqrt(t): _plan_blocks."""
+    return _plan_blocks(d, t, seed)
 
 
 def _halve(v: np.ndarray) -> np.ndarray:
@@ -168,10 +168,10 @@ def _halve(v: np.ndarray) -> np.ndarray:
     return v[:half] + v[half:]
 
 
-def fold_buckets(buckets: np.ndarray, axis: int = -1) -> np.ndarray:
+def fold_buckets(buckets: np.ndarray) -> np.ndarray:
     """Multiply bucket sums by the full 2**p x p sign-pattern matrix.
 
-    The bucket axis (axis, of length 2**p) becomes an axis of length p
+    The bucket axis (axis 0, of length 2**p) becomes an axis of length p
     whose entry b carries sum(+buckets where bit b set) - sum(rest); the
     other axes are kept.  The top output uses the high/low halves
     directly; lower bits reuse the running total (merging halves preserves
@@ -180,12 +180,12 @@ def fold_buckets(buckets: np.ndarray, axis: int = -1) -> np.ndarray:
     whole slices of the bucket axis, never a reduction, so each element
     along the other axes gets the same bits whatever their shape.
     """
-    v = np.moveaxis(buckets, axis, 0)
-    m = v.shape[0]
+    m = buckets.shape[0]
     p = m.bit_length() - 1
     if m < 2 or m != (1 << p):
         raise ParameterError("bucket axis must have length 2**p with p >= 1")
-    out = np.empty((p,) + v.shape[1:])
+    out = np.empty((p,) + buckets.shape[1:])
+    v = buckets
     for b in range(p - 1, 0, -1):
         high = v[v.shape[0] // 2:]
         while high.shape[0] > 1:
@@ -196,7 +196,7 @@ def fold_buckets(buckets: np.ndarray, axis: int = -1) -> np.ndarray:
     if p > 1:
         out[1:] *= 2.0
         out[1:] -= v[0] + v[1]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def block_row_multiply_counted(block: MailmanBlock, x):
@@ -336,7 +336,7 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
         m = tile.shape[1]
         for onehot, w, cols in groups:
             # (2**w, g, m) buckets fold to (w, g, m): bit, slice, row
-            folded = fold_buckets((onehot @ tile).reshape(1 << w, -1, m), axis=0)
+            folded = fold_buckets((onehot @ tile).reshape(1 << w, -1, m))
             folded *= scale
             out[r0:r0 + m, cols] = folded.reshape(-1, m).T
     return out

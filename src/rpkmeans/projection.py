@@ -1,7 +1,7 @@
 """Random projection construction, application, and distortion reporting.
 
-SignMatrix is mailman.SignMatrix, re-exported; project_naive applies it by
-the fixed-order reference product, project_mailman by bucketing and folding.
+A sign matrix is a mailman.SignMatrix; project_naive applies it by the
+fixed-order reference product, project_mailman by bucketing and folding.
 sample_gaussian_matrix returns a plain d x t array, applied by matmul.
 """
 
@@ -12,7 +12,6 @@ import numpy as np
 
 from . import mailman, rng as _rng
 from .errors import ParameterError
-from .mailman import SignMatrix
 from .matrix import as_matrix, matmul, svd_thin
 
 # Distances of exactly zero are preserved when the embedded distance stays
@@ -79,10 +78,10 @@ class ProjectionConfig:
         return t
 
 
-def sample_sign_matrix(d: int, t: int, seed: int) -> SignMatrix:
+def sample_sign_matrix(d: int, t: int, seed: int) -> mailman.SignMatrix:
     """Sample a d x t sign matrix scaled by 1/sqrt(t), packed by block:
-    mailman.plan_blocks, which accepts any d, t >= 1."""
-    return mailman.plan_blocks(d, t, seed)
+    mailman._plan_blocks, which accepts any d, t >= 1."""
+    return mailman._plan_blocks(d, t, seed)
 
 
 def sample_gaussian_matrix(d: int, t: int, seed: int) -> np.ndarray:
@@ -94,7 +93,7 @@ def sample_gaussian_matrix(d: int, t: int, seed: int) -> np.ndarray:
     return entries
 
 
-def project_naive(a, sign: SignMatrix) -> np.ndarray:
+def project_naive(a, sign: mailman.SignMatrix) -> np.ndarray:
     """Apply a sign matrix by plain (fixed-order) multiplication with its
     dense entries; matmul refuses a whose width is not sign.d."""
     return matmul(a, mailman.densify(sign, scaled=True))

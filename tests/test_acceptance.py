@@ -105,7 +105,7 @@ def test_criterion_02_packed_multiply_addition_budget():
     ok = True
     checked = 0
     for d, t in ((16, 10), (64, 13), (256, 17), (1024, 25)):
-        sign = mailman.plan_blocks(d, t, seed=3)
+        sign = mailman.build_plan(d, t, seed=3)
         x = draw.standard_normal(d)
         for block in sign.blocks:
             _, adds = mailman.block_row_multiply_counted(block, x)

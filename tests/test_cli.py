@@ -109,15 +109,22 @@ def test_cluster_runs_the_library_pipeline(tmp_path):
 
 def test_cluster_hd_is_deterministic(tmp_path):
     data = make_dataset(tmp_path)
+    # the same rows with class labels 1..4 instead of 0..3: class labels are
+    # taken as given, and accuracy does not read their values
+    ds = dataio.read_csv(data)
+    shifted = tmp_path / "shifted.csv"
+    dataio.write_csv(dataio.Dataset(points=ds.points, labels=ds.labels + 1, source="x"),
+                     shifted)
     outputs = []
-    for name in ("one.json", "two.json"):
+    for name, path in (("one.json", data), ("two.json", shifted)):
         out = tmp_path / name
-        assert cli.main(["cluster", "--input", str(data), "--output", str(out),
+        assert cli.main(["cluster", "--input", str(path), "--output", str(out),
                          "--k", "4", "--method", "hd", "--seed", "3"]) == 0
         payload = json.loads(out.read_text())
         outputs.append(payload["result"])
     assert outputs[0]["labels"] == outputs[1]["labels"]
     assert outputs[0]["f_tilde"] == outputs[1]["f_tilde"]
+    assert outputs[0]["accuracy"] == outputs[1]["accuracy"]
 
 
 def test_cluster_output_independent_of_blas_threads(tmp_path):
@@ -258,13 +265,11 @@ def test_bench_writes_cross_checked_timings(tmp_path):
     assert all(float(r["median_ms"]) >= 0.0 for r in rows)
 
 
-def test_bench_rejects_zero_t(tmp_path, capsys):
+def test_bench_rejects_zero_t(tmp_path):
     out = tmp_path / "bench.csv"
     for bad in (["--t", "0"], ["--t", "6", "--impl", "on_the_fly"], ["--t", "2", "--d", "-3"]):
         code = cli.main(["bench", "--output", str(out), "--d", "64", *bad])
         assert code == 2
-    # a refused d draws no power-of-two warning
-    assert "warning" not in capsys.readouterr().err
 
 
 def test_bench_vector_case_reports_all_impls():
@@ -352,12 +357,19 @@ def test_bad_epsilon_exits_two(tmp_path):
         assert code == 2
 
 
-def test_cluster_overflowing_input_exits_two(tmp_path):
+def test_cluster_overflowing_input_exits_two(tmp_path, capsys):
     ds = dataio.generate_mixture(dataio.MixtureSpec(n=20, d=4, k=2, seed=0))
     path = tmp_path / "huge.csv"
     dataio.write_csv(dataio.Dataset(points=ds.points * 1e200, labels=ds.labels,
                                     source="huge"), path)
     assert cli.main(["cluster", "--input", str(path), "--k", "2"]) == 2
+    # the exhaustive solver, on rows few enough for it to accept
+    dataio.write_csv(dataio.Dataset(points=ds.points[:10] * 1e200, labels=None,
+                                    source="huge"), path)
+    capsys.readouterr()
+    assert cli.main(["cluster", "--input", str(path), "--k", "2",
+                     "--solver", "brute_force"]) == 2
+    assert "overflow" in capsys.readouterr().err
 
 
 def test_cluster_sign_methods_accept_one_column(tmp_path):

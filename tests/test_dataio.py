@@ -59,9 +59,11 @@ def test_mixture_spec_validation():
 
 
 def test_dataset_label_validation():
-    with pytest.raises(ParameterError):
-        dataio.Dataset(points=np.zeros((3, 2)), labels=np.array([0, 2, 2]),
-                       source="x")  # label 1 missing
+    # class labels are kept as given: they need not start at 0, be
+    # contiguous or be nonnegative
+    for given in ([1, 2, 2], [0, 2, 2], [-3, 7, -3]):
+        ds = dataio.Dataset(points=np.zeros((3, 2)), labels=np.array(given), source="x")
+        assert ds.labels.tolist() == given
     with pytest.raises(ParameterError):
         dataio.Dataset(points=np.zeros((3, 2)), labels=np.array([0, 1]),
                        source="x")
@@ -316,7 +318,7 @@ def test_load_image_dir_bits_equal_per_image_rasters(tmp_path):
             (tmp_path / f"c{c}" / f"img{i}.pgm").write_bytes(header + raster)
             expect.append(np.frombuffer(raster, dtype=np.uint8).astype(np.float64))
             labels.append(c)
-    ds = dataio.load_image_dir(tmp_path, expected_size=(3, 10))
+    ds = dataio.load_image_dir(tmp_path)
     assert ds.points.dtype == np.float64
     assert np.array_equal(ds.points, np.stack(expect))
     assert np.array_equal(ds.labels, labels)
@@ -379,7 +381,7 @@ def test_load_image_dir_many_classes(tmp_path):
         for i in range(10):
             write_pgm(cdir / f"img{i}.pgm", 8, 8,
                       rng.integers(0, 256, size=64).tolist())
-    ds = dataio.load_image_dir(tmp_path, expected_size=(8, 8))
+    ds = dataio.load_image_dir(tmp_path)
     assert ds.points.shape == (400, 64)
     assert np.array_equal(ds.labels, np.repeat(np.arange(40), 10))
     assert ds.points.min() >= 0.0 and ds.points.max() <= 255.0

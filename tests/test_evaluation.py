@@ -14,22 +14,6 @@ def seeded(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def test_property_report_validates_counts():
-    with pytest.raises(ParameterError):
-        evaluation.PropertyReport("x", trials=5, passes=6, statistic=0.0, bound=0.0)
-
-
-def test_experiment_record_validates_scores():
-    with pytest.raises(ParameterError):
-        evaluation.ExperimentRecord(method="hd", t=4, f_tilde=-0.1, accuracy=None,
-                                    projection_ms=0.0, clustering_ms=0.0,
-                                    seed=0, k=2, epsilon=0.2)
-    with pytest.raises(ParameterError):
-        evaluation.ExperimentRecord(method="hd", t=4, f_tilde=0.1, accuracy=1.5,
-                                    projection_ms=0.0, clustering_ms=0.0,
-                                    seed=0, k=2, epsilon=0.2)
-
-
 def test_normalized_objective_identical_points():
     a = np.full((5, 3), 2.0)
     asg = kmeans.Assignment.from_labels([0] * 5, 1)
@@ -135,10 +119,12 @@ def test_accuracy_invariant_under_relabeling():
 
 
 def test_accuracy_cost_follows_class_count_not_label_value():
-    # the confusion matrix is sized by the number of classes, not by a label's value
+    # the confusion matrix is sized by the number of classes, not by a
+    # label's value, which may also be negative
     pred = kmeans.Assignment.from_labels([0, 1, 1, 0], 2)
     small = evaluation.accuracy(pred, np.array([0, 1, 0, 0]))
     assert evaluation.accuracy(pred, np.array([0, 10**9, 0, 0])) == small == 0.75
+    assert evaluation.accuracy(pred, np.array([0, -1, 0, 0])) == small
 
 
 def test_accuracy_length_mismatch():

@@ -22,13 +22,14 @@ def random_assignment(rng, n, k):
 
 
 def test_assignment_validates_labels_and_sizes():
+    # the sizes are the labels' bincount, never given
     asg = kmeans.Assignment.from_labels([0, 1, 0, 2], 3)
     assert np.array_equal(asg.cluster_sizes, [2, 1, 1])
+    assert np.array_equal(kmeans.Assignment([1, 1], 3).cluster_sizes, [0, 2, 0])
     with pytest.raises(ParameterError):
         kmeans.Assignment.from_labels([0, 3], 3)
-    with pytest.raises(ParameterError):
-        kmeans.Assignment(labels=np.array([0, 1]), k=2,
-                          cluster_sizes=np.array([2, 0]))
+    with pytest.raises(TypeError):
+        kmeans.Assignment(labels=np.array([0, 1]), k=2, cluster_sizes=np.array([2, 0]))
 
 
 def test_objective_identical_points():
@@ -67,7 +68,7 @@ def _labelled(n, d, k, seed):
     g = np.random.default_rng(seed)
     a = g.standard_normal((n, d)) * 10.0 ** g.integers(-3, 4, size=(1, d))
     labels = np.concatenate((np.arange(k), g.integers(0, k, size=n - k)))
-    return a, kmeans.Assignment(labels, k, np.bincount(labels, minlength=k))
+    return a, kmeans.Assignment(labels, k)
 
 
 LEAF = kmeans.OBJECTIVE_LEAF
@@ -327,20 +328,105 @@ def test_fixed_form_sums_each_pair_as_np_sum(m, k, d):
     assert np.array_equal(kmeans._fixed_d2(a, rows, c, own)[:, 0], expect[np.arange(m), own])
 
 
+class _PerturbedProduct(np.ndarray):
+    """An array whose matrix products come back perturbed, as lloyd's
+    stacked centroids times the rows: entry (r, i) of x @ y moves by
+    +-scale * gamma_{m+3} * (||y_i|| + max ||x_j||)^2 / 2, for inner
+    dimension m, column i of y and the rows j of x in r's block of k, with
+    signs from a seeded draw.  Every other ufunc runs on the plain arrays."""
+
+    scale = 0.0
+    k = 1
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if ufunc is np.matmul and method == "__call__":
+            x, y = inputs
+            u = np.finfo(np.float64).eps / 2
+            gamma = (x.shape[1] + 3) * u / (1 - (x.shape[1] + 3) * u)
+            block_max = np.linalg.norm(x, axis=1).reshape(-1, self.k).max(axis=1)
+            reach = np.add.outer(block_max.repeat(self.k), np.linalg.norm(y, axis=0))
+            signs = np.random.default_rng(result.size).choice([-1.0, 1.0], size=result.shape)
+            result += signs * (self.scale * gamma / 2) * reach * reach
+            type(self).products += 1
+        return result
+
+
+def _lloyd_perturbed(monkeypatch, scale, a, k, spec, seed):
+    """lloyd with every distance product perturbed by _PerturbedProduct: d2,
+    which is -2 times the product plus the squared norms, moves by
+    +-scale * gamma_{d+3} * (||a_i|| + max ||c_j||)^2 per entry, the max
+    over its replicate's centroids.  The label rule's margin is 4 * gamma_{d+3}
+    times the same square."""
+    as_matrix = kmeans.as_matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(_PerturbedProduct, "scale", scale)
+        patch.setattr(_PerturbedProduct, "k", k)
+        patch.setattr(_PerturbedProduct, "products", 0)
+        patch.setattr(kmeans, "as_matrix", lambda x: as_matrix(x).view(_PerturbedProduct))
+        res = kmeans.lloyd(a, k, spec, seed=seed)
+        # one product per iteration, each one perturbed
+        assert _PerturbedProduct.products >= res.iterations
+    return res
+
+
+LLOYD_NEAR_TIES = [(13, 12, 2, 1, 1), (30, 9, 3, 2, 14), (50, 12, 5, 5, 15)]
+
+
+@pytest.mark.parametrize("kind, n, d, k, replicates, seed", [
+    *(("near_tie", *case) for case in LLOYD_NEAR_TIES),
+    ("mixture", 1000, 256, 20, 5, 12),  # the hd-lloyd shape
+])
+def test_lloyd_labels_survive_a_product_perturbed_within_the_margin(
+        monkeypatch, kind, n, d, k, replicates, seed):
+    # a quarter of gamma_{d+3} (||a_i|| + max ||c_j||)^2 per d2 entry, a
+    # sixteenth of the label rule's margin: the labels, and with them the
+    # trace, must not move
+    a, k = _lloyd_input(kind, n, d, k, seed)
+    spec = kmeans.SolverSpec(max_iter=15 if kind == "mixture" else 100, replicates=replicates,
+                             init=kmeans.FirstOfEachGroup(_lloyd_stride(kind, n, k)))
+    plain = kmeans.lloyd(a, k, spec, seed=seed)
+    moved = _lloyd_perturbed(monkeypatch, 0.25, a, k, spec, seed)
+    assert np.array_equal(moved.assignment.labels, plain.assignment.labels)
+    assert np.array_equal(moved.objective_trace, plain.objective_trace)
+    assert (moved.objective, moved.iterations, moved.converged) == (
+        plain.objective, plain.iterations, plain.converged)
+
+
+@pytest.mark.parametrize("n, d, k, seed", [(n, d, k, seed) for n, d, k, _, seed in LLOYD_NEAR_TIES])
+def test_lloyd_perturbed_product_beyond_the_margin_is_seen(monkeypatch, n, d, k, seed):
+    # the negative control: 100 times the margin moves a label, or changes
+    # which rows the fixed form settles, in the replicate that starts from
+    # the near-tie rows
+    a, k = _lloyd_input("near_tie", n, d, k, seed)
+    spec = kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(1))
+    plain = kmeans.lloyd(a, k, spec, seed=seed)
+    moved = _lloyd_perturbed(monkeypatch, 400.0, a, k, spec, seed)
+    assert (not np.array_equal(moved.assignment.labels, plain.assignment.labels)
+            or moved.settled != plain.settled)
+
+
 def _huge_cluster_sums():
-    a = np.full((1000, 1), 3e151)
+    a = np.full((14, 1), 3e153)
     a[::2] *= 1.01
     return a
 
 
 @pytest.mark.parametrize("a", [
-    np.random.default_rng(167).standard_normal((20, 3)) * 1e200,  # row norms overflow
+    np.random.default_rng(167).standard_normal((14, 3)) * 1e200,  # row norms overflow
     _huge_cluster_sums(),  # row norms finite, squared cluster sums overflow
 ])
 def test_lloyd_refuses_input_whose_squared_norms_overflow(a):
     # finite input used to come back with a NaN (or zero) objective trace
-    with pytest.raises(ParameterError, match="overflow"):
-        kmeans.lloyd(a, 2)
+    # from Lloyd, and with no partition at all from the exhaustive solver;
+    # 14 rows, so that the exhaustive solver's row limit is not what refuses
+    for solver in (kmeans.lloyd, kmeans.brute_force_optimal):
+        with pytest.raises(ParameterError, match="overflow"):
+            solver(a, 2)
 
 
 def test_lloyd_one_cluster_per_point():

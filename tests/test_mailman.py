@@ -25,8 +25,7 @@ def test_block_widths_small_d():
     assert mailman.block_widths(3, 2) == [1, 1]
 
 
-@pytest.mark.parametrize("sample", [mailman.plan_blocks, mailman.build_plan,
-                                    projection.sample_sign_matrix],
+@pytest.mark.parametrize("sample", [mailman.build_plan, projection.sample_sign_matrix],
                          ids=lambda sample: sample.__name__)
 def test_samplers_refuse_and_accept_the_same_sizes(sample):
     # the SignMatrix constructor and block_widths are the only refusals
@@ -36,13 +35,12 @@ def test_samplers_refuse_and_accept_the_same_sizes(sample):
     # d = 1: four width-1 blocks of one row each
     sign = sample(1, 4, seed=0)
     assert sign.widths.tolist() == [1, 1, 1, 1]
-    assert np.array_equal(sign.codes, mailman.plan_blocks(1, 4, seed=0).codes)
+    assert np.array_equal(sign.codes, mailman.build_plan(1, 4, seed=0).codes)
 
 
 def test_densified_plan_matches_sampled_sign_matrix():
     plan = mailman.build_plan(32, 7, seed=1)
     sign = projection.sample_sign_matrix(32, 7, seed=1)
-    assert projection.SignMatrix is mailman.SignMatrix
     assert type(plan) is type(sign) is mailman.SignMatrix
     assert np.array_equal(plan.widths, sign.widths)
     assert np.array_equal(plan.codes, sign.codes)
@@ -123,14 +121,16 @@ def test_fold_equals_dense_pattern_multiply_exhaustively():
 
 @pytest.mark.parametrize("p", [1, 2, 7])
 def test_fold_along_any_axis_gives_each_vector_the_same_bits(p):
-    # buckets of 2 x 3 x 5 vectors; the bucket axis in each position
-    buckets = np.random.default_rng(p).standard_normal((2, 3, 5, 1 << p))
-    alone = np.array([[[mailman.fold_buckets(buckets[i, j, k].copy()) for k in range(5)]
+    # buckets of 2 x 3 x 5 vectors, bucket axis first, and the other axes
+    # merged or permuted: each vector folds to the bits it gets alone
+    buckets = np.random.default_rng(p).standard_normal((1 << p, 2, 3, 5))
+    alone = np.array([[[mailman.fold_buckets(buckets[:, i, j, k].copy()) for k in range(5)]
                        for j in range(3)] for i in range(2)])
-    for axis in range(4):
-        moved = np.ascontiguousarray(np.moveaxis(buckets, 3, axis))
-        folded = mailman.fold_buckets(moved, axis=axis)
-        assert np.array_equal(np.moveaxis(folded, axis, 3), alone)
+    assert np.array_equal(np.moveaxis(mailman.fold_buckets(buckets), 0, 3), alone)
+    merged = mailman.fold_buckets(buckets.reshape(1 << p, -1))
+    assert np.array_equal(merged.T.reshape(alone.shape), alone)
+    permuted = mailman.fold_buckets(np.ascontiguousarray(buckets.transpose(0, 3, 1, 2)))
+    assert np.array_equal(permuted.transpose(2, 3, 1, 0), alone)
 
 
 def test_fold_rejects_non_power_of_two():
@@ -193,7 +193,7 @@ def test_project_mailman_dimension_mismatch():
 
 
 def test_plan_widths_sum_is_validated():
-    sign = mailman.plan_blocks(16, 6, seed=0)
+    sign = mailman.build_plan(16, 6, seed=0)
     with pytest.raises(ParameterError, match="sum to t"):
         mailman.SignMatrix(d=16, t=7, widths=sign.widths, codes=sign.codes)
     with pytest.raises(ParameterError, match="codes must have shape"):
@@ -327,7 +327,7 @@ GOLDEN_CODE_DIGESTS = [
 @pytest.mark.parametrize("cell, digest", GOLDEN_CODE_DIGESTS,
                          ids=[f"d{d}-t{t}-seed{seed}" for (d, t, seed), _ in GOLDEN_CODE_DIGESTS])
 def test_plan_blocks_codes_match_golden_digests(cell, digest):
-    codes = mailman.plan_blocks(*cell).codes.astype("<i8")
+    codes = mailman.build_plan(*cell).codes.astype("<i8")
     assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
 
 
@@ -397,10 +397,10 @@ SEEDS = st.one_of(st.integers(-(2**64), 2**66),
 @example(d=1, t=9, seed=3)
 def test_plan_blocks_equal_per_stream_integers(d, t, seed):
     """Every block's codes are what its own stream's Generator.integers draws."""
-    sign = mailman.plan_blocks(d, t, seed)
+    sign = mailman.build_plan(d, t, seed)
     assert sign.widths.tolist() == mailman.block_widths(d, t)
     assert sign.widths.dtype == sign.codes.dtype == np.int64
-    # plan_blocks skips the constructor's checks; its arrays pass them unchanged
+    # a sampled matrix's arrays pass the constructor's checks again unchanged
     checked = mailman.SignMatrix(d=d, t=t, widths=sign.widths, codes=sign.codes)
     assert checked.widths is sign.widths and checked.codes is sign.codes
     for j, (p, codes) in enumerate(zip(sign.widths.tolist(), sign.codes)):
@@ -416,7 +416,7 @@ def test_plan_blocks_equal_per_stream_integers(d, t, seed):
 
 @pytest.mark.parametrize("p", [33, 40, 62])
 def test_codes_wider_than_32_bits_take_whole_words(p):
-    # plan_blocks reaches p > 32 only at d >= 2**33; the derivation is
+    # a sampler reaches p > 32 only at d >= 2**33; the derivation is
     # checked on a few codes of such a block instead
     for seed, j in ((0, 0), (-3, 5), (2**63 + 1, 2**48 - 1)):
         codes = mailman._sample_codes(7, [p], seed, j)
@@ -443,9 +443,9 @@ def test_densify_matches_per_block_oracle(scaled):
     # mixed widths, up to 40 bits: the reason widths are stored, not derived
     # from (d, t)
     cases = [_drawn_sign_matrix([3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40], 37, 97),
-             mailman.plan_blocks(777, 29, 3),
-             mailman.plan_blocks(1000, 19, 1), mailman.plan_blocks(50, 1600, 11),
-             mailman.plan_blocks(2, 3, 0), mailman.plan_blocks(1, 4, 0)]
+             mailman.build_plan(777, 29, 3),
+             mailman.build_plan(1000, 19, 1), mailman.build_plan(50, 1600, 11),
+             mailman.build_plan(2, 3, 0), mailman.build_plan(1, 4, 0)]
     for sign in cases:
         _assert_densify_matches_blocks(sign, scaled)
 
@@ -474,7 +474,7 @@ def test_mixed_width_densify_equals_per_block_oracle(widths, d, seed):
 
 @pytest.mark.parametrize("d, t", [(1000, 2000), (10304, 360)])
 def test_densify_over_several_row_chunks_equals_per_block_oracle(d, t):
-    sign = mailman.plan_blocks(d, t, 5)
+    sign = mailman.build_plan(d, t, 5)
     # 2-byte codes, 16 bits unpacked per code: at least three row chunks
     assert d * sign.widths.size * 16 >= 3 * mailman.UNPACK_BYTES
     for scaled in (False, True):
@@ -485,14 +485,14 @@ def test_densify_over_several_row_chunks_equals_per_block_oracle(d, t):
 def test_densify_row_chunks_of_any_size_equal_per_block_oracle(monkeypatch, budget):
     monkeypatch.setattr(mailman, "UNPACK_BYTES", budget)
     cases = [_drawn_sign_matrix([3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40], 37, 97),
-             mailman.plan_blocks(777, 29, 3), mailman.plan_blocks(1, 4, 0)]
+             mailman.build_plan(777, 29, 3), mailman.build_plan(1, 4, 0)]
     for sign in cases:
         for scaled in (False, True):
             _assert_densify_matches_blocks(sign, scaled)
 
 
 def test_densify_allocates_little_beyond_its_output():
-    sign = mailman.plan_blocks(1000, 2000, 0)
+    sign = mailman.build_plan(1000, 2000, 0)
     tracemalloc.start()
     try:
         dense = mailman.densify(sign)
