@@ -211,40 +211,29 @@ def _parse_cells(text, path):
             np.array(labels, dtype=np.int64) if has_label else None)
 
 
+# One PGM header token after any whitespace and comments.  A comment runs
+# to the end of its line: the lookahead keeps a backtrack from ending it
+# mid-line and reading the rest as a token.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)")
+
+
 def _read_pgm(path) -> np.ndarray:
     """Parse one binary (P5) PGM file into an h x w uint8 array of 0..255,
     a read-only view of the file's bytes."""
     data = Path(path).read_bytes()
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos:pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataFormatError(f"{path}: truncated header")
-        return data[start:pos]
-
-    magic = token()
-    if magic != b"P5":
+    # the magic number, width, height and maxval
+    fields, pos = [], 0
+    while len(fields) < 4 and (match := _PGM_TOKEN.match(data, pos)):
+        fields.append(match[1])
+        pos = match.end()
+    if fields and fields[0] != b"P5":
         raise DataFormatError(
-            f"{path}: unsupported magic number {magic!r} (want binary P5)"
+            f"{path}: unsupported magic number {fields[0]!r} (want binary P5)"
         )
-    # read before converting: a cut-short header is reported as truncated,
-    # not caught below as a ValueError (DataFormatError subclasses it)
-    fields = token(), token(), token()
+    if len(fields) < 4:
+        raise DataFormatError(f"{path}: truncated header")
     try:
-        width, height, maxval = map(int, fields)
+        width, height, maxval = map(int, fields[1:])
     except ValueError:
         raise DataFormatError(f"{path}: non-numeric header field") from None
     if width < 1 or height < 1:

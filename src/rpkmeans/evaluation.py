@@ -278,21 +278,16 @@ def decomposition_residual_check(a, k: int, epsilon: float, t: int,
 
 
 def theorem_distortion_trial(n: int, d: int, k: int, epsilon: float, t: int,
-                             trials: int, seed: int, method: str = "sign",
+                             trials: int, seed: int,
                              bound_scale: float = 1.0) -> PropertyReport:
     """End-to-end guarantee on exhaustively solvable instances.
 
     Per trial: draw an isotropic Gaussian instance, solve it exactly, solve
-    its projection exactly, and price the projected solution back in the
-    original space.  The trial passes when that plug-back objective is at
-    most (2 + epsilon) times the true optimum.
-
-    method chooses the embedding: "sign" (the random sign matrix at the
-    given t), "none" (identity), or "rotation" (a seeded orthonormal square
-    transform; the ratio is then exactly 1).
+    its projection by the random sign matrix at the given t exactly, and
+    price the projected solution back in the original space.  The trial
+    passes when that plug-back objective is at most (2 + epsilon) times the
+    true optimum.
     """
-    if method not in ("sign", "none", "rotation"):
-        raise ParameterError(f"unknown method {method!r}")
     limit = (2.0 + epsilon) * bound_scale
     passes = 0
     worst = 0.0
@@ -302,16 +297,7 @@ def theorem_distortion_trial(n: int, d: int, k: int, epsilon: float, t: int,
         # price both partitions with the same evaluator so the identity
         # embedding yields a ratio of exactly one
         opt = objective(a, brute_force_optimal(a, k).assignment)
-        if method == "none":
-            proj = a
-        elif method == "rotation":
-            q, _ = np.linalg.qr(
-                _rng.stream(ts, _rng.ROTATION).standard_normal((d, d))
-            )
-            proj = a @ q
-        else:
-            r = _projection.sample_sign_matrix(d, t, ts)
-            proj = _projection.project_naive(a, r)
+        proj = _projection.project_naive(a, _projection.sample_sign_matrix(d, t, ts))
         asg = brute_force_optimal(proj, k).assignment
         plug = objective(a, asg)
         ratio = plug / opt if opt > 0 else 1.0

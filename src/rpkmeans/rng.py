@@ -13,7 +13,7 @@ from .errors import ParameterError
 
 # Domain tags keep unrelated consumers of the same user seed on disjoint
 # streams.  The per-domain index must fit in 48 bits.  A tag's value keys
-# every stream it owns, so tags are never renumbered; 3 is retired.
+# every stream it owns, so tags are never renumbered; 3 and 9 are retired.
 SIGN_BLOCK = 1
 GAUSSIAN = 2
 MIXTURE_CENTERS = 4
@@ -21,7 +21,6 @@ MIXTURE_NOISE = 5
 LLOYD_RESTART = 6
 TRIAL = 7
 INSTANCE = 8
-ROTATION = 9
 BENCH = 10
 
 _INDEX_BITS = 48

@@ -129,7 +129,6 @@ def test_cluster_hd_is_deterministic(tmp_path):
 
 def test_cluster_output_independent_of_blas_threads(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
-    out = tmp_path / "out"
     # cluster JSON at d = 256, an experiment CSV at d = 777, where BLAS
     # products differ between 1 and 2 threads, and the check suite (no
     # input); each case is one pair of runs
@@ -142,13 +141,19 @@ def test_cluster_output_independent_of_blas_threads(tmp_path):
         if d is not None:
             data = make_dataset(tmp_path, n=400, d=d, k=8, seed=6)
             args = [*args, "--input", str(data), "--k", "8"]
-        outputs = []
+        # the two runs of a pair run at once, each into its own file
+        runs = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
                 filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run(
+            out = tmp_path / f"out{threads}"
+            runs[out] = subprocess.Popen(
                 [sys.executable, "-m", "rpkmeans.cli", *args, "--output", str(out)],
-                env=env, capture_output=True, timeout=120, check=True)
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        outputs = []
+        for out, run in runs.items():
+            _, err = run.communicate(timeout=120)
+            assert run.returncode == 0, err
             # the timing fields and columns are the only part allowed to differ
             text = re.sub(rb'("\w+_ms": )[^,\n]+', rb"\1null", out.read_bytes())
             outputs.append(re.sub(rb",[0-9.]+,[0-9.]+$", b",T,T", text, flags=re.M))
@@ -370,6 +375,14 @@ def test_cluster_overflowing_input_exits_two(tmp_path, capsys):
     assert cli.main(["cluster", "--input", str(path), "--k", "2",
                      "--solver", "brute_force"]) == 2
     assert "overflow" in capsys.readouterr().err
+    # finite rows whose packed projection overflows: the projection is blamed
+    a = np.random.default_rng(0).standard_normal((10, 64)) * 1e307
+    dataio.write_csv(dataio.Dataset(points=a, labels=None, source="huge"), path)
+    for command in (["cluster", "--k", "2"], ["project", "--output", str(tmp_path / "out.csv")]):
+        assert cli.main([*command, "--input", str(path), "--method", "rp_mailman",
+                         "--t", "8"]) == 2
+        assert "error: the projection overflows float64" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cluster_sign_methods_accept_one_column(tmp_path):

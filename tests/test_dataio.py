@@ -332,6 +332,10 @@ def test_load_image_dir_bits_equal_per_image_rasters(tmp_path):
     (b"P5 2 2 255", "raster has 0 bytes, expected 4"),
     (b"P2\n2 2\n255\n0 1 2 3\n", "unsupported magic number b'P2' (want binary P5)"),
     (b"P5\n2 x\n255\n" + bytes(4), "non-numeric header field"),
+    # a # inside a field is part of it, not a comment
+    (b"P5\n2#x 2\n255\n" + bytes(4), "non-numeric header field"),
+    (b"P5\n   # spaced comment 9\n0 2\n255\n" + bytes(4), "bad dimensions 0x2"),
+    (b"P5\n2 2 # a comment to the end of the file", "truncated header"),
     (b" \n# only a comment\n", "truncated header"),
     (b"P5\n2 2\n", "truncated header"),
     (b"P5\n2", "truncated header"),

@@ -222,16 +222,19 @@ def test_decomposition_residual_rejects_rank_k_input():
                                                 trials=1, seed=SEED)
 
 
-def test_theorem_trial_identity_embedding_is_exact():
+def test_theorem_trial_identity_embedding_is_exact(monkeypatch):
+    monkeypatch.setattr(evaluation._projection, "project_naive", lambda a, sign: a)
     report = evaluation.theorem_distortion_trial(8, 12, 2, 0.2, t=12, trials=20,
-                                                 seed=SEED, method="none")
+                                                 seed=SEED)
     assert report.passes == report.trials
     assert report.statistic == 1.0
 
 
-def test_theorem_trial_rotation_preserves_objective():
+def test_theorem_trial_rotation_preserves_objective(monkeypatch):
+    q, _ = np.linalg.qr(seeded((12, 12), 313))
+    monkeypatch.setattr(evaluation._projection, "project_naive", lambda a, sign: a @ q)
     report = evaluation.theorem_distortion_trial(8, 12, 2, 0.2, t=12, trials=20,
-                                                 seed=SEED, method="rotation")
+                                                 seed=SEED)
     assert report.passes == report.trials
     assert report.statistic <= 1.0 + 1e-9
 
@@ -246,12 +249,6 @@ def test_theorem_trial_three_clusters():
     report = evaluation.theorem_distortion_trial(9, 30, 3, 0.3, t=300,
                                                  trials=100, seed=SEED)
     assert report.passes >= 90
-
-
-def test_theorem_trial_rejects_unknown_method():
-    with pytest.raises(ParameterError):
-        evaluation.theorem_distortion_trial(5, 8, 2, 0.2, t=8, trials=1,
-                                            seed=SEED, method="hash")
 
 
 def test_checks_are_deterministic():

@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 
 import numpy as np
@@ -177,16 +178,26 @@ def test_cluster_sums_refuses_labels_outside_range(labels):
 
 LLOYD_KINDS = ["mixture", "decades", "integers", "all_equal", "n_equals_k", "repair",
                "near_tie", "repair_tie"]
+# Tie-heavy inputs, for examples only: integer grids and equal rows with k
+# past the number of distinct rows, so lloyd repairs empty clusters in most
+# iterations.  Each ignores n, d and seed.
+TIE_HEAVY = {
+    "grid_20": lambda: np.random.default_rng(0).integers(0, 20, (600, 2)),
+    "all_ones": lambda: np.ones((500, 4)),
+    "grid_5": lambda: np.random.default_rng(1).integers(0, 5, (1000, 3)),
+}
 
 
 def _lloyd_stride(kind, n, k):
     """The FirstOfEachGroup stride: 1 where the kind places its start rows
     first, else n // k."""
-    return 1 if kind in ("repair", "near_tie", "repair_tie") else n // k
+    return 1 if kind in ("repair", "near_tie", "repair_tie", *TIE_HEAVY) else n // k
 
 
 def _lloyd_input(kind, n, d, k, seed):
     """Rows of one kind, and k (n for "n_equals_k")."""
+    if kind in TIE_HEAVY:
+        return TIE_HEAVY[kind]().astype(np.float64), k
     rng = np.random.default_rng(seed)
     if kind == "mixture":
         centers = rng.standard_normal((k, d)) * 10.0
@@ -241,6 +252,9 @@ def _lloyd_input(kind, n, d, k, seed):
 @example(kind="repair_tie", n=13, d=12, k=2, replicates=1, max_iter=100, seed=0)
 @example(kind="integers", n=600, d=2, k=257, replicates=2, max_iter=20,
          seed=16)  # k past 256: the settled-row indices need 16 bits
+@example(kind="grid_20", n=600, d=2, k=257, replicates=2, max_iter=100, seed=1)
+@example(kind="all_ones", n=500, d=4, k=20, replicates=1, max_iter=100, seed=1)
+@example(kind="grid_5", n=1000, d=3, k=40, replicates=1, max_iter=100, seed=1)
 def test_lloyd_bit_identical_to_add_at_oracle(kind, n, d, k, replicates,
                                               max_iter, seed):
     k = min(k, n)
@@ -319,13 +333,42 @@ def test_fixed_form_sums_each_pair_as_np_sum(m, k, d):
     # d = 8193 and k = 3 a chunk holds two rows)
     g = np.random.default_rng(m * k * d)
     a = g.standard_normal((m + 2, d)) * 10.0 ** g.uniform(-6, 6, size=(m + 2, 1))
-    c = g.standard_normal((k, d))
+    c = g.standard_normal((2, k, d))
     rows = np.arange(1, m + 1)
-    expect = np.array([[np.sum((a[i] - c[j]) * (a[i] - c[j])) for j in range(k)] for i in rows])
-    assert np.array_equal(kmeans._fixed_d2(a, rows, c), expect)
+    expect = np.array([[[np.sum((a[i] - c[b, j]) * (a[i] - c[b, j])) for j in range(k)]
+                        for i in rows] for b in range(2)])
+    zero = np.zeros(m, dtype=np.int64)
+    assert np.array_equal(kmeans._fixed_d2(a, rows, c, zero), expect[0])
+    # rows that draw from two different blocks, as lloyd's replicates do
+    which = np.arange(m) % 2
+    assert np.array_equal(kmeans._fixed_d2(a, rows, c, which), expect[which, np.arange(m)])
     # the repair prices each row against its own centroid alone
     own = np.arange(m) % k
-    assert np.array_equal(kmeans._fixed_d2(a, rows, c, own)[:, 0], expect[np.arange(m), own])
+    assert np.array_equal(kmeans._fixed_d2(a, rows, c[0][:, None, :], own)[:, 0],
+                          expect[0, np.arange(m), own])
+
+
+def test_lloyd_repair_prices_each_row_once(monkeypatch):
+    # on an integer grid with k past its distinct rows, lloyd repairs empty
+    # clusters in most iterations, at most once per replicate; each repair
+    # prices the rows in one call, however many clusters it fills
+    counts = {"repairs": 0, "priced": 0}
+    fixed_d2, repair = kmeans._fixed_d2, kmeans._repair
+
+    def counted_fixed_d2(*args):
+        counts["priced"] += sys._getframe(1).f_code is repair.__code__
+        return fixed_d2(*args)
+
+    def counted_repair(*args):
+        counts["repairs"] += 1
+        return repair(*args)
+
+    monkeypatch.setattr(kmeans, "_fixed_d2", counted_fixed_d2)
+    monkeypatch.setattr(kmeans, "_repair", counted_repair)
+    kmeans.lloyd(TIE_HEAVY["grid_20"]().astype(np.float64), 257,
+                 kmeans.SolverSpec(replicates=2), seed=1)
+    assert counts["repairs"] > 2
+    assert counts["priced"] == counts["repairs"]
 
 
 class _PerturbedProduct(np.ndarray):
