@@ -16,9 +16,8 @@ from .evaluation import (ExperimentRecord, PropertyReport, accuracy,
                          norm_bound_check, normalized_objective, property_suite,
                          pseudo_inverse_bound_check, singular_value_check,
                          theorem_distortion_trial)
-from .kmeans import (Assignment, FirstOfEachGroup, GivenIndices, KMeansResult,
-                     PipelineResult, SolverSpec, brute_force_optimal, lloyd,
-                     objective, project_and_cluster)
+from .kmeans import (Assignment, KMeansResult, PipelineResult, SolverSpec,
+                     brute_force_optimal, lloyd, objective, project_and_cluster)
 from .mailman import (SignMatrix, block_row_multiply_counted, build_plan,
                       densify, fold_buckets, project_mailman)
 from .matrix import (SvdResult, as_matrix, best_rank_k, frobenius_norm,

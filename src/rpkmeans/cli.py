@@ -18,8 +18,7 @@ from . import __version__, evaluation, mailman, projection, rng as _rng
 from .dataio import Dataset, MixtureSpec, generate_mixture, load_image_dir, read_csv, write_csv
 from .errors import CrossCheckError, DataFormatError, ParameterError
 from .evaluation import ExperimentRecord, accuracy, normalized_objective
-from .kmeans import (FirstOfEachGroup, GivenIndices, SolverSpec,
-                     apply_projection, project_and_cluster)
+from .kmeans import SolverSpec, apply_projection, project_and_cluster
 # unused here, but the benchmark's tracing self-test wraps and restores
 # the binding cli.lloyd (perfbench/test_perfbench.py)
 from .kmeans import lloyd  # noqa: F401
@@ -53,17 +52,14 @@ def _manifest(subcommand: str, params: dict, seed: int, timings=None) -> dict:
             "version": __version__, "timings": timings}
 
 
-def _solver_from_args(args, n: int, k: int) -> SolverSpec:
+def _solver_from_args(args) -> SolverSpec:
+    init = None
     if args.init_indices:
         try:
-            indices = tuple(int(x) for x in args.init_indices.split(","))
+            init = tuple(int(x) for x in args.init_indices.split(","))
         except ValueError:
             raise ParameterError(f"--init-indices must be comma-separated integers, "
                                  f"got {args.init_indices!r}") from None
-        init = GivenIndices(indices)
-    else:
-        init = FirstOfEachGroup(args.init_stride if args.init_stride is not None
-                                else max(1, n // k))
     return SolverSpec(kind=args.solver, max_iter=args.max_iter, tol=args.tol,
                       init=init, replicates=args.replicates)
 
@@ -209,7 +205,7 @@ def _cmd_cluster(args) -> int:
     dataset = _load_dataset(args.input, args.normalize_pixels)
     load_ms = (time.perf_counter() - start) * 1000.0
     cfg = _resolve_cfg(args)
-    spec = _solver_from_args(args, dataset.n, args.k)
+    spec = _solver_from_args(args)
     run = project_and_cluster(dataset.points, args.k, cfg, spec, METHOD_MAP[args.method])
     res = run.projected
     scored = time.perf_counter()
@@ -247,7 +243,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_experiment(args) -> int:
     dataset = _load_dataset(args.input, args.normalize_pixels)
-    spec = _solver_from_args(args, dataset.n, args.k)
+    spec = _solver_from_args(args)
     t_list = args.t if args.t else [projection.target_dimension(
         args.k, args.epsilon, args.c)]
     records = run_experiment_sweep(dataset, args.k, t_list, args.method, spec,
@@ -320,10 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--solver", choices=["lloyd", "brute_force"],
                             default="lloyd")
             sp.add_argument("--init-indices", default=None,
-                            help="comma-separated seed row indices")
-            sp.add_argument("--init-stride", type=int, default=None,
-                            help="seed rows 0, stride, 2*stride, ... "
-                             "(default n // k)")
+                            help="comma-separated seed row indices "
+                                 "(default 0, 1, ..., k-1)")
 
     gen = sub.add_parser("generate", help="write a synthetic labeled mixture")
     gen.add_argument("--output", required=True)

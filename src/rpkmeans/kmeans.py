@@ -74,31 +74,18 @@ class Assignment:
 
 
 @dataclass
-class GivenIndices:
-    """Start Lloyd from the rows at these indices."""
-
-    indices: tuple
-
-
-@dataclass
-class FirstOfEachGroup:
-    """Start Lloyd from rows 0, stride, 2*stride, ..., (k-1)*stride."""
-
-    stride: int = 1
-
-
-@dataclass
 class SolverSpec:
     """Which solver to run and with what budget.
 
-    Replicates beyond the first restart Lloyd from seeded random rows and
-    keep the best objective.
+    init holds the row indices Lloyd's first replicate starts from, one per
+    cluster, or None for rows 0..k-1.  Replicates beyond the first restart
+    Lloyd from seeded random rows and keep the best objective.
     """
 
     kind: str = "lloyd"
     max_iter: int = 100
     tol: float = 1e-9
-    init: object = field(default_factory=FirstOfEachGroup)
+    init: tuple | None = None
     replicates: int = 1
 
     def __post_init__(self):
@@ -111,6 +98,11 @@ class SolverSpec:
             raise ParameterError(f"tol={self.tol!r} outside [0, 1)")
         if self.replicates < 1:
             raise ParameterError("replicates must be at least 1")
+        if self.init is not None:
+            init = _mailman._integers(self.init, "init row indices")
+            if init.ndim != 1:
+                raise ParameterError("init must be a 1-D sequence of row indices")
+            self.init = tuple(init.tolist())
 
 
 @dataclass
@@ -218,27 +210,6 @@ def objective(a, asg: Assignment) -> float:
     leaf_sum = functools.partial(_squared_leaf, a.reshape(-1), a.shape[1],
                                  centroids, asg.labels, buf)
     return float(_pairwise_sum(0, a.size, leaf_sum))
-
-
-def _initial_centroids(a, k, init):
-    n = a.shape[0]
-    if isinstance(init, GivenIndices):
-        idx = np.asarray(init.indices, dtype=np.int64)
-        if idx.size != k:
-            raise ParameterError(f"init needs exactly k={k} indices")
-        if idx.min() < 0 or idx.max() >= n:
-            raise ParameterError("init index out of range")
-    elif isinstance(init, FirstOfEachGroup):
-        if init.stride < 1:
-            raise ParameterError("stride must be at least 1")
-        idx = np.arange(k, dtype=np.int64) * init.stride
-        if idx[-1] >= n:
-            raise ParameterError(
-                f"stride {init.stride} with k={k} reaches past n={n} rows"
-            )
-    else:
-        raise ParameterError(f"unknown init {init!r}")
-    return a[idx].copy()
 
 
 def _partition_cost(a_sq_total, sums_sq, sizes):
@@ -375,7 +346,12 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     gamma = (d + 3) * u / (1 - (d + 3) * u)
     underflow = 16 * (d + 3) * np.finfo(np.float64).tiny
     index = np.arange(k, dtype=np.min_scalar_type(k - 1))
-    starts = [_initial_centroids(a, k, spec.init)]
+    first = np.arange(k) if spec.init is None else np.array(spec.init, dtype=np.int64)
+    if first.shape != (k,):
+        raise ParameterError(f"init needs exactly k={k} indices")
+    if first.min() < 0 or first.max() >= n:
+        raise ParameterError(f"init index out of range [0, n={n})")
+    starts = [a[first]]
     for rep in range(1, spec.replicates):
         idx = _rng.stream(seed, _rng.LLOYD_RESTART, rep).choice(n, size=k, replace=False)
         starts.append(a[np.sort(idx)])

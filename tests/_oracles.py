@@ -218,10 +218,7 @@ def lloyd_by_add_at(a, k, spec, seed=0):
     best = None
     for rep in range(spec.replicates):
         if rep == 0:
-            if hasattr(spec.init, "indices"):
-                idx = np.asarray(spec.init.indices, dtype=np.int64)
-            else:
-                idx = np.arange(k, dtype=np.int64) * spec.init.stride
+            idx = np.arange(k) if spec.init is None else np.asarray(spec.init)
         else:
             idx = np.sort(rng.stream(seed, rng.LLOYD_RESTART, rep).choice(
                 n, size=k, replace=False))

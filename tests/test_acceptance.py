@@ -65,8 +65,7 @@ def _corpus():
     ]
     for a, k in datasets:
         for spec in (
-            kmeans.SolverSpec(kind="lloyd", init=kmeans.FirstOfEachGroup(1)),
-            kmeans.SolverSpec(kind="lloyd", init=kmeans.GivenIndices(tuple(range(k)))),
+            kmeans.SolverSpec(kind="lloyd"),
             kmeans.SolverSpec(kind="lloyd", replicates=3),
         ):
             runs.append((a, k, kmeans.lloyd(a, k, spec=spec, seed=SEED)))
@@ -192,7 +191,7 @@ def test_criterion_09_descent_trace_monotone():
 def test_criterion_10_sweep_plateau_shape():
     start = time.perf_counter()
     ds = _big_mixture()
-    spec = kmeans.SolverSpec(kind="lloyd", init=kmeans.FirstOfEachGroup(1))
+    spec = kmeans.SolverSpec(kind="lloyd")
     t_list = [5, 10, 25, 50, 100, 150, 200, 250, 300]
     records = cli.run_experiment_sweep(ds, 40, t_list, ["rp_mailman", "hd"],
                                        spec, seed=SEED)
@@ -211,8 +210,7 @@ def test_criterion_10_sweep_plateau_shape():
 
 def test_criterion_11_projection_speed_advantage():
     ds = _big_mixture()
-    spec = kmeans.SolverSpec(kind="lloyd", init=kmeans.FirstOfEachGroup(10),
-                             replicates=5)
+    spec = kmeans.SolverSpec(kind="lloyd", replicates=5)
     # warm-up pass so allocator and import costs hit neither arm
     cli.run_experiment_sweep(ds, 40, [100], ["rp_mailman", "hd"], spec, seed=99)
     # each arm's time per seed is its fastest of three sweeps, taken in three

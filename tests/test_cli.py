@@ -10,7 +10,7 @@ import pytest
 
 from rpkmeans import cli, dataio, evaluation, rng
 from rpkmeans.errors import ParameterError
-from rpkmeans.kmeans import FirstOfEachGroup, SolverSpec, project_and_cluster
+from rpkmeans.kmeans import SolverSpec, project_and_cluster
 from rpkmeans.projection import ProjectionConfig
 
 
@@ -85,11 +85,12 @@ def test_cluster_emits_versioned_json(tmp_path):
 
 def test_cluster_runs_the_library_pipeline(tmp_path):
     # cluster must report exactly what kmeans.project_and_cluster computes on
-    # the same points, projection config and solver spec
+    # the same points, projection config and solver spec; the spec's start
+    # is the library default, so cluster's default start must be it too
     data = make_dataset(tmp_path)
     points = dataio.read_csv(data).points
     cfg = ProjectionConfig(k=4, t_override=16, seed=2)
-    spec = SolverSpec(init=FirstOfEachGroup(60 // 4), replicates=2)
+    spec = SolverSpec(replicates=2)
     out = tmp_path / "result.json"
     for method in ("rp_mailman", "rp_naive", "gaussian", "svd", "hd"):
         assert cli.main(["cluster", "--input", str(data), "--output", str(out), "--k", "4",
@@ -105,6 +106,30 @@ def test_cluster_runs_the_library_pipeline(tmp_path):
         assert result["settled"] == run.projected.settled
         assert result["t"] == run.t == (64 if method == "hd" else 16)
         assert min(run.projection_ms, run.clustering_ms, run.plugback_ms) >= 0.0
+
+
+def test_cluster_default_start_is_certified_within_two_plus_epsilon(tmp_path):
+    # k-means is a rank-k constrained problem, so OPT >= sum_{i>k} sigma_i^2,
+    # the residual of the best rank-k approximation (Drineas, Frieze, Kannan,
+    # Vempala & Vinay, Mach. Learn. 2004).  A plug-back objective within
+    # (2 + epsilon) times that residual is within (2 + epsilon) OPT.  The
+    # generated rows cycle through the classes, so the default start holds
+    # one row of each class; the negative control starts from every tenth
+    # row, which holds 4 of the 40 classes
+    data = tmp_path / "mix.csv"
+    assert cli.main(["generate", "--output", str(data), "--n", "400", "--d", "512",
+                     "--k", "40", "--center-scale", "10", "--seed", "3"]) == 0
+    a = dataio.read_csv(data).points
+    residual = np.sort(np.linalg.eigvalsh(a @ a.T))[:-40].sum()
+    bound = (2.0 + 1.0 / 3.0) * residual
+    out = tmp_path / "result.json"
+    for method in (["rp_mailman", "--t", "100"], ["hd"]):
+        for start in ([], ["--init-indices", ",".join(map(str, range(0, 400, 10)))]):
+            assert cli.main(["cluster", "--input", str(data), "--output", str(out),
+                             "--k", "40", "--replicates", "5", "--method", *method,
+                             *start]) == 0
+            plugback = json.loads(out.read_text())["result"]["original_objective"]
+            assert (plugback <= bound) == (not start), (method, start, plugback / residual)
 
 
 def test_cluster_hd_is_deterministic(tmp_path):
@@ -428,10 +453,11 @@ def test_oversized_t_exits_two(tmp_path):
 
 def test_unknown_method_is_an_argparse_error(tmp_path):
     data = make_dataset(tmp_path)
-    with pytest.raises(SystemExit) as err:
-        cli.main(["cluster", "--input", str(data), "--k", "4",
-                  "--method", "downsample"])
-    assert err.value.code == 2
+    # a start is --init-indices or rows 0..k-1: cluster has no stride option
+    for bad in (["--method", "downsample"], ["--init-stride", "10"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["cluster", "--input", str(data), "--k", "4", *bad])
+        assert err.value.code == 2
 
 
 def test_sweep_rejects_unknown_method_name():

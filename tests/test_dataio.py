@@ -46,8 +46,7 @@ def test_mixture_separated_clusters_are_recoverable():
                               noise_sigma=0.1, seed=2)
     ds = dataio.generate_mixture(spec)
     # the first k rows are one point from each true cluster
-    res = kmeans.lloyd(ds.points, 4,
-                       kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(1)))
+    res = kmeans.lloyd(ds.points, 4, kmeans.SolverSpec())
     assert evaluation.accuracy(res.assignment, ds.labels) == 1.0
 
 

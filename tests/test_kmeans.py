@@ -188,10 +188,11 @@ TIE_HEAVY = {
 }
 
 
-def _lloyd_stride(kind, n, k):
-    """The FirstOfEachGroup stride: 1 where the kind places its start rows
-    first, else n // k."""
-    return 1 if kind in ("repair", "near_tie", "repair_tie", *TIE_HEAVY) else n // k
+def _lloyd_start(kind, n, k):
+    """The start rows: 0..k-1 where the kind places its start rows first,
+    else every (n // k)-th row."""
+    stride = 1 if kind in ("repair", "near_tie", "repair_tie", *TIE_HEAVY) else n // k
+    return tuple(range(0, k * stride, stride))
 
 
 def _lloyd_input(kind, n, d, k, seed):
@@ -259,9 +260,8 @@ def test_lloyd_bit_identical_to_add_at_oracle(kind, n, d, k, replicates,
                                               max_iter, seed):
     k = min(k, n)
     a, k = _lloyd_input(kind, n, d, k, seed)
-    stride = _lloyd_stride(kind, n, k)
     spec = kmeans.SolverSpec(max_iter=max_iter, replicates=replicates,
-                             init=kmeans.FirstOfEachGroup(stride))
+                             init=_lloyd_start(kind, n, k))
     res = kmeans.lloyd(a, k, spec, seed=seed)
     labels, obj, trace, iterations, converged = lloyd_by_add_at(a, k, spec, seed)
     assert np.array_equal(res.assignment.labels, labels)
@@ -297,16 +297,14 @@ def test_lloyd_replicate_does_not_depend_on_its_neighbours(kind, n, d, k, replic
     # would alone, started from the same rows
     k = min(k, n)
     a, k = _lloyd_input(kind, n, d, k, seed)
-    stride = _lloyd_stride(kind, n, k)
     spec = kmeans.SolverSpec(max_iter=max_iter, replicates=replicates,
-                             init=kmeans.FirstOfEachGroup(stride))
+                             init=_lloyd_start(kind, n, k))
     res = kmeans.lloyd(a, k, spec, seed=seed)
-    starts = [tuple(range(0, k * stride, stride))] + [
+    starts = [spec.init] + [
         tuple(np.sort(stream(seed, LLOYD_RESTART, rep).choice(
             a.shape[0], size=k, replace=False)).tolist())
         for rep in range(1, replicates)]
-    alone = [kmeans.lloyd(a, k, kmeans.SolverSpec(max_iter=max_iter,
-                                                  init=kmeans.GivenIndices(rows)))
+    alone = [kmeans.lloyd(a, k, kmeans.SolverSpec(max_iter=max_iter, init=rows))
              for rows in starts]
     objectives = [run.objective for run in alone]
     winner = objectives.index(min(objectives))
@@ -431,7 +429,7 @@ def test_lloyd_labels_survive_a_product_perturbed_within_the_margin(
     # trace, must not move
     a, k = _lloyd_input(kind, n, d, k, seed)
     spec = kmeans.SolverSpec(max_iter=15 if kind == "mixture" else 100, replicates=replicates,
-                             init=kmeans.FirstOfEachGroup(_lloyd_stride(kind, n, k)))
+                             init=_lloyd_start(kind, n, k))
     plain = kmeans.lloyd(a, k, spec, seed=seed)
     moved = _lloyd_perturbed(monkeypatch, 0.25, a, k, spec, seed)
     assert np.array_equal(moved.assignment.labels, plain.assignment.labels)
@@ -446,7 +444,7 @@ def test_lloyd_perturbed_product_beyond_the_margin_is_seen(monkeypatch, n, d, k,
     # which rows the fixed form settles, in the replicate that starts from
     # the near-tie rows
     a, k = _lloyd_input("near_tie", n, d, k, seed)
-    spec = kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(1))
+    spec = kmeans.SolverSpec()
     plain = kmeans.lloyd(a, k, spec, seed=seed)
     moved = _lloyd_perturbed(monkeypatch, 400.0, a, k, spec, seed)
     assert (not np.array_equal(moved.assignment.labels, plain.assignment.labels)
@@ -485,7 +483,7 @@ def test_lloyd_two_blobs_reaches_within_blob_scatter():
     left = rng.standard_normal((10, 2)) + np.array([-20.0, 0.0])
     right = rng.standard_normal((10, 2)) + np.array([20.0, 0.0])
     a = np.vstack([left, right])
-    spec = kmeans.SolverSpec(init=kmeans.GivenIndices((0, 10)))
+    spec = kmeans.SolverSpec(init=(0, 10))
     res = kmeans.lloyd(a, 2, spec)
     assert res.converged
     expect = scatter_about_mean(left) + scatter_about_mean(right)
@@ -497,7 +495,7 @@ def test_lloyd_never_beats_exhaustive():
     for trial in range(5):
         a = rng.standard_normal((8, 3))
         exact = kmeans.brute_force_optimal(a, 2).objective
-        res = kmeans.lloyd(a, 2, kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(3)))
+        res = kmeans.lloyd(a, 2, kmeans.SolverSpec(init=(0, 3)))
         assert res.objective >= exact - 1e-9 * max(exact, 1.0)
 
 
@@ -505,7 +503,7 @@ def test_lloyd_trace_non_increasing():
     rng = np.random.default_rng(157)
     for trial in range(10):
         a = rng.standard_normal((30, 4))
-        res = kmeans.lloyd(a, 4, kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(7)))
+        res = kmeans.lloyd(a, 4, kmeans.SolverSpec(init=(0, 7, 14, 21)))
         trace = res.objective_trace
         assert res.objective == trace[-1]
         assert np.all(np.diff(trace) <= 1e-12 * max(trace[0], 1.0))
@@ -517,7 +515,7 @@ def test_lloyd_repairs_emptied_clusters():
     a = np.vstack([np.zeros((5, 2)), np.full((1, 2), 100.0),
                    np.full((4, 2), 0.01)])
     # rows 0 and 1 coincide, so the second start centroid captures nothing
-    res = kmeans.lloyd(a, 3, kmeans.SolverSpec(init=kmeans.GivenIndices((0, 1, 5))))
+    res = kmeans.lloyd(a, 3, kmeans.SolverSpec(init=(0, 1, 5)))
     assert np.all(res.assignment.cluster_sizes > 0)
     assert np.all(np.diff(res.objective_trace) <= 1e-12)
 
@@ -525,15 +523,43 @@ def test_lloyd_repairs_emptied_clusters():
 def test_lloyd_replicates_only_improve():
     rng = np.random.default_rng(163)
     a = rng.standard_normal((40, 3))
-    one = kmeans.lloyd(a, 5, kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(1)))
-    many = kmeans.lloyd(a, 5, kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(1),
-                                                replicates=4), seed=3)
+    one = kmeans.lloyd(a, 5, kmeans.SolverSpec())
+    many = kmeans.lloyd(a, 5, kmeans.SolverSpec(replicates=4), seed=3)
     assert many.objective <= one.objective + 1e-12
 
 
 def test_lloyd_rejects_k_above_n():
     with pytest.raises(ParameterError):
         kmeans.lloyd(np.zeros((3, 2)), 4)
+
+
+@pytest.mark.parametrize("init", [
+    (0.9, 5.5),  # once truncated to rows 0 and 5
+    ((0, 1),),  # once passed the count check at k = 2, then failed in an einsum
+    (True, False),
+    ("0", "1"),
+    3,
+])
+def test_lloyd_start_refuses_what_is_not_row_indices(init):
+    with pytest.raises(ParameterError, match="init"):
+        kmeans.SolverSpec(init=init)
+
+
+@pytest.mark.parametrize("init", [(0,), (0, 1, 2), (), (0, 6), (-1, 0)])
+def test_lloyd_start_refuses_a_wrong_count_or_a_row_out_of_range(init):
+    a = np.random.default_rng(5).standard_normal((6, 2))
+    with pytest.raises(ParameterError, match="init"):
+        kmeans.lloyd(a, 2, kmeans.SolverSpec(init=init))
+
+
+def test_lloyd_start_is_a_tuple_of_rows_defaulting_to_the_first_k():
+    a = np.random.default_rng(6).standard_normal((30, 3))
+    for rows in (np.arange(0, 12, 4), range(0, 12, 4), [0, 4, 8]):
+        assert kmeans.SolverSpec(init=rows).init == (0, 4, 8)
+    first = kmeans.lloyd(a, 3, kmeans.SolverSpec(init=(0, 1, 2)))
+    default = kmeans.lloyd(a, 3)
+    assert np.array_equal(first.assignment.labels, default.assignment.labels)
+    assert np.array_equal(first.objective_trace, default.objective_trace)
 
 
 def test_solver_spec_validation():
@@ -568,7 +594,7 @@ def test_brute_force_below_twenty_lloyd_restarts():
     exact = kmeans.brute_force_optimal(a, 3).objective
     for trial in range(20):
         idx = tuple(np.sort(rng.choice(9, size=3, replace=False)).tolist())
-        res = kmeans.lloyd(a, 3, kmeans.SolverSpec(init=kmeans.GivenIndices(idx)))
+        res = kmeans.lloyd(a, 3, kmeans.SolverSpec(init=idx))
         assert exact <= res.objective + 1e-9 * max(res.objective, 1.0)
 
 
@@ -591,7 +617,7 @@ def test_pipeline_none_equals_plain_lloyd():
     rng = np.random.default_rng(181)
     a = rng.standard_normal((20, 6))
     cfg = ProjectionConfig(k=3, seed=5)
-    spec = kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(2))
+    spec = kmeans.SolverSpec(init=(0, 2, 4))
     pipe = kmeans.project_and_cluster(a, 3, cfg, spec, method="none")
     plain = kmeans.lloyd(a, 3, spec)
     assert np.array_equal(pipe.projected.assignment.labels,
@@ -603,7 +629,7 @@ def test_pipeline_none_equals_plain_lloyd():
 def test_pipeline_sign_paths_give_identical_assignments():
     rng = np.random.default_rng(191)
     a = rng.standard_normal((24, 64))
-    spec = kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(4))
+    spec = kmeans.SolverSpec(init=(0, 4, 8))
     for seed in range(3):
         cfg = ProjectionConfig(k=3, t_override=9, seed=seed)
         fast = kmeans.project_and_cluster(a, 3, cfg, spec, method="sign_mailman")
@@ -617,7 +643,7 @@ def test_pipeline_sign_paths_give_identical_assignments():
 def test_pipeline_sign_paths_agree_at_d_one():
     # one input column: every block is one width-1 row
     a = np.random.default_rng(192).standard_normal((12, 1))
-    spec = kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(6))
+    spec = kmeans.SolverSpec(init=(0, 6))
     cfg = ProjectionConfig(k=2, t_override=1, seed=4)
     fast = kmeans.project_and_cluster(a, 2, cfg, spec, method="sign_mailman")
     slow = kmeans.project_and_cluster(a, 2, cfg, spec, method="sign_naive")
@@ -630,7 +656,7 @@ def test_pipeline_sign_paths_agree_at_d_one():
 def test_pipeline_gaussian_and_svd_methods_run():
     rng = np.random.default_rng(193)
     a = rng.standard_normal((15, 12))
-    spec = kmeans.SolverSpec(init=kmeans.FirstOfEachGroup(2))
+    spec = kmeans.SolverSpec(init=(0, 2))
     for method in ("gaussian", "svd_embed"):
         out = kmeans.project_and_cluster(a, 2, ProjectionConfig(k=2, t_override=4),
                                          spec, method=method)
