@@ -216,7 +216,7 @@ def _cmd_cluster(args) -> int:
     params = {"input": str(args.input), "k": args.k, "method": args.method,
               "t": run.t, "epsilon": args.epsilon, "c": args.c,
               "solver": spec.kind, "max_iter": spec.max_iter,
-              "replicates": spec.replicates}
+              "replicates": spec.replicates, "init": spec.init}
     timings = {"load_ms": load_ms, "projection_ms": run.projection_ms,
                "clustering_ms": run.clustering_ms, "score_ms": score_ms}
     payload = {
@@ -251,7 +251,8 @@ def _cmd_experiment(args) -> int:
     manifest = _manifest("experiment", {
         "input": str(args.input), "k": args.k, "t_list": t_list,
         "methods": args.method, "epsilon": args.epsilon, "c": args.c,
-        "solver": spec.kind, "max_iter": spec.max_iter}, args.seed)
+        "solver": spec.kind, "max_iter": spec.max_iter,
+        "replicates": spec.replicates, "init": spec.init}, args.seed)
     _write_table(args.output, manifest, EXPERIMENT_COLUMNS, (
         [r.method, str(r.t), str(r.k), repr(r.epsilon), str(r.seed), repr(r.f_tilde),
          "" if r.accuracy is None else repr(r.accuracy),

@@ -14,10 +14,13 @@ iteration's labels into it.  cluster_sums stays the statement of that bit
 contract.
 
 Lloyd runs its replicates in lockstep on one distance product per
-iteration, and settles every label by a rule that does not depend on that
-product's bits (lloyd): its labels are the argmin of a fixed-form squared
-distance, whatever the BLAS build, the thread count or the number of
-replicates.
+iteration, a float32 screen on rows centred on their column mean, and
+settles every label by a rule that does not depend on that product's bits
+(lloyd): a row whose winner the screen cannot prove by a rounding margin is
+priced in the float64 fixed form against the centroids inside its margin.
+Its labels are the argmin of the fixed-form squared distance, whatever the
+BLAS build, the thread count or the number of replicates; only the count of
+rows the fixed form decided (settled) depends on the screen.
 
 A partition's cost is computed two ways, on purpose.  objective prices it
 directly, sum ||a_i - c_l(i)||^2 with the bits of np.sum, for the final
@@ -40,8 +43,8 @@ from .matrix import as_matrix, matmul
 BRUTE_FORCE_MAX_POINTS = 14
 _ENUM_CHUNK = 1 << 15
 # objective squares and sums the differences this many elements at a time,
-# and lloyd's fixed-form distances take at most this many per chunk; at
-# least 128, the size up to which numpy sums without splitting.
+# and lloyd's fixed-form distances and screen form take at most this many
+# per chunk; at least 128, the size up to which numpy sums without splitting.
 OBJECTIVE_LEAF = 1 << 16
 
 
@@ -232,22 +235,21 @@ def _squared_norms(a):
     return a_sq, total
 
 
-def _fixed_d2(a, rows, blocks, which):
-    """The fixed form of the squared distances from rows of a to blocks of
-    centroids (b x j x d): entry (m, j) is numpy's own sum of
-    (a[rows[m]] - blocks[which[m], j]) ** 2 over the columns.  Rows are
-    priced in chunks of at most OBJECTIVE_LEAF elements, each gathering its
-    own rows' blocks."""
-    j, d = blocks.shape[1:]
-    out = np.empty((rows.size, j))
-    step = max(1, OBJECTIVE_LEAF // (j * d))
+def _fixed_d2(a, rows, centroids, cols):
+    """The fixed form of the squared distance of each (row, centroid) pair:
+    entry m is numpy's own sum of (a[rows[m]] - centroids[cols[m]]) ** 2
+    over the columns.  Pairs are priced in chunks of at most OBJECTIVE_LEAF
+    elements."""
+    d = a.shape[1]
+    out = np.empty(rows.size)
+    step = max(1, OBJECTIVE_LEAF // d)
     for lo in range(0, rows.size, step):
         part = slice(lo, lo + step)
-        diff = a[rows[part], None, :] - blocks[which[part]]
+        diff = a[rows[part]] - centroids[cols[part]]
         np.multiply(diff, diff, out=diff)
         # a sum along the last, contiguous axis is numpy's pairwise sum of
         # each row, the bits np.sum gives that row alone
-        out[part] = diff.sum(axis=2)
+        out[part] = diff.sum(axis=1)
     return out
 
 
@@ -261,14 +263,14 @@ def _repair(a, labels, sizes, centroids):
     labels are: every row is priced once against its own centroid, and each
     fill takes the argmax over rows whose cluster has more than one member.
     A moved row becomes a singleton, so no later fill picks it, and nothing
-    is priced again.  Screening the rows by lloyd's product form first would
-    pick the same row: by lloyd's bound, a row whose d2 lies more than both
-    rows' margins below the largest is strictly nearer in the fixed form.
-    The cost is one fixed-form pass over the rows per call, about 1.2 ms at
-    1000 x 256 and 0.3 ms at 400 x 360, against 0.8-1.1 and 0.9 ms for that
-    iteration's five-replicate distance product (1 BLAS thread on a
-    2-core Xeon VM)."""
-    own = _fixed_d2(a, np.arange(a.shape[0]), centroids[:, None, :], labels)[:, 0]
+    is priced again.  Screening the rows by lloyd's float32 screen first
+    would pick the same row: by lloyd's bound, a row whose screened distance
+    lies more than both rows' margins below the largest is strictly nearer
+    in the fixed form.  The cost is one fixed-form pass over the rows per
+    call, about 1.2 ms at 1000 x 256 and 0.3 ms at 400 x 360, against
+    about 0.5 ms for that iteration's five-replicate screen product at
+    1000 x 256 (1 BLAS thread on a 2-core Xeon VM)."""
+    own = _fixed_d2(a, np.arange(a.shape[0]), centroids, labels)
     for empty in np.flatnonzero(sizes == 0):
         # never drain a singleton cluster: that would just shift the hole
         own[sizes[labels] <= 1] = -np.inf
@@ -276,6 +278,25 @@ def _repair(a, labels, sizes, centroids):
         sizes[labels[moved]] -= 1
         labels[moved] = empty
         sizes[empty] = 1
+
+
+def _screen_form(v, mean, scale):
+    """The rows of v as lloyd's screen reads them: v - mean in float64,
+    times scale, a signed power of two, and cast to float32, with the
+    squared norms of the scaled float64 rows.  One pass over v, in chunks of at most
+    OBJECTIVE_LEAF elements through one reused float64 buffer."""
+    n, d = v.shape
+    out = np.empty((n, d), dtype=np.float32)
+    sq = np.empty(n)
+    step = max(1, OBJECTIVE_LEAF // d)
+    buf = np.empty((min(step, n), d))
+    for lo in range(0, n, step):
+        part = buf[:min(step, n - lo)]
+        np.subtract(v[lo:lo + step], mean, out=part)
+        np.multiply(part, scale, out=part)
+        sq[lo:lo + step] = np.einsum("ij,ij->i", part, part)
+        out[lo:lo + step] = part
+    return out, sq
 
 
 def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansResult:
@@ -296,44 +317,73 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     iterations.
 
     The replicates run in lockstep.  Each iteration stacks the centroids of
-    every live replicate into one (live * k) x d matrix C and makes one
-    product C @ a.T, into one (live * k) x n buffer of squared distances
-    d2 = ||c_j||^2 - 2 c_j.a_i + ||a_i||^2 (0.8 MB at n = 1000, five
-    replicates, k = 20); each row's smallest d2 comes from one min over its
-    (live, k, n) view.  One stacked CSC one-hot, rebuilt only when a
-    replicate stops, gives every replicate's cluster sums in one product;
-    scipy adds each output row's points in ascending order, so the sums,
-    the trace and the objective are bit-identical to separate products and
-    to np.add.at.  A replicate stops when it converges, with the trace and
-    iteration count it would have alone.
+    every live replicate into one (live * k) x d matrix and screens every
+    (centroid, row) pair with one float32 product, into one (live * k) x n
+    float32 buffer (0.4 MB at n = 1000, five replicates, k = 20); each row's
+    smallest entry comes from one min over its (live, k, n) view.  One
+    stacked CSC one-hot, rebuilt only when a replicate stops, gives every
+    replicate's cluster sums in one product; scipy adds each output row's
+    points in ascending order, so the sums, the trace and the objective are
+    bit-identical to separate products and to np.add.at.  A replicate stops
+    when it converges, with the trace and iteration count it would have
+    alone.
 
-    Labels do not depend on the product's bits, which change with the BLAS
+    The screen works on centred, rescaled rows.  x_i = 2^-e (a_i - m) and
+    y_j = 2^-e (c_j - m), with m the rows' column mean, are formed in
+    float64 and cast to float32 (_screen_form); 2^e bounds
+    max ||a_i|| + ||m||, so no ||x_i|| or ||y_j|| exceeds 1 and float32
+    cannot overflow.  Centring keeps the screen's rounding in proportion to
+    the rows' spread, not to their distance from the origin.  The bound
+    costs no pass over the rows, but a column far from zero on every row
+    loosens it: past about 2^50 times the rows' spread, the screen's
+    products near float32's underflow, and the margin's second term (below)
+    sends most rows to the fixed form, correct but slower.  The screen's
+    entry is q_j = ||y_j||^2 - 2 y_j.x_i, with the product in float32:
+    q_j - q_b equals 2^-2e (||a_i - c_j||^2 - ||a_i - c_b||^2) up to
+    rounding, since the row's own norm is common to all its entries.
+
+    Labels do not depend on the screen's bits, which change with the BLAS
     build, its thread split and the number of live replicates.  A row is
-    settled when every rival's d2 exceeds its smallest, d2_b, by more than
-    a margin; it then takes b, the index of its only d2 within the margin.
-    Every other row is priced in the fixed form
-    F_j = sum_l (a_il - c_jl)^2, numpy's own sum of the row's squared
-    differences, and takes the argmin of F, ties to the lowest index; those
-    rows are the ones settled counts.  The labels are therefore the argmin
-    of F in every row.  The margin is 2 (B_prod + B_fixed), where B bounds
-    the error of each form (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1, with u = 2^-53 and
-    gamma_m = m u / (1 - m u)).  The product form's three dot products of d
-    terms are off by at most gamma_d ||a||^2, 2 gamma_d ||a|| ||c|| and
-    gamma_d ||c||^2 in any order of addition, and its two additions add two
-    roundings, so |d2_j - ||a - c_j||^2| <= gamma_{d+2} (||a|| + ||c_j||)^2.
-    The fixed form's subtraction, square and sum of d terms give the same
-    bound.  So where the margin is met, F_j > F_b for every rival j.  The
-    margin uses gamma_{d+3}, the replicate's largest ||c_j||, and
-    16 (d + 3) times the smallest normal double for products that
-    underflow.  The extra unit of gamma, 4 u (||a|| + max ||c_j||)^2, covers
-    the rounding of the norms, of the margin and of d2_b + margin for d
-    below 10^7.  The empty-cluster repair prices each row once in the fixed
-    form and moves the farthest (_repair).
+    settled when every rival's q exceeds its smallest, q_b, by more than a
+    margin M; it then takes b, the index of its only q within M.  Every
+    other row is priced in the fixed form F_j = sum_l (a_il - c_jl)^2,
+    numpy's own sum of the float64 row's squared differences, against the
+    centroids within M of q_b only, and takes the argmin of F over them,
+    ties to the lowest index; those rows are the ones settled counts.  Each
+    centroid outside M is proven farther than b in the fixed form, so the
+    labels are the argmin of F over all centroids in every row.
+
+    The margin is twice a bound B on one screen entry's error, plus the
+    fixed form's (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 3.1, with u = 2^-24, float32's unit roundoff, and
+    gamma_m = m u / (1 - m u)).  With R = ||x_i|| + max_j ||y_j||, the max
+    over the replicate's centroids, and 4 ||x|| ||y|| <= R^2:
+      - the float32 product of d terms is off by at most
+        gamma_d 2 ||x|| ||y|| <= gamma_d R^2 / 2 in any order of addition;
+      - the float32 casts of x and y move 2 x.y by at most 1.25 u R^2, and
+        the float32 ||y||^2 and the addition to it by at most 2.25 u R^2, so
+        B = (gamma_d / 2 + 3.5 u) R^2;
+      - the fixed form's subtraction, square and sum of d float64 terms are
+        off by gamma64_{d+2} of F, below u R^2 / 2 for both entries for d
+        below 2^27;
+      - rounding q_b + M in float32, and M itself, cost at most 2u R^2, and
+        the float64 centring subtraction and the float64 norms R comes from
+        are off by far less.
+    So M = gamma_{d+12} R^2 + (d + 2) 2^-123 + d 2^(-1020 - 2e), cast to
+    float32 rounded up, for d + 12 below 2^23: of the twelve units of u
+    beyond gamma_d, 7 cover 2 B, 2.5 the fixed form and the limit, and the
+    rest second-order terms.  The second term covers the float32 products
+    and casts that fall below float32's normal range (subnormal, or flushed
+    to zero), at most 2^-125 each, and the third a fixed-form term that
+    underflows float64, 2^-1022 each in the scaled units.  For larger d, or
+    input whose norms lie below 2^-500 (its squared distances near
+    float64's underflow), the bound proves nothing: M is infinite and the
+    fixed form prices every pair.  The empty-cluster repair prices each row
+    once in the fixed form and moves the farthest (_repair).
 
     The rows' squared norms (_squared_norms, which refuses input whose
-    costs would overflow) and the one-hot are made once per call and shared
-    by the replicates.
+    costs would overflow), their float32 screen form and the one-hot are
+    made once per call and shared by the replicates.
     """
     a = as_matrix(a)
     spec = spec if spec is not None else SolverSpec()
@@ -341,11 +391,21 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} outside [1, n={n}]")
     a_sq, a_sq_total = _squared_norms(a)
-    a_norm = np.sqrt(a_sq)
-    u = np.finfo(np.float64).eps / 2
-    gamma = (d + 3) * u / (1 - (d + 3) * u)
-    underflow = 16 * (d + 3) * np.finfo(np.float64).tiny
+    mean = a.mean(axis=0)
+    # 2^e exceeds max ||a_i|| + ||mean||, which bounds every ||a_i - mean||
+    # and every ||c_j - mean||; e stops at -500, where the margin is
+    # infinite (floor), so that the scale is a normal double
+    bound = math.sqrt(a_sq.max()) + math.sqrt(np.sum(mean * mean))
+    e = max(math.frexp(bound)[1], -500)
+    scale = 2.0 ** -e
+    x, x_sq = _screen_form(a, mean, scale)
+    x_norm = np.sqrt(x_sq)
+    m = (d + 12) * 2.0 ** -24
+    gamma = m / (1 - m) if m < 0.5 else 1.0
+    floor = ((d + 2) * 2.0 ** -123 + math.ldexp(d, -1020 - 2 * e)
+             if m < 0.5 and e > -500 else math.inf)
     index = np.arange(k, dtype=np.min_scalar_type(k - 1))
+    count_type = np.min_scalar_type(k)
     first = np.arange(k) if spec.init is None else np.array(spec.init, dtype=np.int64)
     if first.shape != (k,):
         raise ParameterError(f"init needs exactly k={k} indices")
@@ -367,29 +427,35 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
         if onehot is None:
             offsets = np.arange(width)[:, None] * k
             onehot = _onehot(np.tile(offsets.T, (n, 1)), width * k)
-        c_sq = np.einsum("ij,ij->i", centroids, centroids)
-        # a_sq - 2 c.a + c_sq for the centroids of every live replicate, in
-        # one (live * k) x n buffer
-        d2 = centroids @ a.T
-        d2 *= -2.0
-        d2 += a_sq
-        d2 += c_sq[:, None]
-        d3 = d2.reshape(width, k, n)
-        # the label rule: a row is settled when its smallest d2 is the only
+        # -2 y_j, and 4 ||y_j||^2: the power of two is exact in either form
+        y, y_sq = _screen_form(centroids, mean, -2.0 * scale)
+        y_sq *= 0.25
+        # ||y_j||^2 - 2 y_j.x_i for the centroids of every live replicate, in
+        # one (live * k) x n float32 buffer
+        q = y @ x.T
+        q += y_sq.astype(np.float32)[:, None]
+        q3 = q.reshape(width, k, n)
+        # the label rule: a row is settled when its smallest q is the only
         # one within the margin of it
-        margin = np.sqrt(c_sq.reshape(width, k).max(axis=1))[:, None] + a_norm
+        margin = np.sqrt(y_sq.reshape(width, k).max(axis=1))[:, None] + x_norm
         margin *= margin
-        margin *= 4.0 * gamma
-        margin += underflow
-        limit = d3.min(axis=1)
-        limit += margin
-        close = d3 <= limit[:, None, :]
+        margin *= gamma
+        margin += floor
+        limit = q3.min(axis=1)
+        limit += np.nextafter(margin.astype(np.float32), np.float32(np.inf))
+        close = q3 <= limit[:, None, :]
         # in a settled row the index of its one close entry is its argmin
         labels = np.einsum("rjn,j->rn", close.view(np.uint8), index).astype(np.int64)
         if np.count_nonzero(close) > width * n:
-            reps, rows = np.nonzero(np.count_nonzero(close, axis=1) > 1)
-            labels[reps, rows] = np.argmin(
-                _fixed_d2(a, rows, centroids.reshape(width, k, d), reps), axis=1)
+            # price each unsettled row against its close centroids only;
+            # the others, at +inf, are proven farther
+            reps, rows = np.nonzero(
+                np.add.reduce(close.view(np.uint8), axis=1, dtype=count_type) > 1)
+            near = close[reps, :, rows]
+            pair, j = np.nonzero(near)
+            fixed = np.full(near.shape, np.inf)
+            fixed[pair, j] = _fixed_d2(a, rows[pair], centroids, reps[pair] * k + j)
+            labels[reps, rows] = np.argmin(fixed, axis=1)
             settled[live] += np.bincount(reps, minlength=width)
         flat = labels + offsets
         sizes = np.bincount(flat.ravel(), minlength=width * k).reshape(width, k)

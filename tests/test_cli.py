@@ -132,6 +132,25 @@ def test_cluster_default_start_is_certified_within_two_plus_epsilon(tmp_path):
             assert (plugback <= bound) == (not start), (method, start, plugback / residual)
 
 
+def test_manifests_record_lloyds_start(tmp_path):
+    # two runs that differ only in --init-indices must not carry the same
+    # manifest: params records the given rows, or null for rows 0..k-1
+    data = make_dataset(tmp_path)
+    out = tmp_path / "out"
+    for sub in ("cluster", "experiment"):
+        params = []
+        for start in ([], ["--init-indices", "5,6,7,8"]):
+            assert cli.main([sub, "--input", str(data), "--output", str(out), "--k", "4",
+                             "--method", "hd", "--replicates", "3", *start]) == 0
+            if sub == "cluster":
+                manifest = json.loads(out.read_text())["manifest"]
+            else:
+                manifest = read_records(out)[0]
+            params.append(manifest["params"])
+        assert [p.pop("init") for p in params] == [None, [5, 6, 7, 8]]
+        assert params[0] == params[1] and params[0]["replicates"] == 3
+
+
 def test_cluster_hd_is_deterministic(tmp_path):
     data = make_dataset(tmp_path)
     # the same rows with class labels 1..4 instead of 0..3: class labels are

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rpkmeans import kmeans
+from rpkmeans.dataio import MixtureSpec, generate_mixture
 from rpkmeans.errors import ParameterError
 from rpkmeans.rng import LLOYD_RESTART, stream
 from rpkmeans.projection import ProjectionConfig
@@ -177,7 +178,7 @@ def test_cluster_sums_refuses_labels_outside_range(labels):
 
 
 LLOYD_KINDS = ["mixture", "decades", "integers", "all_equal", "n_equals_k", "repair",
-               "near_tie", "repair_tie"]
+               "near_tie", "repair_tie", "offset", "tiny_column", "far_column"]
 # Tie-heavy inputs, for examples only: integer grids and equal rows with k
 # past the number of distinct rows, so lloyd repairs empty clusters in most
 # iterations.  Each ignores n, d and seed.
@@ -200,15 +201,28 @@ def _lloyd_input(kind, n, d, k, seed):
     if kind in TIE_HEAVY:
         return TIE_HEAVY[kind]().astype(np.float64), k
     rng = np.random.default_rng(seed)
-    if kind == "mixture":
+    if kind in ("mixture", "offset", "far_column"):
         centers = rng.standard_normal((k, d)) * 10.0
         a = centers[rng.integers(0, k, size=n)] + rng.standard_normal((n, d))
+        if kind == "offset":  # far from the origin, against a spread of ~10
+            a += 1e6
+        elif kind == "far_column":
+            # one column at 2^76 on every row: lloyd's screen scales the
+            # centred rows by a bound that includes it, so the screen's
+            # products fall below float32's normal range
+            a[:, 0] = 2.0 ** 76
     elif kind == "decades":
         a = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1))
     elif kind == "integers":
         # few distinct values: exact distance ties, and duplicate rows
         a = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
         a[rng.integers(0, n, size=n // 2)] = a[rng.integers(0, n, size=n // 2)]
+    elif kind == "tiny_column":
+        # few distinct values in every column but the first, whose values
+        # fall below float32's normal range once lloyd's screen rescales the
+        # rows (for d > 1); it alone separates rows equal in the others
+        a = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        a[:, 0] = rng.standard_normal(n) * 1e-40
     elif kind == "all_equal":
         a = np.full((n, d), rng.uniform(-100.0, 100.0))
     elif kind == "n_equals_k":
@@ -256,6 +270,9 @@ def _lloyd_input(kind, n, d, k, seed):
 @example(kind="grid_20", n=600, d=2, k=257, replicates=2, max_iter=100, seed=1)
 @example(kind="all_ones", n=500, d=4, k=20, replicates=1, max_iter=100, seed=1)
 @example(kind="grid_5", n=1000, d=3, k=40, replicates=1, max_iter=100, seed=1)
+@example(kind="offset", n=300, d=32, k=8, replicates=2, max_iter=100, seed=17)
+@example(kind="tiny_column", n=300, d=6, k=8, replicates=2, max_iter=100, seed=18)
+@example(kind="far_column", n=200, d=6, k=6, replicates=2, max_iter=100, seed=1)
 def test_lloyd_bit_identical_to_add_at_oracle(kind, n, d, k, replicates,
                                               max_iter, seed):
     k = min(k, n)
@@ -327,23 +344,22 @@ def test_lloyd_replicate_does_not_depend_on_its_neighbours(kind, n, d, k, replic
                                      (2, 3, 300), (5, 3, 8193), (40, 1, 3)])
 def test_fixed_form_sums_each_pair_as_np_sum(m, k, d):
     # the label rule's fixed form is numpy's own sum of each (row, centroid)
-    # pair's squared differences, whatever the row chunk around it (at
-    # d = 8193 and k = 3 a chunk holds two rows)
+    # pair's squared differences, whatever the chunk of pairs around it (at
+    # d = 8193 a chunk holds seven pairs)
     g = np.random.default_rng(m * k * d)
     a = g.standard_normal((m + 2, d)) * 10.0 ** g.uniform(-6, 6, size=(m + 2, 1))
-    c = g.standard_normal((2, k, d))
+    # two replicates' centroids, stacked as lloyd stacks them
+    c = g.standard_normal((2 * k, d))
     rows = np.arange(1, m + 1)
-    expect = np.array([[[np.sum((a[i] - c[b, j]) * (a[i] - c[b, j])) for j in range(k)]
-                        for i in rows] for b in range(2)])
-    zero = np.zeros(m, dtype=np.int64)
-    assert np.array_equal(kmeans._fixed_d2(a, rows, c, zero), expect[0])
-    # rows that draw from two different blocks, as lloyd's replicates do
-    which = np.arange(m) % 2
-    assert np.array_equal(kmeans._fixed_d2(a, rows, c, which), expect[which, np.arange(m)])
+    expect = np.array([[np.sum((a[i] - c[j]) * (a[i] - c[j])) for j in range(2 * k)]
+                       for i in rows])
+    # every row against every centroid of both replicates
+    pair_row, pair_col = np.divmod(np.arange(m * 2 * k), 2 * k)
+    assert np.array_equal(kmeans._fixed_d2(a, rows[pair_row], c, pair_col),
+                          expect[pair_row, pair_col])
     # the repair prices each row against its own centroid alone
     own = np.arange(m) % k
-    assert np.array_equal(kmeans._fixed_d2(a, rows, c[0][:, None, :], own)[:, 0],
-                          expect[0, np.arange(m), own])
+    assert np.array_equal(kmeans._fixed_d2(a, rows, c, own), expect[np.arange(m), own])
 
 
 def test_lloyd_repair_prices_each_row_once(monkeypatch):
@@ -371,10 +387,12 @@ def test_lloyd_repair_prices_each_row_once(monkeypatch):
 
 class _PerturbedProduct(np.ndarray):
     """An array whose matrix products come back perturbed, as lloyd's
-    stacked centroids times the rows: entry (r, i) of x @ y moves by
-    +-scale * gamma_{m+3} * (||y_i|| + max ||x_j||)^2 / 2, for inner
-    dimension m, column i of y and the rows j of x in r's block of k, with
-    signs from a seeded draw.  Every other ufunc runs on the plain arrays."""
+    screen product of its stacked float32 centroids, times -2, and its
+    float32 rows: entry (r, i) of x @ y moves by
+    +-scale * gamma_{m+12} * (||y_i|| + max ||x_j|| / 2)^2, with u = 2^-24,
+    for inner dimension m, column i of y and the rows j of x in r's block of
+    k, with signs from a seeded draw.  Every other ufunc runs on the plain
+    arrays."""
 
     scale = 0.0
     k = 1
@@ -387,28 +405,34 @@ class _PerturbedProduct(np.ndarray):
         result = getattr(ufunc, method)(*inputs, **kwargs)
         if ufunc is np.matmul and method == "__call__":
             x, y = inputs
-            u = np.finfo(np.float64).eps / 2
-            gamma = (x.shape[1] + 3) * u / (1 - (x.shape[1] + 3) * u)
-            block_max = np.linalg.norm(x, axis=1).reshape(-1, self.k).max(axis=1)
+            u = 2.0 ** -24
+            gamma = (x.shape[1] + 12) * u / (1 - (x.shape[1] + 12) * u)
+            block_max = np.linalg.norm(x, axis=1).reshape(-1, self.k).max(axis=1) / 2
             reach = np.add.outer(block_max.repeat(self.k), np.linalg.norm(y, axis=0))
             signs = np.random.default_rng(result.size).choice([-1.0, 1.0], size=result.shape)
-            result += signs * (self.scale * gamma / 2) * reach * reach
+            result += signs * (self.scale * gamma) * reach * reach
             type(self).products += 1
         return result
 
 
 def _lloyd_perturbed(monkeypatch, scale, a, k, spec, seed):
-    """lloyd with every distance product perturbed by _PerturbedProduct: d2,
-    which is -2 times the product plus the squared norms, moves by
-    +-scale * gamma_{d+3} * (||a_i|| + max ||c_j||)^2 per entry, the max
-    over its replicate's centroids.  The label rule's margin is 4 * gamma_{d+3}
-    times the same square."""
-    as_matrix = kmeans.as_matrix
+    """lloyd with every screen product perturbed by _PerturbedProduct: the
+    screen's entry q = ||y_j||^2 - 2 y_j.x_i moves by
+    +-scale * gamma_{d+12} * (||x_i|| + max ||y_j||)^2, the max over its
+    replicate's centroids, in the centred and rescaled float32 rows and
+    centroids.  The label rule's margin is gamma_{d+12} times the same
+    square."""
+    screen_form = kmeans._screen_form
+
+    def perturbed_screen_form(*args):
+        out, sq = screen_form(*args)
+        return out.view(_PerturbedProduct), sq
+
     with monkeypatch.context() as patch:
         patch.setattr(_PerturbedProduct, "scale", scale)
         patch.setattr(_PerturbedProduct, "k", k)
         patch.setattr(_PerturbedProduct, "products", 0)
-        patch.setattr(kmeans, "as_matrix", lambda x: as_matrix(x).view(_PerturbedProduct))
+        patch.setattr(kmeans, "_screen_form", perturbed_screen_form)
         res = kmeans.lloyd(a, k, spec, seed=seed)
         # one product per iteration, each one perturbed
         assert _PerturbedProduct.products >= res.iterations
@@ -424,8 +448,8 @@ LLOYD_NEAR_TIES = [(13, 12, 2, 1, 1), (30, 9, 3, 2, 14), (50, 12, 5, 5, 15)]
 ])
 def test_lloyd_labels_survive_a_product_perturbed_within_the_margin(
         monkeypatch, kind, n, d, k, replicates, seed):
-    # a quarter of gamma_{d+3} (||a_i|| + max ||c_j||)^2 per d2 entry, a
-    # sixteenth of the label rule's margin: the labels, and with them the
+    # a quarter of gamma_{d+12} (||x_i|| + max ||y_j||)^2 per screen entry,
+    # a quarter of the label rule's margin: the labels, and with them the
     # trace, must not move
     a, k = _lloyd_input(kind, n, d, k, seed)
     spec = kmeans.SolverSpec(max_iter=15 if kind == "mixture" else 100, replicates=replicates,
@@ -440,7 +464,7 @@ def test_lloyd_labels_survive_a_product_perturbed_within_the_margin(
 
 @pytest.mark.parametrize("n, d, k, seed", [(n, d, k, seed) for n, d, k, _, seed in LLOYD_NEAR_TIES])
 def test_lloyd_perturbed_product_beyond_the_margin_is_seen(monkeypatch, n, d, k, seed):
-    # the negative control: 100 times the margin moves a label, or changes
+    # the negative control: 400 times the margin moves a label, or changes
     # which rows the fixed form settles, in the replicate that starts from
     # the near-tie rows
     a, k = _lloyd_input("near_tie", n, d, k, seed)
@@ -449,6 +473,23 @@ def test_lloyd_perturbed_product_beyond_the_margin_is_seen(monkeypatch, n, d, k,
     moved = _lloyd_perturbed(monkeypatch, 400.0, a, k, spec, seed)
     assert (not np.array_equal(moved.assignment.labels, plain.assignment.labels)
             or moved.settled != plain.settled)
+
+
+@pytest.mark.parametrize("e", [-200, 200])
+def test_lloyd_is_exact_under_a_power_of_two_scale(e):
+    # on the hd-lloyd workload's rows, 2^e times the input scales every
+    # sum, square and mean exactly, and the screen's rescaling undoes it:
+    # the run is the same, with its trace scaled by 2^2e
+    a = generate_mixture(MixtureSpec(n=1000, d=256, k=20, center_scale=0.4,
+                                     noise_sigma=1.5, seed=3)).points
+    spec = kmeans.SolverSpec(max_iter=15, replicates=5)
+    plain = kmeans.lloyd(a, 20, spec, seed=3)
+    scaled = kmeans.lloyd(a * 2.0 ** e, 20, spec, seed=3)
+    assert np.array_equal(scaled.assignment.labels, plain.assignment.labels)
+    assert (scaled.replicate, scaled.iterations, scaled.converged) == (
+        plain.replicate, plain.iterations, plain.converged)
+    assert np.array_equal(scaled.objective_trace, plain.objective_trace * 2.0 ** (2 * e))
+    assert scaled.objective == plain.objective * 2.0 ** (2 * e)
 
 
 def _huge_cluster_sums():
