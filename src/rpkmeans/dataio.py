@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,6 +252,13 @@ def _read_pgm(path) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
 
+def _sorted_entries(path, keep) -> list:
+    """Paths of the entries of directory path that keep accepts, in
+    lexicographic name order."""
+    with os.scandir(path) as entries:
+        return [e.path for e in sorted(entries, key=lambda e: e.name) if keep(e)]
+
+
 def load_image_dir(path) -> Dataset:
     """Load a directory of grayscale PGM images as flattened rows.
 
@@ -258,36 +266,34 @@ def load_image_dir(path) -> Dataset:
     lexicographic subdirectory order, and files are read in lexicographic
     order within each class.  All images must share one size.
 
-    The rasters are copied into one n x d uint8 matrix, which is converted
-    to float64 once.
+    The directories are listed with os.scandir, whose entries know their
+    own type, and each raster is decoded straight into its row of the
+    float64 matrix: besides the output, memory goes to one file's bytes.
     """
     root = Path(path)
     if not root.is_dir():
         raise DataFormatError(f"{root}: not a directory")
-    class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    class_dirs = _sorted_entries(root, lambda e: e.is_dir())
     if not class_dirs:
         raise DataFormatError(f"{root}: no class subdirectories")
-    classes = [sorted(p for p in class_dir.iterdir()
-                      if p.is_file() and not p.name.startswith("."))
+    classes = [_sorted_entries(class_dir, lambda e: e.is_file() and not e.name.startswith("."))
                for class_dir in class_dirs]
     labels = np.repeat(np.arange(len(classes), dtype=np.int64),
                        [len(files) for files in classes])
-    pixels = None
+    points = None
     row = 0
     for class_dir, files in zip(class_dirs, classes):
         if not files:
             raise DataFormatError(f"{class_dir}: class directory is empty")
         for file in files:
             img = _read_pgm(file)
-            if pixels is None:
+            if points is None:
                 size = img.shape
-                pixels = np.empty((labels.size, img.size), dtype=np.uint8)
+                points = np.empty((labels.size, img.size))
             elif img.shape != size:
                 raise DataFormatError(
                     f"{file}: size {img.shape} does not match {size}"
                 )
-            pixels[row] = img.reshape(-1)
+            points[row] = img.reshape(-1)
             row += 1
-    points = pixels.astype(np.float64)
-    del pixels  # before Dataset's finiteness check allocates its own n x d
     return Dataset(points=points, labels=labels, source=str(root))

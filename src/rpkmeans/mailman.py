@@ -23,13 +23,15 @@ constants bound its pieces:
   ceil(p / SLICE_BITS) slices of balanced width (bit_slices), so a row
   costs d bucket additions per slice and at most 2**(SLICE_BITS + 1) adds
   per slice to fold.
-- ROW_TILE bounds the rows taken at once.  A row tile is transposed once,
-  into 8 * d * ROW_TILE bytes, so that each input coordinate of the tile is
-  one contiguous vector to add into a bucket.
+- ROW_TILE bounds the rows taken at once.  Each row tile is transposed
+  into one buffer of 8 * d * ROW_TILE bytes, made once per call, so that
+  each input coordinate of the tile is one contiguous vector to add into a
+  bucket.
 - TILE_BYTES bounds a slice group's bucket buffer: slices of one width go
   in groups of at most TILE_BYTES // (8 * ROW_TILE * 2**width), each with
   its own one-hot sparse matrix (about 12 bytes per input column per slice,
-  built once per call).  The fold's temporaries take about as much again.
+  built once per call).  The fold runs in place in that buffer; only its
+  outputs, width / 2**width of the buffer's size, are new.
 
 None of these grow with n; the output is the only n-sized allocation.
 """
@@ -162,10 +164,26 @@ def build_plan(d: int, t: int, seed: int) -> SignMatrix:
     return _plan_blocks(d, t, seed)
 
 
-def _halve(v: np.ndarray) -> np.ndarray:
-    """Add the upper half of axis 0 onto the lower half."""
-    half = v.shape[0] // 2
-    return v[:half] + v[half:]
+def _fold_in_place(v: np.ndarray, p: int) -> np.ndarray:
+    """fold_buckets on a 2**p bucket axis, overwriting v with partial sums."""
+    out = np.empty((p,) + v.shape[1:])
+    for b in range(p - 1, 0, -1):
+        # merge the halves into the lower one, then add the upper half up
+        # within itself: high[0] ends as the sum of every upper bucket
+        half = 1 << b
+        v[:half] += v[half:2 * half]
+        high = v[half:2 * half]
+        while high.shape[0] > 1:
+            h = high.shape[0] // 2
+            high[:h] += high[h:]
+            high = high[:h]
+        out[b] = high[0]
+    out[0] = v[1] - v[0]
+    if p > 1:
+        v[0] += v[1]
+        out[1:] *= 2.0
+        out[1:] -= v[0]
+    return out
 
 
 def fold_buckets(buckets: np.ndarray) -> np.ndarray:
@@ -178,25 +196,14 @@ def fold_buckets(buckets: np.ndarray) -> np.ndarray:
     the overall sum), which keeps the addition count within 2**(p+1) per
     bucket vector.  Every sum is a fixed sequence of elementwise adds of
     whole slices of the bucket axis, never a reduction, so each element
-    along the other axes gets the same bits whatever their shape.
+    along the other axes gets the same bits whatever their shape.  The
+    adds run in place on a copy of buckets, which is left as it was.
     """
     m = buckets.shape[0]
     p = m.bit_length() - 1
     if m < 2 or m != (1 << p):
         raise ParameterError("bucket axis must have length 2**p with p >= 1")
-    out = np.empty((p,) + buckets.shape[1:])
-    v = buckets
-    for b in range(p - 1, 0, -1):
-        high = v[v.shape[0] // 2:]
-        while high.shape[0] > 1:
-            high = _halve(high)
-        out[b] = high[0]
-        v = _halve(v)
-    out[0] = v[1] - v[0]
-    if p > 1:
-        out[1:] *= 2.0
-        out[1:] -= v[0] + v[1]
-    return out
+    return _fold_in_place(np.array(buckets), p)
 
 
 def block_row_multiply_counted(block: MailmanBlock, x):
@@ -320,9 +327,10 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
     the row count or tiling, n = 1 included.
 
     Besides the output, memory goes to the one-hot matrices (about 12 bytes
-    per input column per slice), the transposed tile (8 * d * ROW_TILE
-    bytes) and one group's buckets and fold (within about 2 * TILE_BYTES);
-    none of it grows with n.
+    per input column per slice), one transposed tile for the whole call (8
+    * d * ROW_TILE bytes) and one group's buckets, folded in place in the
+    array the product returns (within about TILE_BYTES); none of it grows
+    with n, and a is left as it was.
     """
     a = as_matrix(a)
     if a.shape[1] != plan.d:
@@ -331,12 +339,18 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
     groups = _slice_groups(plan)
     scale = 1.0 / math.sqrt(plan.t)
     out = np.empty((n, plan.t))
+    # every tile's transpose goes into the front of one flat buffer, so a
+    # short last tile is contiguous too
+    tiles = np.empty(plan.d * min(n, ROW_TILE))
     for r0 in range(0, n, ROW_TILE):
-        tile = np.ascontiguousarray(a[r0:r0 + ROW_TILE].T)
-        m = tile.shape[1]
+        rows = a[r0:r0 + ROW_TILE]
+        m = rows.shape[0]
+        tile = tiles[:plan.d * m].reshape(plan.d, m)
+        tile[...] = rows.T
         for onehot, w, cols in groups:
-            # (2**w, g, m) buckets fold to (w, g, m): bit, slice, row
-            folded = fold_buckets((onehot @ tile).reshape(1 << w, -1, m))
+            # (2**w, g, m) buckets fold to (w, g, m): bit, slice, row; the
+            # product's own array takes the fold's partial sums
+            folded = _fold_in_place((onehot @ tile).reshape(1 << w, -1, m), w)
             folded *= scale
             out[r0:r0 + m, cols] = folded.reshape(-1, m).T
     return out

@@ -9,17 +9,34 @@ from .errors import ParameterError
 
 # sigma_i <= SINGULAR_VALUE_CUTOFF * sigma_max counts as zero everywhere.
 SINGULAR_VALUE_CUTOFF = 1e-12
+# Bytes of the bool buffer as_matrix tests finiteness through: a block of
+# whole rows at a time (one row when a row is wider).
+FINITE_BLOCK_BYTES = 1 << 16
 
 
 def as_matrix(values) -> np.ndarray:
-    """Validate and return a dense 2-D float64 array (finite, nonempty)."""
+    """Validate and return a dense 2-D float64 array (finite, nonempty).
+
+    A C-contiguous float64 array comes back as itself, not a copy.  The
+    finiteness test runs over blocks of whole rows through one bool buffer
+    of about FINITE_BLOCK_BYTES, so it allocates nothing the input's size;
+    blocking by rows of the 2-D array keeps a strided view (a column slice)
+    uncopied until the final ascontiguousarray.
+    """
     a = np.asarray(values, dtype=np.float64)
     if a.ndim != 2:
         raise ParameterError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
         raise ParameterError("matrix must have at least one row and one column")
-    if not np.isfinite(a).all():
-        raise ParameterError("matrix entries must be finite (no NaN or Inf)")
+    n, d = a.shape
+    step = max(1, FINITE_BLOCK_BYTES // d)
+    finite = np.empty((min(n, step), d), dtype=bool)
+    for r0 in range(0, n, step):
+        block = a[r0:r0 + step]
+        ok = finite[:block.shape[0]]
+        np.isfinite(block, out=ok)
+        if not ok.all():
+            raise ParameterError("matrix entries must be finite (no NaN or Inf)")
     return np.ascontiguousarray(a)
 
 

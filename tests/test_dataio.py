@@ -349,20 +349,22 @@ def test_read_pgm_errors_name_the_file_and_the_fault(tmp_path, data, message):
 
 
 def test_load_image_dir_allocates_little_beyond_its_output(tmp_path):
+    # rasters are decoded straight into their float64 rows, and as_matrix's
+    # finiteness buffer (64 KiB) is small beside this 2.6 MB output
     rng = np.random.default_rng(337)
     for c in range(4):
         (tmp_path / f"c{c}").mkdir()
         for i in range(5):
-            write_pgm(tmp_path / f"c{c}" / f"img{i}.pgm", 64, 64,
-                      rng.integers(0, 256, size=64 * 64).tolist())
+            write_pgm(tmp_path / f"c{c}" / f"img{i}.pgm", 128, 128,
+                      rng.integers(0, 256, size=128 * 128).tolist())
     tracemalloc.start()
     try:
         ds = dataio.load_image_dir(tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ds.points.shape == (20, 64 * 64)
-    assert peak <= 1.25 * ds.points.nbytes
+    assert ds.points.shape == (20, 128 * 128)
+    assert peak <= 1.06 * ds.points.nbytes
 
 
 def test_load_image_dir_empty_root(tmp_path):

@@ -501,3 +501,23 @@ def test_densify_allocates_little_beyond_its_output():
         tracemalloc.stop()
     assert peak <= 1.25 * dense.nbytes
 
+
+def test_project_mailman_allocates_within_its_stated_budget():
+    # rp-faces' shape: the output, the one-hot matrices, one transposed tile
+    # for the whole call and one group's buckets, folded in place
+    n, d, t = 400, 10304, 360
+    a = np.random.default_rng(41).standard_normal((n, d))
+    before = a.copy()
+    plan = mailman.build_plan(d, t, 41)
+    slices = sum(len(mailman.bit_slices(p)) for p in plan.widths.tolist())
+    budget = (8 * n * t + 12 * d * slices + 8 * d * mailman.ROW_TILE
+              + mailman.TILE_BYTES)
+    tracemalloc.start()
+    try:
+        out = mailman.project_mailman(a, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, t)
+    assert peak <= budget
+    assert np.array_equal(a, before)

@@ -18,6 +18,32 @@ def test_as_matrix_rejects_bad_shapes_and_values():
         matrix.as_matrix([[1.0, np.nan]])
     with pytest.raises(ParameterError):
         matrix.as_matrix([[np.inf, 1.0]])
+    # finiteness is tested a block of rows at a time: a bad entry in the
+    # first row, in the last (partial) block, in a column-sliced view and
+    # in rows wider than one block is refused with the same message
+    n, d = 200, 1000
+    step = matrix.FINITE_BLOCK_BYTES // d
+    assert 1 < step < n and n % step
+    cases = [((n, d), (0, 0), np.s_[:, :]), ((n, d), (n - 1, d - 1), np.s_[:, :]),
+             ((n, d + 1), (150, 3), np.s_[:, :-1]), ((n, 2 * d), (n - 1, 1), np.s_[:, ::2]),
+             ((3, 2 * matrix.FINITE_BLOCK_BYTES), (2, 5), np.s_[:, :])]
+    for shape, at, view in cases:
+        for bad in (np.nan, np.inf, -np.inf):
+            a = np.zeros(shape)[view]
+            a[at] = bad
+            with pytest.raises(ParameterError, match=r"^matrix entries must be finite \(no NaN or Inf\)$"):
+                matrix.as_matrix(a)
+            a[at] = 1.0
+            got = matrix.as_matrix(a)
+            assert got.flags.c_contiguous and np.array_equal(got, a)
+
+
+def test_as_matrix_returns_a_c_contiguous_float64_input_itself():
+    a = np.random.default_rng(3).standard_normal((300, 500))
+    assert matrix.as_matrix(a) is a
+    assert np.shares_memory(matrix.as_matrix(a[100:]), a)
+    # a strided view comes back as a contiguous copy
+    assert not np.shares_memory(matrix.as_matrix(a[:, ::2]), a)
 
 
 def test_frobenius_norm_known_values():
