@@ -19,11 +19,11 @@ from .evaluation import (ExperimentRecord, PropertyReport, accuracy,
 from .kmeans import (Assignment, KMeansResult, PipelineResult, SolverSpec,
                      brute_force_optimal, lloyd, objective, project_and_cluster)
 from .mailman import (SignMatrix, block_row_multiply_counted, build_plan,
-                      densify, fold_buckets, project_mailman)
+                      densify, project_mailman)
 from .matrix import (SvdResult, as_matrix, best_rank_k, frobenius_norm,
                      matmul, pseudo_inverse, spectral_norm, svd_thin)
 from .projection import (DistortionReport, ProjectionConfig, jl_distortion_report,
-                         project_naive, sample_gaussian_matrix, sample_sign_matrix,
-                         svd_embed, target_dimension)
+                         project_naive, sample_sign_matrix, svd_embed,
+                         target_dimension)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

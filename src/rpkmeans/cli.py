@@ -34,7 +34,6 @@ BENCH_COLUMNS = ["impl", "d", "t", "n", "seed", "median_ms", "repeats"]
 METHOD_MAP = {
     "rp_mailman": "sign_mailman",
     "rp_naive": "sign_naive",
-    "gaussian": "gaussian",
     "svd": "svd_embed",
     "hd": "none",
 }
@@ -74,8 +73,7 @@ def _load_dataset(path, normalize_pixels: bool) -> Dataset:
 
 
 def run_experiment_sweep(dataset: Dataset, k: int, t_list, methods, spec: SolverSpec,
-                         seed: int, epsilon: float = 1.0 / 3.0,
-                         c: float = 1.0) -> list:
+                         seed: int, epsilon: float = 1.0 / 3.0) -> list:
     """One record per (method, t): run project_and_cluster and score the
     assignment against labels when present.
 
@@ -92,8 +90,7 @@ def run_experiment_sweep(dataset: Dataset, k: int, t_list, methods, spec: Solver
         if not cells:
             raise ParameterError("t_list must not be empty")
         for t in cells:
-            cfg = ProjectionConfig(k=k, epsilon=epsilon, c=c,
-                                   t_override=int(t), seed=seed)
+            cfg = ProjectionConfig(k=k, epsilon=epsilon, t_override=int(t), seed=seed)
             run = project_and_cluster(dataset.points, k, cfg, spec, METHOD_MAP[method])
             records.append(ExperimentRecord(
                 method=method,
@@ -186,8 +183,8 @@ def _resolve_cfg(args) -> ProjectionConfig:
         if args.t is None:
             raise ParameterError("provide --k (to size the projection) or --t")
         k = 1
-    return ProjectionConfig(k=k, epsilon=args.epsilon, c=args.c,
-                            t_override=args.t, seed=args.seed)
+    return ProjectionConfig(k=k, epsilon=args.epsilon, t_override=args.t,
+                            seed=args.seed)
 
 
 def _cmd_project(args) -> int:
@@ -214,9 +211,8 @@ def _cmd_cluster(args) -> int:
            if dataset.labels is not None else None)
     score_ms = run.plugback_ms + (time.perf_counter() - scored) * 1000.0
     params = {"input": str(args.input), "k": args.k, "method": args.method,
-              "t": run.t, "epsilon": args.epsilon, "c": args.c,
-              "solver": spec.kind, "max_iter": spec.max_iter,
-              "replicates": spec.replicates, "init": spec.init}
+              "t": run.t, "epsilon": args.epsilon, "solver": spec.kind,
+              "max_iter": spec.max_iter, "replicates": spec.replicates, "init": spec.init}
     timings = {"load_ms": load_ms, "projection_ms": run.projection_ms,
                "clustering_ms": run.clustering_ms, "score_ms": score_ms}
     payload = {
@@ -244,15 +240,14 @@ def _cmd_cluster(args) -> int:
 def _cmd_experiment(args) -> int:
     dataset = _load_dataset(args.input, args.normalize_pixels)
     spec = _solver_from_args(args)
-    t_list = args.t if args.t else [projection.target_dimension(
-        args.k, args.epsilon, args.c)]
+    t_list = args.t if args.t else [projection.target_dimension(args.k, args.epsilon)]
     records = run_experiment_sweep(dataset, args.k, t_list, args.method, spec,
-                                   args.seed, epsilon=args.epsilon, c=args.c)
+                                   args.seed, epsilon=args.epsilon)
     manifest = _manifest("experiment", {
         "input": str(args.input), "k": args.k, "t_list": t_list,
-        "methods": args.method, "epsilon": args.epsilon, "c": args.c,
-        "solver": spec.kind, "max_iter": spec.max_iter,
-        "replicates": spec.replicates, "init": spec.init}, args.seed)
+        "methods": args.method, "epsilon": args.epsilon, "solver": spec.kind,
+        "max_iter": spec.max_iter, "replicates": spec.replicates,
+        "init": spec.init}, args.seed)
     _write_table(args.output, manifest, EXPERIMENT_COLUMNS, (
         [r.method, str(r.t), str(r.k), repr(r.epsilon), str(r.seed), repr(r.f_tilde),
          "" if r.accuracy is None else repr(r.accuracy),
@@ -306,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="CSV file or directory of PGM class folders")
         sp.add_argument("--k", type=int, default=None)
         sp.add_argument("--epsilon", type=float, default=1.0 / 3.0)
-        sp.add_argument("--c", type=float, default=1.0)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--normalize-pixels", action="store_true",
                         help="divide inputs by 255 (for image data)")
@@ -333,8 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     proj = sub.add_parser("project", help="project a dataset to t dimensions")
     add_common(proj, with_method=False)
     proj.add_argument("--output", required=True)
-    proj.add_argument("--method", choices=["rp_mailman", "rp_naive",
-                                           "gaussian", "svd"],
+    proj.add_argument("--method", choices=sorted(set(METHOD_MAP) - {"hd"}),
                       default="rp_mailman")
     proj.add_argument("--t", type=int, default=None)
     proj.set_defaults(func=_cmd_project)

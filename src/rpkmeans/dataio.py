@@ -60,6 +60,8 @@ class MixtureSpec:
             raise ParameterError("need 1 <= k <= n")
         if self.center_scale < 0 or self.noise_sigma < 0:
             raise ParameterError("scales must be nonnegative")
+        if self.n * self.d > np.iinfo(np.intp).max // 8:
+            raise ParameterError("n * d exceeds what one float64 array can hold")
 
 
 def generate_mixture(spec: MixtureSpec) -> Dataset:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import mailman as _mailman, projection as _projection, rng as _rng
 from .errors import ParameterError
-from .matrix import as_matrix, matmul
+from .matrix import as_matrix
 
 BRUTE_FORCE_MAX_POINTS = 14
 _ENUM_CHUNK = 1 << 15
@@ -588,7 +588,7 @@ def brute_force_optimal(a, k: int) -> KMeansResult:
     )
 
 
-PIPELINE_METHODS = ("sign_mailman", "sign_naive", "gaussian", "svd_embed", "none")
+PIPELINE_METHODS = ("sign_mailman", "sign_naive", "svd_embed", "none")
 
 
 def apply_projection(a, cfg: _projection.ProjectionConfig, method: str):
@@ -609,8 +609,6 @@ def apply_projection(a, cfg: _projection.ProjectionConfig, method: str):
             projected = _mailman.project_mailman(a, _mailman.build_plan(d, t, cfg.seed))
         elif method == "sign_naive":
             projected = _projection.project_naive(a, _projection.sample_sign_matrix(d, t, cfg.seed))
-        elif method == "gaussian":
-            projected = matmul(a, _projection.sample_gaussian_matrix(d, t, cfg.seed))
         else:
             projected = _projection.svd_embed(a, t)
     if not np.isfinite(projected).all():

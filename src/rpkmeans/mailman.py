@@ -165,7 +165,17 @@ def build_plan(d: int, t: int, seed: int) -> SignMatrix:
 
 
 def _fold_in_place(v: np.ndarray, p: int) -> np.ndarray:
-    """fold_buckets on a 2**p bucket axis, overwriting v with partial sums."""
+    """Multiply bucket sums by the 2**p x p sign-pattern matrix, p >= 1: v's
+    bucket axis (axis 0, of length 2**p) becomes an axis of length p whose
+    entry b is sum(buckets with bit b set) - sum(the rest).
+
+    The top bit uses the high/low halves; lower bits reuse the running
+    total (merging halves keeps the sum), so the adds stay within 2**(p+1)
+    per bucket vector.  Every sum is a fixed sequence of elementwise adds of
+    whole slices of the bucket axis, never a reduction, so each element
+    along the other axes gets the same bits whatever their shape.  The adds
+    overwrite v with partial sums.
+    """
     out = np.empty((p,) + v.shape[1:])
     for b in range(p - 1, 0, -1):
         # merge the halves into the lower one, then add the upper half up
@@ -184,26 +194,6 @@ def _fold_in_place(v: np.ndarray, p: int) -> np.ndarray:
         out[1:] *= 2.0
         out[1:] -= v[0]
     return out
-
-
-def fold_buckets(buckets: np.ndarray) -> np.ndarray:
-    """Multiply bucket sums by the full 2**p x p sign-pattern matrix.
-
-    The bucket axis (axis 0, of length 2**p) becomes an axis of length p
-    whose entry b carries sum(+buckets where bit b set) - sum(rest); the
-    other axes are kept.  The top output uses the high/low halves
-    directly; lower bits reuse the running total (merging halves preserves
-    the overall sum), which keeps the addition count within 2**(p+1) per
-    bucket vector.  Every sum is a fixed sequence of elementwise adds of
-    whole slices of the bucket axis, never a reduction, so each element
-    along the other axes gets the same bits whatever their shape.  The
-    adds run in place on a copy of buckets, which is left as it was.
-    """
-    m = buckets.shape[0]
-    p = m.bit_length() - 1
-    if m < 2 or m != (1 << p):
-        raise ParameterError("bucket axis must have length 2**p with p >= 1")
-    return _fold_in_place(np.array(buckets), p)
 
 
 def block_row_multiply_counted(block: MailmanBlock, x):
@@ -321,8 +311,8 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
     (2**width buckets per slice, one ROW_TILE-long vector each) stays within
     TILE_BYTES.  Each group has its own one-hot sparse matrix, built once per
     call, that adds every coordinate's vector into its slice's bucket; the
-    buckets come out bucket axis first and fold_buckets folds them along it
-    with elementwise adds only.  Each output element is therefore computed
+    buckets come out bucket axis first and _fold_in_place folds them along
+    it with elementwise adds only.  Each output element is therefore computed
     by one fixed sequence of adds, and every row is bit-identical whatever
     the row count or tiling, n = 1 included.
 

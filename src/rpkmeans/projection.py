@@ -2,15 +2,16 @@
 
 A sign matrix is a mailman.SignMatrix; project_naive applies it by the
 fixed-order reference product, project_mailman by bucketing and folding.
-sample_gaussian_matrix returns a plain d x t array, applied by matmul.
+Its +-1 entries keep the Gaussian JL guarantee (Achlioptas, 2003).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import mailman, rng as _rng
+from . import mailman
 from .errors import ParameterError
 from .matrix import as_matrix, matmul, svd_thin
 
@@ -26,27 +27,21 @@ def _validate_epsilon(epsilon: float):
         raise ParameterError(f"epsilon={epsilon} outside (0, 1/3]")
 
 
-def _validate_c(c: float):
-    if not (0.0 < c < math.inf):
-        raise ParameterError(f"c={c} must be positive and finite")
-
-
-def target_dimension(k: int, epsilon: float, c: float = 1.0) -> int:
-    """Projection dimension t = ceil(c * k / epsilon**2).
+def target_dimension(k: int, epsilon: float) -> int:
+    """Projection dimension t = ceil(k / epsilon**2).
 
     Values within one part in 1e12 of an integer snap down before the
-    ceiling, so boundary inputs like epsilon = 1/3 do not overshoot.
+    ceiling, so boundary inputs like epsilon = 1/3 do not overshoot.  A k
+    past the float range overflows like any other k / epsilon**2.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
     _validate_epsilon(epsilon)
-    _validate_c(c)
     if epsilon * epsilon == 0.0:
         raise ParameterError(f"epsilon={epsilon} squared underflows to 0")
-    x = c * k / (epsilon * epsilon)
+    x = k / (epsilon * epsilon) if k <= sys.float_info.max else math.inf
     if not math.isfinite(x):
-        raise ParameterError(f"c * k / epsilon**2 overflows for c={c}, k={k}, "
-                             f"epsilon={epsilon}")
+        raise ParameterError(f"k / epsilon**2 overflows float64 at epsilon={epsilon}")
     return max(1, math.ceil(x - 1e-12 * x))
 
 
@@ -56,7 +51,6 @@ class ProjectionConfig:
 
     k: int
     epsilon: float = 1.0 / 3.0
-    c: float = 1.0
     t_override: int | None = None
     seed: int = 0
 
@@ -64,15 +58,13 @@ class ProjectionConfig:
         if self.k < 1:
             raise ParameterError("k must be at least 1")
         _validate_epsilon(self.epsilon)
-        _validate_c(self.c)
         if self.t_override is not None and self.t_override < 1:
             raise ParameterError("t_override must be at least 1")
 
     def resolve_t(self, d: int) -> int:
         """The projection dimension to use against d original columns."""
-        t = self.t_override if self.t_override is not None else target_dimension(
-            self.k, self.epsilon, self.c
-        )
+        t = (self.t_override if self.t_override is not None
+             else target_dimension(self.k, self.epsilon))
         if t > d:
             raise ParameterError(f"resolved t={t} exceeds input dimension d={d}")
         return t
@@ -82,15 +74,6 @@ def sample_sign_matrix(d: int, t: int, seed: int) -> mailman.SignMatrix:
     """Sample a d x t sign matrix scaled by 1/sqrt(t), packed by block:
     mailman._plan_blocks, which accepts any d, t >= 1."""
     return mailman._plan_blocks(d, t, seed)
-
-
-def sample_gaussian_matrix(d: int, t: int, seed: int) -> np.ndarray:
-    """A d x t array of independent N(0, 1/t) entries."""
-    if d < 1 or t < 1:
-        raise ParameterError("d and t must be positive")
-    entries = _rng.stream(seed, _rng.GAUSSIAN).standard_normal((d, t))
-    entries /= math.sqrt(t)
-    return entries
 
 
 def project_naive(a, sign: mailman.SignMatrix) -> np.ndarray:

@@ -13,9 +13,8 @@ from .errors import ParameterError
 
 # Domain tags keep unrelated consumers of the same user seed on disjoint
 # streams.  The per-domain index must fit in 48 bits.  A tag's value keys
-# every stream it owns, so tags are never renumbered; 3 and 9 are retired.
+# every stream it owns: tags are never renumbered, and 2, 3 and 9 are retired.
 SIGN_BLOCK = 1
-GAUSSIAN = 2
 MIXTURE_CENTERS = 4
 MIXTURE_NOISE = 5
 LLOYD_RESTART = 6

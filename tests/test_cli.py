@@ -92,7 +92,7 @@ def test_cluster_runs_the_library_pipeline(tmp_path):
     cfg = ProjectionConfig(k=4, t_override=16, seed=2)
     spec = SolverSpec(replicates=2)
     out = tmp_path / "result.json"
-    for method in ("rp_mailman", "rp_naive", "gaussian", "svd", "hd"):
+    for method in ("rp_mailman", "rp_naive", "svd", "hd"):
         assert cli.main(["cluster", "--input", str(data), "--output", str(out), "--k", "4",
                          "--method", method, "--t", "16", "--replicates", "2",
                          "--seed", "2"]) == 0
@@ -396,12 +396,10 @@ def test_bad_epsilon_exits_two(tmp_path):
     out = tmp_path / "out.csv"
     for bad in (["cluster", "--epsilon", "0.9", "--method", "rp_naive", "--t", "8"],
                 ["cluster", "--init-indices", "0,x,2,3"], ["cluster", "--init-indices", "0,,2,3"],
-                ["cluster", "--c", "inf", "--method", "rp_naive"],
-                ["cluster", "--c", "nan", "--method", "rp_naive"],
                 ["cluster", "--epsilon", "1e-200", "--method", "rp_naive"],
                 ["cluster", "--tol", "nan"], ["cluster", "--tol", "inf"],
                 ["cluster", "--tol", "1"],
-                ["experiment", "--c", "inf", "--output", str(out)]):
+                ["experiment", "--epsilon", "0.9", "--output", str(out)]):
         code = cli.main([*bad, "--input", str(data), "--k", "4"])
         assert code == 2
 
@@ -472,15 +470,23 @@ def test_oversized_t_exits_two(tmp_path):
 
 def test_unknown_method_is_an_argparse_error(tmp_path):
     data = make_dataset(tmp_path)
-    # a start is --init-indices or rows 0..k-1: cluster has no stride option
-    for bad in (["--method", "downsample"], ["--init-stride", "10"]):
+    # a start is --init-indices or rows 0..k-1: cluster has no stride option;
+    # the Gaussian arm and the c multiplier of t are gone
+    for bad in (["--method", "downsample"], ["--init-stride", "10"],
+                ["--method", "gaussian"], ["--c", "2"]):
         with pytest.raises(SystemExit) as err:
             cli.main(["cluster", "--input", str(data), "--k", "4", *bad])
+        assert err.value.code == 2
+    for bad in (["--method", "gaussian"], ["--method", "hd"], ["--c", "2"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["project", "--input", str(data), "--k", "4",
+                      "--output", str(tmp_path / "p.csv"), *bad])
         assert err.value.code == 2
 
 
 def test_sweep_rejects_unknown_method_name():
     ds = dataio.generate_mixture(dataio.MixtureSpec(n=10, d=4, k=2, seed=0))
     from rpkmeans.kmeans import SolverSpec
-    with pytest.raises(ParameterError):
-        cli.run_experiment_sweep(ds, 2, [2], ["warp"], SolverSpec(), seed=0)
+    for name in ("warp", "gaussian"):
+        with pytest.raises(ParameterError):
+            cli.run_experiment_sweep(ds, 2, [2], [name], SolverSpec(), seed=0)

@@ -55,6 +55,11 @@ def test_mixture_spec_validation():
         dataio.MixtureSpec(n=2, d=3, k=4)
     with pytest.raises(ParameterError):
         dataio.MixtureSpec(n=5, d=3, k=2, noise_sigma=-1.0)
+    # n * d float64s beyond one array's byte limit, or n no intp can hold
+    for n, d in ((1 << 62, 4), (1 << 57, 8), (10**400, 4)):
+        with pytest.raises(ParameterError):
+            dataio.MixtureSpec(n=n, d=d, k=2)
+    dataio.MixtureSpec(n=(1 << 57) - 1, d=8, k=2)  # the largest that fits
 
 
 def test_dataset_label_validation():

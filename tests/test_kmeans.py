@@ -694,16 +694,15 @@ def test_pipeline_sign_paths_agree_at_d_one():
     assert fast.original_objective == slow.original_objective
 
 
-def test_pipeline_gaussian_and_svd_methods_run():
+def test_pipeline_svd_method_runs():
     rng = np.random.default_rng(193)
     a = rng.standard_normal((15, 12))
     spec = kmeans.SolverSpec(init=(0, 2))
-    for method in ("gaussian", "svd_embed"):
-        out = kmeans.project_and_cluster(a, 2, ProjectionConfig(k=2, t_override=4),
-                                         spec, method=method)
-        assert out.projected.assignment.n == 15
-        assert out.original_objective >= 0.0
-        assert out.t == 4
+    out = kmeans.project_and_cluster(a, 2, ProjectionConfig(k=2, t_override=4),
+                                     spec, method="svd_embed")
+    assert out.projected.assignment.n == 15
+    assert out.original_objective >= 0.0
+    assert out.t == 4
 
 
 def test_pipeline_rejects_unknown_method():

@@ -14,8 +14,18 @@ def test_stream_is_reproducible():
 def test_streams_differ_across_coordinates():
     base = rng.stream(1, rng.SIGN_BLOCK, 0).standard_normal(8)
     assert not np.array_equal(base, rng.stream(2, rng.SIGN_BLOCK, 0).standard_normal(8))
-    assert not np.array_equal(base, rng.stream(1, rng.GAUSSIAN, 0).standard_normal(8))
+    assert not np.array_equal(base, rng.stream(1, rng.TRIAL, 0).standard_normal(8))
     assert not np.array_equal(base, rng.stream(1, rng.SIGN_BLOCK, 1).standard_normal(8))
+
+
+def test_domain_tags_are_distinct_and_never_reuse_a_retired_value():
+    # a tag's value keys every stream it owns: a reused retired value would
+    # hand a new consumer the streams an old one drew
+    tags = {name: value for name, value in vars(rng).items()
+            if name.isupper() and not name.startswith("_")}
+    assert tags
+    assert len(set(tags.values())) == len(tags)
+    assert not {2, 3, 9} & set(tags.values())
 
 
 def test_stream_order_independence():
