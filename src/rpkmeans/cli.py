@@ -1,5 +1,8 @@
-"""Command-line front end: dataset generation, projection, clustering,
-experiment sweeps, multiply benchmarks, and the property-check suite.
+"""Command-line front end: parse the arguments, load the input, call the
+library, write the output.  Dataset generation, projection, clustering
+(a one-cell run of the experiment sweep), experiment sweeps and multiply
+benchmarks (evaluation.run_experiment_sweep and run_bench), and the
+property-check suite.
 
 Exit codes: 0 success, 1 failed check or cross-check, 2 bad parameters,
 3 unreadable or unparsable input.
@@ -7,38 +10,23 @@ Exit codes: 0 success, 1 failed check or cross-check, 2 bad parameters,
 
 import argparse
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, evaluation, mailman, projection, rng as _rng
+from . import __version__, evaluation, projection
 from .dataio import Dataset, MixtureSpec, generate_mixture, load_image_dir, read_csv, write_csv
 from .errors import CrossCheckError, DataFormatError, ParameterError
-from .evaluation import ExperimentRecord, accuracy, normalized_objective
-from .kmeans import SolverSpec, apply_projection, project_and_cluster
+from .kmeans import SolverSpec, apply_projection
 # unused here, but the benchmark's tracing self-test wraps and restores
 # the binding cli.lloyd (perfbench/test_perfbench.py)
 from .kmeans import lloyd  # noqa: F401
-from .matrix import frobenius_norm
 from .projection import ProjectionConfig
 
 JSON_SCHEMA_VERSION = 1
 EXPERIMENT_COLUMNS = ["method", "t", "k", "epsilon", "seed", "f_tilde",
                       "accuracy", "projection_ms", "clustering_ms"]
 BENCH_COLUMNS = ["impl", "d", "t", "n", "seed", "median_ms", "repeats"]
-
-# CLI method names -> pipeline method names.
-METHOD_MAP = {
-    "rp_mailman": "sign_mailman",
-    "rp_naive": "sign_naive",
-    "svd": "svd_embed",
-    "hd": "none",
-}
-
-BENCH_IMPLS = ("naive", "mailman")
 
 
 def _manifest(subcommand: str, params: dict, seed: int, timings=None) -> dict:
@@ -63,6 +51,11 @@ def _solver_from_args(args) -> SolverSpec:
                       init=init, replicates=args.replicates)
 
 
+def _solver_params(spec: SolverSpec) -> dict:
+    return {"solver": spec.kind, "max_iter": spec.max_iter,
+            "replicates": spec.replicates, "init": spec.init}
+
+
 def _load_dataset(path, normalize_pixels: bool) -> Dataset:
     p = Path(path)
     dataset = load_image_dir(p) if p.is_dir() else read_csv(p)
@@ -70,87 +63,6 @@ def _load_dataset(path, normalize_pixels: bool) -> Dataset:
         dataset = Dataset(points=dataset.points / 255.0,
                           labels=dataset.labels, source=dataset.source)
     return dataset
-
-
-def run_experiment_sweep(dataset: Dataset, k: int, t_list, methods, spec: SolverSpec,
-                         seed: int, epsilon: float = 1.0 / 3.0) -> list:
-    """One record per (method, t): run project_and_cluster and score the
-    assignment against labels when present.
-
-    The hd method clusters the raw points once and records t = d.
-    """
-    fro = frobenius_norm(dataset.points)
-    if fro == 0.0:
-        raise ParameterError("sweep undefined for an all-zero dataset")
-    records = []
-    for method in methods:
-        if method not in METHOD_MAP:
-            raise ParameterError(f"unknown method {method!r}")
-        cells = [dataset.d] if method == "hd" else list(t_list)
-        if not cells:
-            raise ParameterError("t_list must not be empty")
-        for t in cells:
-            cfg = ProjectionConfig(k=k, epsilon=epsilon, t_override=int(t), seed=seed)
-            run = project_and_cluster(dataset.points, k, cfg, spec, METHOD_MAP[method])
-            records.append(ExperimentRecord(
-                method=method,
-                t=run.t,
-                f_tilde=normalized_objective(run.original_objective, fro),
-                accuracy=(accuracy(run.projected.assignment, dataset.labels)
-                          if dataset.labels is not None else None),
-                projection_ms=run.projection_ms,
-                clustering_ms=run.clustering_ms,
-                seed=seed,
-                k=k,
-                epsilon=epsilon,
-            ))
-    return records
-
-
-def run_bench(d_list, t_list, n: int, seed: int, impls=BENCH_IMPLS,
-              repeats: int = 5) -> list:
-    """Median wall time of each multiply implementation on each (d, t) cell.
-
-    Both implementations apply the same packed sign matrix: naive expands it
-    densely and multiplies, and mailman buckets and folds.  The mailman
-    output is cross-checked against naive to 1e-10 relative before any
-    timing; disagreement raises CrossCheckError.
-    """
-    if n < 1 or repeats < 1:
-        raise ParameterError("n and repeats must be positive")
-    for impl in impls:
-        if impl not in BENCH_IMPLS:
-            raise ParameterError(f"unknown impl {impl!r}")
-    rows = []
-    cell = 0
-    for d in d_list:
-        for t in t_list:
-            cell_seed = _rng.derive_seed(seed, _rng.BENCH, cell)
-            cell += 1
-            plan = mailman.build_plan(d, t, cell_seed)
-            a = _rng.stream(cell_seed, _rng.INSTANCE).standard_normal((n, d))
-            dense = mailman.densify(plan, scaled=True)
-            runners = {
-                "naive": lambda: a @ dense,
-                "mailman": lambda: mailman.project_mailman(a, plan),
-            }
-            reference = runners["naive"]()
-            ref_norm = max(np.linalg.norm(reference), 1e-300)
-            gap = np.linalg.norm(runners["mailman"]() - reference) / ref_norm
-            if gap > 1e-10:
-                raise CrossCheckError(f"mailman disagrees with naive at d={d}, "
-                                      f"t={t}: relative gap {gap:.3e}")
-            for impl in impls:
-                times = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    runners[impl]()
-                    times.append((time.perf_counter() - start) * 1000.0)
-                rows.append({"impl": impl, "d": d, "t": t, "n": n,
-                             "seed": cell_seed,
-                             "median_ms": statistics.median(times),
-                             "repeats": repeats})
-    return rows
 
 
 def _write_table(path, manifest, columns, rows):
@@ -177,20 +89,13 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_cfg(args) -> ProjectionConfig:
-    k = args.k
-    if k is None:
-        if args.t is None:
-            raise ParameterError("provide --k (to size the projection) or --t")
-        k = 1
-    return ProjectionConfig(k=k, epsilon=args.epsilon, t_override=args.t,
-                            seed=args.seed)
-
-
 def _cmd_project(args) -> int:
     dataset = _load_dataset(args.input, args.normalize_pixels)
-    cfg = _resolve_cfg(args)
-    proj, t_used = apply_projection(dataset.points, cfg, METHOD_MAP[args.method])
+    if args.k is None and args.t is None:
+        raise ParameterError("provide --k (to size the projection) or --t")
+    cfg = ProjectionConfig(k=1 if args.k is None else args.k, epsilon=args.epsilon,
+                           t_override=args.t, seed=args.seed)
+    proj, t_used = apply_projection(dataset.points, cfg, evaluation.METHOD_MAP[args.method])
     write_csv(Dataset(points=proj, labels=dataset.labels,
                       source=f"{dataset.source}|{args.method}@t={t_used}"),
               args.output)
@@ -201,20 +106,15 @@ def _cmd_cluster(args) -> int:
     start = time.perf_counter()
     dataset = _load_dataset(args.input, args.normalize_pixels)
     load_ms = (time.perf_counter() - start) * 1000.0
-    cfg = _resolve_cfg(args)
     spec = _solver_from_args(args)
-    run = project_and_cluster(dataset.points, args.k, cfg, spec, METHOD_MAP[args.method])
+    [record] = evaluation.run_experiment_sweep(dataset, args.k, [args.t], [args.method],
+                                               spec, args.seed, epsilon=args.epsilon)
+    run = record.run
     res = run.projected
-    scored = time.perf_counter()
-    fro = frobenius_norm(dataset.points)
-    acc = (accuracy(res.assignment, dataset.labels)
-           if dataset.labels is not None else None)
-    score_ms = run.plugback_ms + (time.perf_counter() - scored) * 1000.0
     params = {"input": str(args.input), "k": args.k, "method": args.method,
-              "t": run.t, "epsilon": args.epsilon, "solver": spec.kind,
-              "max_iter": spec.max_iter, "replicates": spec.replicates, "init": spec.init}
+              "t": run.t, "epsilon": args.epsilon, **_solver_params(spec)}
     timings = {"load_ms": load_ms, "projection_ms": run.projection_ms,
-               "clustering_ms": run.clustering_ms, "score_ms": score_ms}
+               "clustering_ms": run.clustering_ms, "score_ms": record.score_ms}
     payload = {
         "schema_version": JSON_SCHEMA_VERSION,
         "manifest": _manifest("cluster", params, args.seed, timings),
@@ -222,8 +122,8 @@ def _cmd_cluster(args) -> int:
             "labels": res.assignment.labels.tolist(),
             "projected_objective": res.objective,
             "original_objective": run.original_objective,
-            "f_tilde": normalized_objective(run.original_objective, fro),
-            "accuracy": acc,
+            "f_tilde": record.f_tilde,
+            "accuracy": record.accuracy,
             "iterations": res.iterations,
             "converged": res.converged,
             "replicate": res.replicate,
@@ -237,31 +137,35 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
+def _cell(value) -> str:
+    """A score cell: empty for None (no labels, or all-zero data)."""
+    return "" if value is None else repr(value)
+
+
 def _cmd_experiment(args) -> int:
     dataset = _load_dataset(args.input, args.normalize_pixels)
     spec = _solver_from_args(args)
-    t_list = args.t if args.t else [projection.target_dimension(args.k, args.epsilon)]
-    records = run_experiment_sweep(dataset, args.k, t_list, args.method, spec,
-                                   args.seed, epsilon=args.epsilon)
+    methods = args.method or ["rp_mailman", "hd"]
+    t_list = args.t or [projection.target_dimension(args.k, args.epsilon)]
+    records = evaluation.run_experiment_sweep(dataset, args.k, t_list, methods, spec,
+                                              args.seed, epsilon=args.epsilon)
     manifest = _manifest("experiment", {
-        "input": str(args.input), "k": args.k, "t_list": t_list,
-        "methods": args.method, "epsilon": args.epsilon, "solver": spec.kind,
-        "max_iter": spec.max_iter, "replicates": spec.replicates,
-        "init": spec.init}, args.seed)
+        "input": str(args.input), "k": args.k, "t_list": t_list, "methods": methods,
+        "epsilon": args.epsilon, **_solver_params(spec)}, args.seed)
     _write_table(args.output, manifest, EXPERIMENT_COLUMNS, (
-        [r.method, str(r.t), str(r.k), repr(r.epsilon), str(r.seed), repr(r.f_tilde),
-         "" if r.accuracy is None else repr(r.accuracy),
-         f"{r.projection_ms:.3f}", f"{r.clustering_ms:.3f}"]
+        [r.method, str(r.run.t), str(args.k), repr(args.epsilon), str(args.seed),
+         _cell(r.f_tilde), _cell(r.accuracy),
+         f"{r.run.projection_ms:.3f}", f"{r.run.clustering_ms:.3f}"]
         for r in records))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    rows = run_bench(args.d, args.t, args.n, args.seed, impls=args.impl,
-                     repeats=args.repeats)
+    rows = evaluation.run_bench(args.d, args.t, args.n, args.seed, repeats=args.repeats)
     manifest = _manifest("bench", {
         "d_list": args.d, "t_list": args.t, "n": args.n,
-        "impls": list(args.impl), "repeats": args.repeats}, args.seed)
+        "impls": list(dict.fromkeys(r["impl"] for r in rows)),
+        "repeats": args.repeats}, args.seed)
     _write_table(args.output, manifest, BENCH_COLUMNS, (
         [r["impl"], str(r["d"]), str(r["t"]), str(r["n"]), str(r["seed"]),
          f"{r['median_ms']:.4f}", str(r["repeats"])]
@@ -327,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     proj = sub.add_parser("project", help="project a dataset to t dimensions")
     add_common(proj, with_method=False)
     proj.add_argument("--output", required=True)
-    proj.add_argument("--method", choices=sorted(set(METHOD_MAP) - {"hd"}),
+    proj.add_argument("--method", choices=sorted(set(evaluation.METHOD_MAP) - {"hd"}),
                       default="rp_mailman")
     proj.add_argument("--t", type=int, default=None)
     proj.set_defaults(func=_cmd_project)
@@ -335,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     clu = sub.add_parser("cluster", help="cluster one dataset, write JSON")
     add_common(clu)
     clu.add_argument("--output", default=None)
-    clu.add_argument("--method", choices=sorted(METHOD_MAP), default="hd")
+    clu.add_argument("--method", choices=sorted(evaluation.METHOD_MAP), default="hd")
     clu.add_argument("--t", type=int, default=None)
     clu.set_defaults(func=_cmd_cluster)
 
@@ -343,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(exp)
     exp.add_argument("--output", required=True)
     exp.add_argument("--method", action="append", default=None,
-                     help="repeatable; any of " + ", ".join(sorted(METHOD_MAP)))
+                     help="repeatable; any of " + ", ".join(sorted(evaluation.METHOD_MAP)))
     exp.add_argument("--t", type=int, action="append", default=None,
                      help="repeatable projection dimension")
     exp.set_defaults(func=_cmd_experiment)
@@ -354,8 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--t", type=int, action="append", required=True)
     ben.add_argument("--n", type=int, default=1)
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--impl", action="append", default=None,
-                     help="repeatable; naive, mailman")
     ben.add_argument("--repeats", type=int, default=5)
     ben.set_defaults(func=_cmd_bench)
 
@@ -372,10 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "method", None) is None and args.subcommand == "experiment":
-        args.method = ["rp_mailman", "hd"]
-    if getattr(args, "impl", None) is None and args.subcommand == "bench":
-        args.impl = list(BENCH_IMPLS)
     needs_k = args.subcommand in ("cluster", "experiment")
     if needs_k and args.k is None:
         print("error: --k is required", file=sys.stderr)

@@ -1,17 +1,32 @@
-"""Scoring (normalized objective, label accuracy) and the randomized
-property checks behind the projection guarantees."""
+"""Scoring (normalized objective, label accuracy), the randomized property
+checks behind the projection guarantees, and the paper's two experiments:
+the sweep that clusters projections at several t beside clustering in d
+dimensions (run_experiment_sweep, which the CLI's cluster and experiment
+both run) and the timing of the sign-matrix multiply (run_bench)."""
 
 import math
+import statistics
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import projection as _projection, rng as _rng
-from .errors import ParameterError
-from .kmeans import Assignment, brute_force_optimal, objective
-from .mailman import densify
+from .dataio import Dataset
+from .errors import CrossCheckError, ParameterError
+from .kmeans import (Assignment, PipelineResult, SolverSpec, brute_force_optimal,
+                     objective, project_and_cluster)
+from .mailman import build_plan, densify, project_mailman
 from .matrix import (as_matrix, best_rank_k, frobenius_norm, pseudo_inverse,
                      spectral_norm, svd_thin)
+
+# Experiment method names -> pipeline method names.
+METHOD_MAP = {
+    "rp_mailman": "sign_mailman",
+    "rp_naive": "sign_naive",
+    "svd": "svd_embed",
+    "hd": "none",
+}
 
 
 @dataclass
@@ -31,17 +46,18 @@ class PropertyReport:
 
 @dataclass
 class ExperimentRecord:
-    """One sweep cell: method and t, scores, and per-phase wall times."""
+    """One sweep cell: the method, its pipeline run, and its scores.
+
+    f_tilde is None for all-zero data and accuracy None without labels;
+    score_ms is the run's plug-back time plus the wall milliseconds of the
+    Frobenius norm and the accuracy.
+    """
 
     method: str
-    t: int
-    f_tilde: float
+    run: PipelineResult
+    f_tilde: float | None
     accuracy: float | None
-    projection_ms: float
-    clustering_ms: float
-    seed: int
-    k: int
-    epsilon: float
+    score_ms: float
 
 
 def normalized_objective(value: float, fro: float) -> float | None:
@@ -166,8 +182,7 @@ def norm_bound_check(c, k: int, epsilon: float, trials: int, seed: int,
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon={epsilon!r} outside (0, 1)")
     # proof-scale epsilons exceed the clustering range, so size t here
-    x = 200.0 * k / (epsilon * epsilon)
-    t = max(1, math.ceil(x - 1e-12 * x))
+    t = _projection._snapped_ceil(200.0 * k / (epsilon * epsilon))
     fro = frobenius_norm(c)
     limit = math.sqrt(1.0 + epsilon * bound_scale) * fro
     passes = 0
@@ -367,3 +382,76 @@ def property_suite(seed: int, scale: str, bound_scale: float = 1.0) -> list:
             "ok": report.passes >= need,
         })
     return entries
+
+
+def run_experiment_sweep(dataset: Dataset, k: int, t_list, methods, spec: SolverSpec,
+                         seed: int, epsilon: float = 1.0 / 3.0) -> list:
+    """One record per (method, t): run project_and_cluster and score the
+    assignment.
+
+    A t of None takes the default t = ceil(k / epsilon**2).  The hd method
+    clusters the raw points once, under the first t's configuration, and
+    its run records t = d.  Every t and method is checked before the first
+    run.
+    """
+    configs = [_projection.ProjectionConfig(k=k, epsilon=epsilon, t_override=t, seed=seed)
+               for t in t_list]
+    if not configs:
+        raise ParameterError("t_list must not be empty")
+    for method in methods:
+        if method not in METHOD_MAP:
+            raise ParameterError(f"unknown method {method!r}")
+    records = []
+    for method in methods:
+        for cfg in configs[:1] if method == "hd" else configs:
+            run = project_and_cluster(dataset.points, k, cfg, spec, METHOD_MAP[method])
+            scored = time.perf_counter()
+            f_tilde = normalized_objective(run.original_objective,
+                                           frobenius_norm(dataset.points))
+            acc = (accuracy(run.projected.assignment, dataset.labels)
+                   if dataset.labels is not None else None)
+            score_ms = run.plugback_ms + (time.perf_counter() - scored) * 1000.0
+            records.append(ExperimentRecord(method, run, f_tilde, acc, score_ms))
+    return records
+
+
+def run_bench(d_list, t_list, n: int, seed: int, repeats: int = 5) -> list:
+    """Median wall time of each multiply implementation on each (d, t) cell.
+
+    Both implementations apply the same packed sign matrix: naive expands it
+    densely and multiplies, and mailman buckets and folds.  The mailman
+    output is cross-checked against naive to 1e-10 relative before any
+    timing; disagreement raises CrossCheckError.
+    """
+    if n < 1 or repeats < 1:
+        raise ParameterError("n and repeats must be positive")
+    rows = []
+    cell = 0
+    for d in d_list:
+        for t in t_list:
+            cell_seed = _rng.derive_seed(seed, _rng.BENCH, cell)
+            cell += 1
+            plan = build_plan(d, t, cell_seed)
+            a = _rng.stream(cell_seed, _rng.INSTANCE).standard_normal((n, d))
+            dense = densify(plan, scaled=True)
+            runners = {
+                "naive": lambda: a @ dense,
+                "mailman": lambda: project_mailman(a, plan),
+            }
+            reference = runners["naive"]()
+            ref_norm = max(np.linalg.norm(reference), 1e-300)
+            gap = np.linalg.norm(runners["mailman"]() - reference) / ref_norm
+            if gap > 1e-10:
+                raise CrossCheckError(f"mailman disagrees with naive at d={d}, "
+                                      f"t={t}: relative gap {gap:.3e}")
+            for impl, runner in runners.items():
+                times = []
+                for _ in range(repeats):
+                    start = time.perf_counter()
+                    runner()
+                    times.append((time.perf_counter() - start) * 1000.0)
+                rows.append({"impl": impl, "d": d, "t": t, "n": n,
+                             "seed": cell_seed,
+                             "median_ms": statistics.median(times),
+                             "repeats": repeats})
+    return rows

@@ -64,10 +64,17 @@ MAX_WIDTH = 63
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """values as int64, refusing (never truncating) entries that are not integers."""
+    """values as int64, refusing (never truncating or wrapping) entries that
+    are not integers or lie outside the int64 range."""
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
-        raise ParameterError(f"{what} must be integers")
+        # numpy holds Python ints past int64 as float64 or object entries
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in np.asarray(values, dtype=object).flat):
+            raise ParameterError(f"{what} must be integers")
+        raise ParameterError(f"{what} must lie in the int64 range")
+    if array.dtype == np.uint64 and array.size and array.max() > np.iinfo(np.int64).max:
+        raise ParameterError(f"{what} must lie in the int64 range")
     return array.astype(np.int64, copy=False)
 
 

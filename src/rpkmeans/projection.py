@@ -27,12 +27,17 @@ def _validate_epsilon(epsilon: float):
         raise ParameterError(f"epsilon={epsilon} outside (0, 1/3]")
 
 
-def target_dimension(k: int, epsilon: float) -> int:
-    """Projection dimension t = ceil(k / epsilon**2).
+def _snapped_ceil(x: float) -> int:
+    """ceil(x), at least 1, after values within one part in 1e12 of an
+    integer snap down, so boundary inputs like epsilon = 1/3 do not
+    overshoot."""
+    return max(1, math.ceil(x - 1e-12 * x))
 
-    Values within one part in 1e12 of an integer snap down before the
-    ceiling, so boundary inputs like epsilon = 1/3 do not overshoot.  A k
-    past the float range overflows like any other k / epsilon**2.
+
+def target_dimension(k: int, epsilon: float) -> int:
+    """Projection dimension t = ceil(k / epsilon**2), snapped as in
+    _snapped_ceil.  A k past the float range overflows like any other
+    k / epsilon**2.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
@@ -42,7 +47,7 @@ def target_dimension(k: int, epsilon: float) -> int:
     x = k / (epsilon * epsilon) if k <= sys.float_info.max else math.inf
     if not math.isfinite(x):
         raise ParameterError(f"k / epsilon**2 overflows float64 at epsilon={epsilon}")
-    return max(1, math.ceil(x - 1e-12 * x))
+    return _snapped_ceil(x)
 
 
 @dataclass

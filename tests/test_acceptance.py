@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from _oracles import accuracy_by_permutation
-from rpkmeans import cli, dataio, evaluation, kmeans, mailman, projection
+from rpkmeans import dataio, evaluation, kmeans, mailman, projection
 from rpkmeans.matrix import best_rank_k, frobenius_norm
 
 SEED = 0
@@ -193,9 +193,9 @@ def test_criterion_10_sweep_plateau_shape():
     ds = _big_mixture()
     spec = kmeans.SolverSpec(kind="lloyd")
     t_list = [5, 10, 25, 50, 100, 150, 200, 250, 300]
-    records = cli.run_experiment_sweep(ds, 40, t_list, ["rp_mailman", "hd"],
-                                       spec, seed=SEED)
-    rp = {r.t: r.f_tilde for r in records if r.method == "rp_mailman"}
+    records = evaluation.run_experiment_sweep(ds, 40, t_list, ["rp_mailman", "hd"],
+                                              spec, seed=SEED)
+    rp = {r.run.t: r.f_tilde for r in records if r.method == "rp_mailman"}
     hd_f = next(r.f_tilde for r in records if r.method == "hd")
     curve = [rp[t] for t in t_list]
     smooth = _median3(curve)
@@ -212,7 +212,7 @@ def test_criterion_11_projection_speed_advantage():
     ds = _big_mixture()
     spec = kmeans.SolverSpec(kind="lloyd", replicates=5)
     # warm-up pass so allocator and import costs hit neither arm
-    cli.run_experiment_sweep(ds, 40, [100], ["rp_mailman", "hd"], spec, seed=99)
+    evaluation.run_experiment_sweep(ds, 40, [100], ["rp_mailman", "hd"], spec, seed=99)
     # each arm's time per seed is its fastest of three sweeps, taken in three
     # rounds over the seeds, so that a stall of the machine that outlasts
     # one seed's sweeps does not decide that seed
@@ -220,12 +220,12 @@ def test_criterion_11_projection_speed_advantage():
     total_hd = [float("inf")] * 5
     for _ in range(3):
         for seed in range(5):
-            records = cli.run_experiment_sweep(ds, 40, [100], ["rp_mailman", "hd"],
-                                               spec, seed=seed)
+            records = evaluation.run_experiment_sweep(ds, 40, [100], ["rp_mailman", "hd"],
+                                                      spec, seed=seed)
             rp = next(r for r in records if r.method == "rp_mailman")
             hd = next(r for r in records if r.method == "hd")
-            total_rp[seed] = min(total_rp[seed], rp.projection_ms + rp.clustering_ms)
-            total_hd[seed] = min(total_hd[seed], hd.clustering_ms)
+            total_rp[seed] = min(total_rp[seed], rp.run.projection_ms + rp.run.clustering_ms)
+            total_hd[seed] = min(total_hd[seed], hd.run.clustering_ms)
     wins = sum(r < h for r, h in zip(total_rp, total_hd))
     detail = [f"{r:.0f}<{h:.0f}" for r, h in zip(total_rp, total_hd)]
     _criterion(11, "projection plus reduced clustering beats full-dim clustering, 5/5 seeds",

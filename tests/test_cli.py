@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -97,7 +98,7 @@ def test_cluster_runs_the_library_pipeline(tmp_path):
                          "--method", method, "--t", "16", "--replicates", "2",
                          "--seed", "2"]) == 0
         result = json.loads(out.read_text())["result"]
-        run = project_and_cluster(points, 4, cfg, spec, cli.METHOD_MAP[method])
+        run = project_and_cluster(points, 4, cfg, spec, evaluation.METHOD_MAP[method])
         assert result["labels"] == run.projected.assignment.labels.tolist()
         assert result["projected_objective"] == run.projected.objective
         assert result["original_objective"] == run.original_objective
@@ -316,14 +317,18 @@ def test_bench_writes_cross_checked_timings(tmp_path):
 
 def test_bench_rejects_zero_t(tmp_path):
     out = tmp_path / "bench.csv"
-    for bad in (["--t", "0"], ["--t", "6", "--impl", "on_the_fly"], ["--t", "2", "--d", "-3"]):
+    for bad in (["--t", "0"], ["--t", "2", "--d", "-3"]):
         code = cli.main(["bench", "--output", str(out), "--d", "64", *bad])
         assert code == 2
+    # bench always times both implementations: it has no --impl option
+    with pytest.raises(SystemExit) as err:
+        cli.main(["bench", "--output", str(out), "--d", "64", "--t", "6",
+                  "--impl", "on_the_fly"])
+    assert err.value.code == 2
 
 
 def test_bench_vector_case_reports_all_impls():
-    rows = cli.run_bench([1 << 10], [10], n=1, seed=0,
-                         impls=("naive", "mailman"), repeats=3)
+    rows = evaluation.run_bench([1 << 10], [10], n=1, seed=0, repeats=3)
     by_impl = {r["impl"]: r["median_ms"] for r in rows}
     assert set(by_impl) == {"naive", "mailman"}
 
@@ -404,6 +409,13 @@ def test_bad_epsilon_exits_two(tmp_path):
         assert code == 2
 
 
+def test_init_indices_past_int64_name_the_range(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    assert cli.main(["cluster", "--input", str(data), "--k", "2",
+                     "--init-indices", "0,99999999999999999999"]) == 2
+    assert "init row indices must lie in the int64 range" in capsys.readouterr().err
+
+
 def test_cluster_overflowing_input_exits_two(tmp_path, capsys):
     ds = dataio.generate_mixture(dataio.MixtureSpec(n=20, d=4, k=2, seed=0))
     path = tmp_path / "huge.csv"
@@ -440,7 +452,7 @@ def test_cluster_sign_methods_accept_one_column(tmp_path):
     assert labels[0] == labels[1]
 
 
-def test_all_zero_data_has_no_f_tilde(tmp_path, capsys):
+def test_all_zero_data_has_no_f_tilde(tmp_path):
     path = tmp_path / "zero.csv"
     dataio.write_csv(dataio.Dataset(points=np.zeros((20, 8)), labels=None, source="zero"),
                      path)
@@ -449,11 +461,12 @@ def test_all_zero_data_has_no_f_tilde(tmp_path, capsys):
         assert cli.main(["cluster", "--input", str(path), "--k", "2", "--method", method,
                          "--t", "4", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["result"]["f_tilde"] is None
-    capsys.readouterr()
-    code = cli.main(["experiment", "--input", str(path), "--k", "2", "--t", "4",
-                     "--output", str(tmp_path / "sweep.csv")])
-    assert code == 2
-    assert "sweep undefined for an all-zero dataset" in capsys.readouterr().err
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["experiment", "--input", str(path), "--k", "2", "--t", "4",
+                     "--output", str(out)]) == 0
+    _, _, recs = read_records(out)
+    assert [r["method"] for r in recs] == ["rp_mailman", "hd"]
+    assert all(r["f_tilde"] == "" for r in recs)
 
 
 def test_missing_k_exits_two(tmp_path):
@@ -489,4 +502,42 @@ def test_sweep_rejects_unknown_method_name():
     from rpkmeans.kmeans import SolverSpec
     for name in ("warp", "gaussian"):
         with pytest.raises(ParameterError):
-            cli.run_experiment_sweep(ds, 2, [2], [name], SolverSpec(), seed=0)
+            evaluation.run_experiment_sweep(ds, 2, [2], [name], SolverSpec(), seed=0)
+
+
+# sha256 of CLI outputs on one seeded `generate` CSV, read from a relative
+# path so the manifest's "input" does not name the test's directory: the
+# cluster JSON with every "*_ms" timing replaced by null, and the experiment
+# CSV without its two timing columns.  svd is left out, since LAPACK's bits
+# differ between builds; the other methods are exact by construction.
+GOLDEN_CLI_DIGESTS = {
+    "cluster-rp_mailman":
+        "b742e6085c6ee54c412f9a242b4e0c3ad1e191ba2cb1052cd457e6cdce94b710",
+    "cluster-rp_naive":
+        "da0f82060c2b89a57a3b3a1a7df0b62cf737658505d9c1480545fde67042b0b9",
+    "cluster-hd":
+        "53cd8be778d3fe5ecaccc1895072d997951af51e02a7605d9c7186d66ab4cf70",
+    "experiment":
+        "72ca55f1d600d5f63fa3e73b580c99e32d4a5f320eb2e9eee8504fe9b2484b47",
+}
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "--output", "mix.csv", "--n", "90", "--d", "48",
+                     "--k", "6", "--center-scale", "0.3",
+                     "--noise-sigma", "0.3", "--seed", "7"]) == 0
+    common = ["--input", "mix.csv", "--k", "6", "--seed", "5", "--replicates", "2"]
+    outputs = {}
+    for method in ("rp_mailman", "rp_naive", "hd"):
+        assert cli.main(["cluster", *common, "--method", method, "--t", "12",
+                         "--output", "out.json"]) == 0
+        outputs[f"cluster-{method}"] = re.sub(
+            rb'("\w+_ms": )[^,\n]+', rb"\1null", Path("out.json").read_bytes())
+    assert cli.main(["experiment", *common, "--method", "rp_mailman", "--method", "rp_naive",
+                     "--method", "hd", "--t", "6", "--t", "12", "--output", "out.csv"]) == 0
+    lines = Path("out.csv").read_text().splitlines()
+    outputs["experiment"] = "\n".join(
+        lines[:2] + [line.rsplit(",", 2)[0] for line in lines[2:]]).encode()
+    assert {name: hashlib.sha256(text).hexdigest()
+            for name, text in outputs.items()} == GOLDEN_CLI_DIGESTS

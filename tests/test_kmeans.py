@@ -586,6 +586,18 @@ def test_lloyd_start_refuses_what_is_not_row_indices(init):
         kmeans.SolverSpec(init=init)
 
 
+@pytest.mark.parametrize("init", [
+    (0, 10**400),  # numpy holds it as an object entry
+    (0, 2**63),  # numpy holds it as a float64 entry
+    (0, -2**63 - 1),
+    np.array([0, 2**64 - 1], dtype=np.uint64),  # once wrapped to row -1
+])
+def test_lloyd_start_names_rows_outside_int64(init):
+    # such rows were once called "not integers"
+    with pytest.raises(ParameterError, match="init row indices must lie in the int64 range"):
+        kmeans.SolverSpec(init=init)
+
+
 @pytest.mark.parametrize("init", [(0,), (0, 1, 2), (), (0, 6), (-1, 0)])
 def test_lloyd_start_refuses_a_wrong_count_or_a_row_out_of_range(init):
     a = np.random.default_rng(5).standard_normal((6, 2))

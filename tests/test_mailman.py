@@ -216,6 +216,17 @@ def test_sign_matrix_refuses_malformed_arrays():
         mailman.SignMatrix(d=3, t=2, widths=[1, 1], codes=codes * 2)
 
 
+def test_sign_matrix_names_integers_outside_int64():
+    # such entries were once called "not integers", and uint64 codes wrapped
+    for codes in ([[0, 2**64]], [[0, 2**63]], np.array([[0, 2**64 - 1]], dtype=np.uint64)):
+        with pytest.raises(ParameterError, match="codes must lie in the int64 range"):
+            mailman.SignMatrix(d=2, t=1, widths=[1], codes=codes)
+    with pytest.raises(ParameterError, match="block widths must lie in the int64 range"):
+        mailman.SignMatrix(d=2, t=1, widths=[2**64], codes=[[0, 1]])
+    ok = mailman.SignMatrix(d=2, t=1, widths=[1], codes=np.array([[0, 1]], dtype=np.uint64))
+    assert ok.codes.dtype == np.int64 and ok.codes.tolist() == [[0, 1]]
+
+
 def test_project_mailman_deterministic():
     rng = np.random.default_rng(83)
     a = rng.standard_normal((5, 32))
