@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(exp)
     exp.add_argument("--output", required=True)
     exp.add_argument("--method", action="append", default=None,
-                     help="repeatable; any of " + ", ".join(sorted(evaluation.METHOD_MAP)))
+                     choices=sorted(evaluation.METHOD_MAP), help="repeatable")
     exp.add_argument("--t", type=int, action="append", default=None,
                      help="repeatable projection dimension")
     exp.set_defaults(func=_cmd_experiment)

@@ -58,8 +58,11 @@ class MixtureSpec:
             raise ParameterError("d must be at least 1")
         if not 1 <= self.k <= self.n:
             raise ParameterError("need 1 <= k <= n")
-        if self.center_scale < 0 or self.noise_sigma < 0:
-            raise ParameterError("scales must be nonnegative")
+        for name in ("center_scale", "noise_sigma"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so test for the good range
+            if not 0 <= value < math.inf:
+                raise ParameterError(f"{name}={value!r} must be finite and nonnegative")
         if self.n * self.d > np.iinfo(np.intp).max // 8:
             raise ParameterError("n * d exceeds what one float64 array can hold")
 

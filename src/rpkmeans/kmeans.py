@@ -23,13 +23,14 @@ BLAS build, the thread count or the number of replicates; only the count of
 rows the fixed form decided (settled) depends on the screen.
 
 A partition's cost is computed two ways, on purpose.  objective prices it
-directly, sum ||a_i - c_l(i)||^2 with the bits of np.sum, for the final
-plug-back.  Lloyd's trace takes sum ||a_i||^2 - sum_j ||S_j||^2 / z_j
-(_partition_cost) from the cluster sums S_j it has already formed: pricing
-every iteration directly would add about 24% to an iteration at 400 x 100,
-k = 40, and 3x at 1000 x 256, k = 20."""
+directly for the final plug-back: each row's ||a_i - c_l(i)||^2 in the
+fixed form Lloyd's labels use (_own_d2, which also prices the rows of the
+empty-cluster repair), the n row costs added by np.sum.  Lloyd's trace
+takes sum ||a_i||^2 - sum_j ||S_j||^2 / z_j (_partition_cost) from the
+cluster sums S_j it has already formed: pricing every iteration directly
+would add about 24% to an iteration at 400 x 100, k = 40, and 3x at
+1000 x 256, k = 20."""
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,9 +43,9 @@ from .matrix import as_matrix
 
 BRUTE_FORCE_MAX_POINTS = 14
 _ENUM_CHUNK = 1 << 15
-# objective squares and sums the differences this many elements at a time,
-# and lloyd's fixed-form distances and screen form take at most this many
-# per chunk; at least 128, the size up to which numpy sums without splitting.
+# the fixed-form row costs (objective, lloyd's repair), lloyd's fixed-form
+# (row, centroid) pairs and its screen form go through their scratch in
+# chunks of whole rows, at most this many elements (one row, if longer)
 OBJECTIVE_LEAF = 1 << 16
 
 
@@ -153,66 +154,43 @@ def cluster_sums(a, labels, k: int) -> np.ndarray:
     return np.asarray(_onehot(labels, k) @ a)
 
 
-def _pairwise_sum(lo, hi, leaf_sum):
-    """Sum of leaf_sum over the flat index range lo..hi, split as numpy's
-    pairwise sum splits it until a part holds at most OBJECTIVE_LEAF
-    elements.  A module-level function, not a closure: a closure that calls
-    itself is a reference cycle, which would keep the leaf buffer alive
-    until the cyclic garbage collector runs."""
-    n = hi - lo
-    if n <= OBJECTIVE_LEAF:
-        return leaf_sum(lo, hi)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(lo, lo + half, leaf_sum) + _pairwise_sum(lo + half, hi, leaf_sum)
-
-
-def _squared_leaf(flat, d, centroids, labels, buf, lo, hi):
-    """Sum of the squared differences at flat indices lo..hi of
-    a - centroids[labels], where flat is a.reshape(-1) and d the row length
-    of a; buf holds at least hi - lo elements."""
-    r0, c0 = divmod(lo, d)
-    r1, c1 = divmod(hi, d)
-    out = buf[:hi - lo]
-    # the centroid entries at those indices: the rest of row r0, rows
-    # r0 + 1 .. r1 - 1 whole, and the start of row r1
-    if r0 == r1:
-        out[:] = centroids[labels[r0], c0:c1]
-    else:
-        out[:d - c0] = centroids[labels[r0], c0:]
-        # mode="clip" writes straight into out; "raise" would buffer it, and
-        # the labels are in range
-        np.take(centroids, labels[r0 + 1:r1], axis=0, mode="clip",
-                out=out[d - c0:hi - lo - c1].reshape(-1, d))
-        if c1:
-            out[hi - lo - c1:] = centroids[labels[r1], :c1]
-    np.subtract(flat[lo:hi], out, out=out)
-    np.multiply(out, out, out=out)
-    return out.sum()
+def _own_d2(a, centroids, labels):
+    """Each row's squared distance to its own centroid in the fixed form:
+    entry i is numpy's own sum of (a[i] - centroids[labels[i]]) ** 2 over
+    the columns, the bits _fixed_d2 gives the pair (i, labels[i]).  Rows go
+    in chunks of at most OBJECTIVE_LEAF elements through one reused buffer,
+    with no n x d gather."""
+    n, d = a.shape
+    out = np.empty(n)
+    step = max(1, OBJECTIVE_LEAF // d)
+    buf = np.empty((min(step, n), d))
+    for lo in range(0, n, step):
+        part = buf[:min(step, n - lo)]
+        # mode="clip" writes straight into part; "raise" would buffer it,
+        # and the labels are in range
+        np.take(centroids, labels[lo:lo + step], axis=0, mode="clip", out=part)
+        np.subtract(a[lo:lo + step], part, out=part)
+        np.multiply(part, part, out=part)
+        # a sum along the last, contiguous axis is numpy's pairwise sum of
+        # each row, the bits np.sum gives that row alone
+        out[lo:lo + step] = part.sum(axis=1)
+    return out
 
 
 def objective(a, asg: Assignment) -> float:
     """Sum of squared distances from each point to its cluster mean.
 
-    Returns the bits of np.sum(diff * diff) with diff = a - centroids[labels],
-    without an n x d temporary.  numpy sums a contiguous array pairwise: a
-    range of more than 128 elements splits at n2 = n // 2 - (n // 2) % 8
-    and the two halves' sums are added.  objective splits the flat range
-    0..n*d the same way until a part (a leaf) holds at most OBJECTIVE_LEAF
-    elements.  Each leaf fills one reused buffer with its squared
-    differences and sums it with numpy's own sum, which splits it as the
-    whole array's sum would; the leaves' sums are then added back up the
-    tree.  Every addition is the one np.sum makes, so the bits are equal.
+    The means come from cluster_sums.  Each row is priced once in the fixed
+    form Lloyd's labels use (_own_d2), and the result is np.sum of those n
+    row costs: the bits of np.sum(np.sum(diff * diff, axis=1)) with
+    diff = a - means[labels], without an n x d temporary.
     """
     a = as_matrix(a)
     if asg.labels.size != a.shape[0]:
         raise ParameterError("assignment length does not match row count")
-    centroids = cluster_sums(a, asg.labels, asg.k)
-    centroids /= np.maximum(asg.cluster_sizes, 1)[:, None]
-    buf = np.empty(min(OBJECTIVE_LEAF, a.size))
-    leaf_sum = functools.partial(_squared_leaf, a.reshape(-1), a.shape[1],
-                                 centroids, asg.labels, buf)
-    return float(_pairwise_sum(0, a.size, leaf_sum))
+    means = cluster_sums(a, asg.labels, asg.k)
+    means /= np.maximum(asg.cluster_sizes, 1)[:, None]
+    return float(_own_d2(a, means, asg.labels).sum())
 
 
 def _partition_cost(a_sq_total, sums_sq, sizes):
@@ -267,10 +245,10 @@ def _repair(a, labels, sizes, centroids):
     would pick the same row: by lloyd's bound, a row whose screened distance
     lies more than both rows' margins below the largest is strictly nearer
     in the fixed form.  The cost is one fixed-form pass over the rows per
-    call, about 1.2 ms at 1000 x 256 and 0.3 ms at 400 x 360, against
-    about 0.5 ms for that iteration's five-replicate screen product at
-    1000 x 256 (1 BLAS thread on a 2-core Xeon VM)."""
-    own = _fixed_d2(a, np.arange(a.shape[0]), centroids, labels)
+    call (_own_d2), about 0.4 ms at 1000 x 256 and 0.2 ms at 400 x 360,
+    against about 0.5 ms for that iteration's five-replicate screen product
+    at 1000 x 256 (1 BLAS thread on a 2-core Xeon VM)."""
+    own = _own_d2(a, centroids, labels)
     for empty in np.flatnonzero(sizes == 0):
         # never drain a singleton cluster: that would just shift the hole
         own[sizes[labels] <= 1] = -np.inf

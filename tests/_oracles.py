@@ -190,15 +190,16 @@ def write_csv_by_csv_module(dataset, path):
 
 def objective_by_gather(a, labels, k):
     """The k-means objective with n x d temporaries: centroids from np.add.at
-    sums, every point's centroid gathered, the differences squared and summed
-    in one np.sum.  kmeans.objective must return exactly these bits."""
+    sums, every point's centroid gathered, the differences squared, each row
+    summed by numpy along its columns, and the row sums added by one np.sum.
+    kmeans.objective must return exactly these bits."""
     a = np.asarray(a, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     sums = np.zeros((k, a.shape[1]))
     np.add.at(sums, labels, a)
     centroids = sums / np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
     diff = a - centroids[labels]
-    return float(np.sum(diff * diff))
+    return float(np.sum(np.sum(diff * diff, axis=1)))
 
 
 def lloyd_by_add_at(a, k, spec, seed=0):

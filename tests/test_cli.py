@@ -495,6 +495,11 @@ def test_unknown_method_is_an_argparse_error(tmp_path):
             cli.main(["project", "--input", str(data), "--k", "4",
                       "--output", str(tmp_path / "p.csv"), *bad])
         assert err.value.code == 2
+    # experiment refuses an unknown method while parsing, not in its sweep
+    with pytest.raises(SystemExit) as err:
+        cli.main(["experiment", "--input", str(data), "--k", "4",
+                  "--output", str(tmp_path / "e.csv"), "--method", "warp"])
+    assert err.value.code == 2
 
 
 def test_sweep_rejects_unknown_method_name():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,11 @@ def test_mixture_spec_validation():
         dataio.MixtureSpec(n=2, d=3, k=4)
     with pytest.raises(ParameterError):
         dataio.MixtureSpec(n=5, d=3, k=2, noise_sigma=-1.0)
+    # NaN passes a test for a negative value; the message names the scale
+    for name in ("noise_sigma", "center_scale"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match=name):
+                dataio.MixtureSpec(n=5, d=3, k=2, **{name: value})
     # n * d float64s beyond one array's byte limit, or n no intp can hold
     for n, d in ((1 << 62, 4), (1 << 57, 8), (10**400, 4)):
         with pytest.raises(ParameterError):

@@ -69,7 +69,11 @@ def test_objective_scale_equivariance():
 def _labelled(n, d, k, seed):
     g = np.random.default_rng(seed)
     a = g.standard_normal((n, d)) * 10.0 ** g.integers(-3, 4, size=(1, d))
-    labels = np.concatenate((np.arange(k), g.integers(0, k, size=n - k)))
+    if k > n:
+        # n distinct labels of k: every other cluster is empty
+        labels = g.choice(k, size=n, replace=False)
+    else:
+        labels = np.concatenate((np.arange(k), g.integers(0, k, size=n - k)))
     return a, kmeans.Assignment(labels, k)
 
 
@@ -77,32 +81,23 @@ LEAF = kmeans.OBJECTIVE_LEAF
 
 
 @pytest.mark.parametrize("n, d, k", [
-    (100, 7, 3),                # n * d below one leaf
-    (LEAF // 64, 64, 5),        # exactly one leaf
-    (LEAF + 1, 1, 6),           # one leaf + 1, d = 1
-    (1, LEAF + 1, 1),           # n = 1, k = 1, a row longer than a leaf
-    (3, 2 * LEAF + 5, 2),       # leaves inside one row and across two
-    (1061, 64, 9),              # rows straddle the leaves
-    (777, 333, 5),              # rows straddle the leaves, odd d
-    (10923, 3, 4),              # one leaf of many short rows
+    (100, 7, 3),                # n * d below one chunk
+    (LEAF // 64, 64, 5),        # exactly one chunk
+    (LEAF + 1, 1, 6),           # one chunk + 1 row, d = 1
+    (1, LEAF + 1, 1),           # n = 1, k = 1, a row longer than a chunk
+    (3, 2 * LEAF + 5, 2),       # rows past twice the chunk bound
+    (1061, 64, 9),              # a short last chunk
+    (777, 333, 5),              # a short last chunk, odd d
+    (10923, 3, 4),              # one chunk of many short rows
     (65541, 1, 6),              # d = 1
     (1, 40, 1),                 # n = 1
     (500, 30, 1),               # k = 1
     (7, 5000, 7),               # one row per cluster
+    (30, 17, 50),               # k past the labels used: empty clusters
 ])
 def test_objective_bits_equal_the_gathered_form(n, d, k):
     a, asg = _labelled(n, d, k, seed=n + d + k)
     assert kmeans.objective(a, asg) == objective_by_gather(a, asg.labels, k)
-
-
-@pytest.mark.parametrize("size", [LEAF + 1, 2 * LEAF + 12, 3 * LEAF + 13,
-                                  5 * LEAF + 7, 7 * LEAF + 100])
-def test_leaf_tree_adds_as_numpys_pairwise_sum(size):
-    # signs and twelve decades of magnitude make any other split show
-    g = np.random.default_rng(size)
-    x = g.standard_normal(size) * 10.0 ** g.uniform(-6, 6, size=size)
-    total = kmeans._pairwise_sum(0, size, lambda lo, hi: x[lo:hi].sum())
-    assert total == np.sum(x)
 
 
 def test_objective_allocates_at_most_one_and_a_half_inputs():
@@ -114,16 +109,16 @@ def test_objective_allocates_at_most_one_and_a_half_inputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the leaf buffer, the k x d sums (divided in place into the
+    # the chunk buffer, the k x d sums (divided in place into the
     # centroids), and per row the one-hot's index, pointer and data and the
-    # empty-cluster check's gather
+    # row's cost
     bound = 8 * (LEAF + k * d) + 40 * n + 4096
     assert bound < 0.5 * a.nbytes
     assert peak <= bound
 
 
 def test_objective_and_lloyd_leave_no_reference_cycles():
-    # a cycle would keep the leaf buffer or the one-hot alive until the
+    # a cycle would keep the chunk buffer or the one-hot alive until the
     # cyclic collector runs, which raised peak memory in a full pipeline
     a, asg = _labelled(300, 40, 6, seed=11)
     gc.collect()
@@ -357,9 +352,11 @@ def test_fixed_form_sums_each_pair_as_np_sum(m, k, d):
     pair_row, pair_col = np.divmod(np.arange(m * 2 * k), 2 * k)
     assert np.array_equal(kmeans._fixed_d2(a, rows[pair_row], c, pair_col),
                           expect[pair_row, pair_col])
-    # the repair prices each row against its own centroid alone
+    # the repair and objective price each row against its own centroid
+    # alone, in the same bits
     own = np.arange(m) % k
     assert np.array_equal(kmeans._fixed_d2(a, rows, c, own), expect[np.arange(m), own])
+    assert np.array_equal(kmeans._own_d2(a[rows], c, own), expect[np.arange(m), own])
 
 
 def test_lloyd_repair_prices_each_row_once(monkeypatch):
@@ -367,17 +364,17 @@ def test_lloyd_repair_prices_each_row_once(monkeypatch):
     # clusters in most iterations, at most once per replicate; each repair
     # prices the rows in one call, however many clusters it fills
     counts = {"repairs": 0, "priced": 0}
-    fixed_d2, repair = kmeans._fixed_d2, kmeans._repair
+    own_d2, repair = kmeans._own_d2, kmeans._repair
 
-    def counted_fixed_d2(*args):
+    def counted_own_d2(*args):
         counts["priced"] += sys._getframe(1).f_code is repair.__code__
-        return fixed_d2(*args)
+        return own_d2(*args)
 
     def counted_repair(*args):
         counts["repairs"] += 1
         return repair(*args)
 
-    monkeypatch.setattr(kmeans, "_fixed_d2", counted_fixed_d2)
+    monkeypatch.setattr(kmeans, "_own_d2", counted_own_d2)
     monkeypatch.setattr(kmeans, "_repair", counted_repair)
     kmeans.lloyd(TIE_HEAVY["grid_20"]().astype(np.float64), 257,
                  kmeans.SolverSpec(replicates=2), seed=1)
