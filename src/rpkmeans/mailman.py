@@ -19,19 +19,25 @@ project_mailman applies the same matrix in narrower pieces, because 2**p
 buckets per row (8192 at d = 10304) would spill every cache.  Three
 constants bound its pieces:
 
-- SLICE_BITS bounds the width of a bit-slice.  Each block is cut into
-  ceil(p / SLICE_BITS) slices of balanced width (bit_slices), so a row
-  costs d bucket additions per slice and at most 2**(SLICE_BITS + 1) adds
-  per slice to fold.
+- SLICE_BITS bounds the width of a bit-slice.  The t columns are cut in
+  order into ceil(t / w) slices of balanced width (bit_slices), at most
+  w = min(SLICE_BITS, max(1, floor(log2 d) - 4)) wide, so that a slice has
+  at most d / 16 buckets.  A slice may span block bounds: its code is
+  read with shifts and masks from every block it crosses (one or two for
+  build_plan's widths, more where a caller's blocks are narrower than a
+  slice).  A row costs d bucket additions per slice and at most
+  2**(w + 1) adds per slice to fold.
 - ROW_TILE bounds the rows taken at once.  Each row tile is transposed
   into one buffer of 8 * d * ROW_TILE bytes, made once per call, so that
   each input coordinate of the tile is one contiguous vector to add into a
   bucket.
-- TILE_BYTES bounds a slice group's bucket buffer: slices of one width go
-  in groups of at most TILE_BYTES // (8 * ROW_TILE * 2**width), each with
-  its own one-hot sparse matrix (about 12 bytes per input column per slice,
-  built once per call).  The fold runs in place in that buffer; only its
-  outputs, width / 2**width of the buffer's size, are new.
+- TILE_BYTES bounds a slice group's bucket buffer: slices go in groups of
+  at most TILE_BYTES // (8 * ROW_TILE * 2**w), each with its own one-hot
+  sparse matrix (about 12 bytes per input column per slice, built once per
+  call).  A slice one bit narrower than w is bucketed as a w-bit one whose
+  top bit is never set, so one width serves every group.  The fold runs
+  in place in that buffer; only its outputs, w / 2**w of the buffer's
+  size, are new.
 
 None of these grow with n; the output is the only n-sized allocation.
 """
@@ -45,16 +51,18 @@ from . import rng as _rng
 from .errors import ParameterError
 from .matrix import as_matrix
 
-# project_mailman buckets and folds at most this many bits of a block at a
-# time.  At d = 10304 (p = 13), 7 bits cut a block into 7 + 6-bit slices
-# where 6 bits needed three (6 + 6 + 1): a third fewer bucket additions.
-SLICE_BITS = 7
-# Rows in one of project_mailman's row tiles.
-ROW_TILE = 64
-# Bytes of one slice group's bucket buffer in project_mailman.  A buffer
-# that fits in a core's L2 cache keeps the bucket scatter fast; with 64-row
-# tiles, 1 MiB measured as fast as 0.5 or 2 MiB, and 32 or 128-row tiles
-# no faster, on a 2 MiB-L2 Xeon.
+# project_mailman buckets and folds at most this many sign columns at a
+# time.  At d = 10304, 9-bit slices cut t = 360 into 40 slices where the
+# 7 + 6-bit halves of each 13-bit block made 56: 29% fewer bucket additions.
+SLICE_BITS = 9
+# Rows in one of project_mailman's row tiles.  With 9-bit slices at
+# 400 x 10304 x 360, 32-row tiles measured 10% faster than 64-row ones,
+# and 16 or 24-row tiles no faster, on a 2 MiB-L2 Xeon.
+ROW_TILE = 32
+# Bytes of one slice group's bucket buffer in project_mailman: eight 9-bit
+# slices of a 32-row tile.  A buffer that fits in a core's L2 cache keeps
+# the bucket scatter fast: on the same Xeon, 2 MiB measured about 20%
+# slower than 1 MiB.
 TILE_BYTES = 1 << 20
 # Bytes of bits that densify unpacks at a time: one row chunk of codes,
 # every bit of each code.
@@ -244,62 +252,73 @@ def block_row_multiply_counted(block: MailmanBlock, x):
     return np.array(out), adds
 
 
-def bit_slices(p: int) -> list:
-    """The (shift, width) slices project_mailman cuts a p-bit block into.
+def bit_slices(d: int, t: int) -> tuple:
+    """The slices project_mailman cuts a d x t sign matrix's columns into:
+    (first, width), each slice's first column and width.
 
-    ceil(p / SLICE_BITS) slices in bit order, covering bits 0..p-1, with
-    widths that differ by at most one bit, wider first: 13 bits split as
-    7 + 6, and 15 as 5 + 5 + 5.
+    ceil(t / w) slices in column order, covering columns 0..t-1 whatever
+    the blocks, with widths that differ by at most one bit, wider first,
+    and w = min(SLICE_BITS, max(1, floor(log2 d) - 4)): t = 360 at
+    d = 10304 splits as 40 slices of 9, and t = 100 at d = 1024 as 15 of 6
+    and 2 of 5.
     """
-    count = -(-p // SLICE_BITS)
-    narrow, wide = divmod(p, count)
-    slices = []
-    shift = 0
-    for i in range(count):
-        width = narrow + (i < wide)
-        slices.append((shift, width))
-        shift += width
-    return slices
+    w = min(SLICE_BITS, max(1, d.bit_length() - 5))
+    count = -(-t // w)
+    width = np.full(count, t // count)
+    width[:t % count] += 1
+    return np.cumsum(width) - width, width
 
 
 def _slice_groups(plan: SignMatrix) -> list:
     """project_mailman's slice groups: (one-hot, width, output columns),
-    one per group of equal-width slices."""
+    one per group of at most TILE_BYTES of buckets."""
     # imported here so that importing the package does not load scipy
     from scipy import sparse
 
     d = plan.d
-    # every slice, in output-column order, by width: (block, shift, first
-    # output column)
-    by_width = {}
-    col = 0
-    for j, p in enumerate(plan.widths.tolist()):
-        for shift, width in bit_slices(p):
-            by_width.setdefault(width, []).append((j, shift, col + shift))
-        col += p
-    chunks = []
-    for w, slices in by_width.items():
-        per_group = max(1, TILE_BYTES // (8 * ROW_TILE << w))
-        chunks += [(w, c) for c in np.array_split(np.array(slices), -(-len(slices) // per_group))]
+    first, width = bit_slices(d, plan.t)
+    w = int(width[0])
+    # groups of balanced size, at most g_max slices each
+    parts = -(-first.size // max(1, TILE_BYTES // (8 * ROW_TILE << w)))
+    g_max = -(-first.size // parts)
+    bounds = np.arange(parts + 1) * first.size // parts
     # int32 indices when every group's rows and nonzeros fit; scipy would
     # otherwise convert them on every product
-    index = np.int32 if max(max(d, 1 << w) * len(c) for w, c in chunks) < 2**31 else np.int64
-    codes = plan.codes.T.astype(index, order="C")
+    index = np.int32 if max(d, 1 << w) * g_max < 2**31 else np.int64
+    # a slice starts at bit `shift` of block blk's codes and reads `reach`
+    # more blocks, from their bit 0; any widths, so a slice may cross
+    # several narrow blocks.  Unsigned, so shifts drop the bits they push
+    # out, and the mask drops the bits past the slice.
+    unsigned = np.uint32 if plan.widths.max() < 32 else np.uint64
+    codes = plan.codes.astype(unsigned)
+    starts = np.cumsum(plan.widths) - plan.widths
+    blk = np.searchsorted(starts, first, side="right") - 1
+    reach = np.searchsorted(starts, first + width - 1, side="right") - 1 - blk
+    shift, masks = (v.astype(unsigned)[:, None] for v in (first - starts[blk], (1 << width) - 1))
     # every one-hot entry is 1.0: the groups share one array of them
-    ones = np.ones(d * max(len(c) for _, c in chunks))
+    ones = np.ones(d * g_max)
     groups = []
-    for w, chunk in chunks:
-        blk, shift, first = chunk.T
-        g = len(chunk)
-        # column i (input coordinate i) holds one 1 per slice s, in row
-        # code_s(i) * g + s: bucket-major, slice-minor
-        rows = (codes[:, blk] >> shift.astype(index)) & index((1 << w) - 1)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        s = slice(lo, hi)
+        g = hi - lo
+        # column i (input coordinate i) holds one 1 per slice, in row
+        # code(i) * g + slice: bucket-major, slice-minor
+        rows = codes[blk[s]] >> shift[s]
+        for k in range(1, int(reach[s].max()) + 1):
+            part = lo + np.flatnonzero(reach[s] >= k)
+            lift = (starts[blk[part] + k] - first[part]).astype(unsigned)[:, None]
+            rows[part - lo] |= codes[blk[part] + k] << lift
+        rows &= masks[s]
         rows *= g
-        rows += np.arange(g, dtype=index)
+        rows += np.arange(g, dtype=unsigned)[:, None]
+        rows = rows.T.astype(index, order="C")
         onehot = sparse.csc_matrix(
             (ones[:d * g], rows.reshape(-1), np.arange(0, (d + 1) * g, g, dtype=index)),
             shape=(g << w, d))
-        groups.append((onehot, w, (first[None, :] + np.arange(w)[:, None]).reshape(-1)))
+        # bit-major output columns; a narrow slice's never-set top bit is
+        # among the last, and has no column
+        cols = (first[s][None, :] + np.arange(w)[:, None]).reshape(-1)
+        groups.append((onehot, w, cols[:width[s].sum()]))
     return groups
 
 
@@ -307,15 +326,15 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
     """Multiply every row of a by the packed sign matrix: a @ R, scaled by
     1/sqrt(t).
 
-    The matrix is applied in bit-slices rather than whole p-bit blocks: each
-    block's codes are cut by bit_slices into ceil(p / SLICE_BITS) slices of
-    balanced width, and every slice is bucketed and folded as a narrow block
+    The matrix is applied in bit-slices rather than whole p-bit blocks: its
+    columns are cut by bit_slices into slices of balanced width, across
+    block bounds, and every slice is bucketed and folded as a narrow block
     of its own.  Bits keep their order, so output columns do too.
 
     The work is tiled two ways.  Rows go in tiles of at most ROW_TILE, each
     transposed once, so that one input coordinate of the whole tile is one
-    contiguous vector.  Slices of one width go in groups whose bucket buffer
-    (2**width buckets per slice, one ROW_TILE-long vector each) stays within
+    contiguous vector.  Slices go in groups whose bucket buffer (2**w
+    buckets per slice, one ROW_TILE-long vector each) stays within
     TILE_BYTES.  Each group has its own one-hot sparse matrix, built once per
     call, that adds every coordinate's vector into its slice's bucket; the
     buckets come out bucket axis first and _fold_in_place folds them along
@@ -349,7 +368,7 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
             # product's own array takes the fold's partial sums
             folded = _fold_in_place((onehot @ tile).reshape(1 << w, -1, m), w)
             folded *= scale
-            out[r0:r0 + m, cols] = folded.reshape(-1, m).T
+            out[r0:r0 + m, cols] = folded.reshape(-1, m)[:cols.size].T
     return out
 
 

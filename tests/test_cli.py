@@ -517,7 +517,7 @@ def test_sweep_rejects_unknown_method_name():
 # differ between builds; the other methods are exact by construction.
 GOLDEN_CLI_DIGESTS = {
     "cluster-rp_mailman":
-        "b742e6085c6ee54c412f9a242b4e0c3ad1e191ba2cb1052cd457e6cdce94b710",
+        "223edfdd8b476848073e214171f9bb8d2de82063974475f335d76ce571ef3368",
     "cluster-rp_naive":
         "da0f82060c2b89a57a3b3a1a7df0b62cf737658505d9c1480545fde67042b0b9",
     "cluster-hd":

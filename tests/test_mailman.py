@@ -119,7 +119,7 @@ def test_fold_equals_dense_pattern_multiply_exhaustively():
             assert np.allclose(got, expect, atol=1e-12 * max(1.0, np.abs(expect).max()))
 
 
-@pytest.mark.parametrize("p", [1, 2, 7])
+@pytest.mark.parametrize("p", [1, 2, 7, mailman.SLICE_BITS])
 def test_fold_along_any_axis_gives_each_vector_the_same_bits(p):
     # buckets of 2 x 3 x 5 vectors, bucket axis first, and the other axes
     # merged or permuted: each vector folds to the bits it gets alone
@@ -249,33 +249,103 @@ def _assert_matches_dense(a, plan):
 @example(n=4, d=100, t=1, seed=1)      # t = 1
 @example(n=3, d=1000, t=5, seed=2)     # t < p = 9, d not a power of two
 @example(n=1, d=777, t=29, seed=3)     # n = 1, blocks wider than one slice
-@example(n=1, d=10304, t=360, seed=4)  # n = 1, 13-bit blocks: 7 + 6-bit slices
+@example(n=1, d=10304, t=360, seed=4)  # n = 1, 9-bit slices across 13-bit blocks
 @example(n=9, d=10304, t=29, seed=5)
-@example(n=1, d=2**17, t=34, seed=6)   # n = 1, 17-bit blocks: 6 + 6 + 5-bit slices
+@example(n=1, d=2**17, t=34, seed=6)   # n = 1, 17-bit blocks: 9 + 9 + 8 + 8-bit slices
 @example(n=3, d=2**17, t=37, seed=7)
 def test_project_mailman_equals_dense_product(n, d, t, seed):
     a = np.random.default_rng(seed).standard_normal((n, d))
     _assert_matches_dense(a, mailman.build_plan(d, t, seed))
 
 
+def _spans(d, t):
+    """How many of bit_slices(d, t) span two blocks, and whether the last
+    block is narrower than the last slice."""
+    first, width = mailman.bit_slices(d, t)
+    starts = np.cumsum([0] + mailman.block_widths(d, t))
+    block_of = np.searchsorted(starts, np.arange(t), side="right") - 1
+    spanning = int(np.sum(block_of[first] != block_of[first + width - 1]))
+    return spanning, starts[-1] - starts[-2] < width[-1]
+
+
 def test_bit_slices_are_balanced_and_cover_the_block():
-    assert mailman.bit_slices(13) == [(0, 7), (7, 6)]
-    for p in range(1, 70):
-        slices = mailman.bit_slices(p)
-        widths = [w for _, w in slices]
-        # in bit order, each starting where the last ended, covering 0..p-1
-        assert [shift for shift, _ in slices] == [sum(widths[:i]) for i in range(len(slices))]
-        assert sum(widths) == p
-        assert len(slices) == -(-p // mailman.SLICE_BITS)
-        assert max(widths) <= mailman.SLICE_BITS and max(widths) - min(widths) <= 1
+    first, width = mailman.bit_slices(10304, 360)
+    assert width.tolist() == [9] * 40 and first.tolist() == list(range(0, 360, 9))
+    assert mailman.bit_slices(1024, 100)[1].tolist() == [6] * 15 + [5] * 2
+    assert mailman.bit_slices(1, 9)[1].tolist() == [1] * 9
+    for d in (1, 2, 31, 32, 63, 64, 200, 1000, 1024, 10304, 2**17, 2**20):
+        # at most d / 16 buckets per slice, and never more than SLICE_BITS bits
+        w = min(mailman.SLICE_BITS, max(1, d.bit_length() - 5))
+        assert 1 << w <= max(2, d // 16)
+        for t in (*range(1, 70), 92, 100, 353, 360, 1600):
+            first, width = mailman.bit_slices(d, t)
+            # in column order, each starting where the last ended, covering
+            # columns 0..t-1 whatever the blocks
+            assert first.tolist() == (np.cumsum(width) - width).tolist()
+            assert width.sum() == t and first.size == -(-t // w)
+            # balanced, wider first
+            assert width.max() <= w and width.max() - width.min() <= 1
+            assert np.all(np.diff(width) <= 0)
+    # the cut ignores block bounds: slices span two blocks, the last block
+    # may be narrower than the last slice, and t may exceed d.  The 27 inner
+    # block bounds of 10304 x 360 fall inside 24 slices; 117, 234 and 351
+    # start one.
+    assert _spans(10304, 360) == (24, False)
+    assert _spans(10304, 353) == (25, True)   # a 2-bit last block, 8-bit slices
+    assert _spans(1024, 92) == (7, True)      # a 2-bit last block, 5-bit slices
+    assert _spans(1, 9) == (0, False)         # d = 1: 1-bit blocks and slices
+    assert _spans(50, 1600) == (0, False)     # t > d: 1-bit slices of 5-bit blocks
+    for d, t in ((10304, 353), (1024, 92), (1, 9), (50, 1600), (64, 60), (200, 23)):
+        a = np.random.default_rng(d + t).standard_normal((3, d))
+        _assert_matches_dense(a, mailman.build_plan(d, t, seed=t))
+
+
+def test_rp_faces_shape_cuts_40_slices_of_9_bits():
+    # 400 x 10304 at t = 360: 40 slices of 9 bits in five groups of eight,
+    # where 7 + 6-bit halves of each 13-bit block made 56 slices and
+    # 230,809,600 bucket additions
+    n, d, t = 400, 10304, 360
+    groups = mailman._slice_groups(mailman.build_plan(d, t, 41))
+    assert [w for _, w, _ in groups] == [9] * 5
+    assert sum(onehot.shape[0] >> w for onehot, w, _ in groups) == 40
+    assert sorted(np.concatenate([cols for _, _, cols in groups])) == list(range(t))
+    # each input coordinate of each row is added into one bucket per slice
+    assert n * sum(onehot.nnz for onehot, _, _ in groups) == 164_864_000
+
+
+def test_project_mailman_applies_blocks_wider_than_31_bits():
+    # caller-built blocks up to 63 bits: codes were once cut to int32 before
+    # their slices were shifted out, so every column past bit 31 was wrong
+    for widths in ([40], [63], [31, 33], [3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40]):
+        sign = _drawn_sign_matrix(widths, 37, 97)
+        _assert_matches_dense(np.random.default_rng(3).standard_normal((4, 37)), sign)
+
+
+@pytest.mark.parametrize("widths, d, spans", [
+    ([13, 1, 13, 2, 3, 40], 1024, 3),  # 6-bit slices: bits 12..17 read 3 blocks
+    ([1] * 40, 1024, 6),               # every 6-bit slice reads six 1-bit blocks
+    ([1] * 360, 10304, 9),             # the rp-faces shape cut into 1-bit blocks
+    ([2, 1, 1, 63, 1, 1, 1, 30], 2000, 5),  # bits 66..71 read 5 blocks
+])
+def test_project_mailman_reads_slices_across_several_narrow_blocks(widths, d, spans):
+    # caller-built widths in any order: a slice wider than the blocks it
+    # starts in reads its code from as many blocks as it crosses
+    sign = _drawn_sign_matrix(widths, d, 97)
+    first, width = mailman.bit_slices(d, sign.t)
+    starts = np.cumsum([0] + widths)
+    crossed = (np.searchsorted(starts, first + width - 1, side="right")
+               - np.searchsorted(starts, first, side="right") + 1)
+    assert crossed.max() == spans
+    _assert_matches_dense(np.random.default_rng(3).standard_normal((5, d)), sign)
 
 
 def _multi_tile_shape():
-    # d = 64 gives p = 6, one 6-bit slice per block.  n spans more than three
-    # row tiles; t holds one more 6-bit slice than a group takes, and a
-    # 2-bit remainder block, so the slices fall in three groups.
-    per_group = mailman.TILE_BYTES // (8 * mailman.ROW_TILE << 6)
-    return 3 * mailman.ROW_TILE + 1, 64, 6 * (per_group + 1) + 2
+    # d = 4096 gives 12-bit blocks and 8-bit slices, some across two blocks.
+    # n spans more than three row tiles; t holds one slice more than two
+    # groups take, the last three of them 7 bits wide, so the slices fall
+    # in three groups and the last group holds the narrow slices.
+    per_group = mailman.TILE_BYTES // (8 * mailman.ROW_TILE << 8)
+    return 3 * mailman.ROW_TILE + 1, 4096, 8 * (2 * per_group + 1) - 3
 
 
 def _case(n, d, t):
@@ -286,14 +356,17 @@ def _case(n, d, t):
 def test_project_mailman_spans_several_row_tiles():
     a, plan = _case(*_multi_tile_shape())
     assert a.shape[0] > 3 * mailman.ROW_TILE
-    assert len(mailman._slice_groups(plan)) >= 3
+    groups = mailman._slice_groups(plan)
+    assert len(groups) >= 3
+    # the narrow slices' top bits have no output column
+    assert sum(cols.size for _, _, cols in groups) == plan.t
     _assert_matches_dense(a, plan)
 
 
 @settings(max_examples=10, deadline=None)
 @given(cuts=st.lists(st.integers(0, 10**6), max_size=6), shape=st.just(_multi_tile_shape()))
 @example(cuts=[1, 3], shape=(1, 10304, 29))      # n = 1, 13-bit blocks
-@example(cuts=[64, 30], shape=(65, 10304, 360))  # 7 + 6-bit slices; a one-row tile
+@example(cuts=[64, 30], shape=(65, 10304, 360))  # 9-bit slices; a one-row tile
 @example(cuts=[2], shape=(1, 2**17, 34))         # n = 1, 17-bit blocks
 @example(cuts=[1, 4], shape=(5, 2**17, 34))
 def test_project_mailman_rows_do_not_depend_on_tiling(cuts, shape):
@@ -347,7 +420,7 @@ def _dyadic_rows(n, d):
 # sha256 of project_mailman's output on _dyadic_rows(n, d), and of
 # densify(scaled=True), both written as little-endian float64.
 GOLDEN_OUTPUT_DIGESTS = [
-    # the rp-faces shape, two row tiles (the second of one row)
+    # the rp-faces shape, three row tiles (the last of one row)
     ((65, 10304, 360, 2**64 - 1),
      "9dc3996af9bb8ecb0308c91f7599766950cb7b89e484ef78d14fae683f358427",
      "19f8463123e515e4f8f7928a37e3caf71c7ee861506fac923e848d6dbc7f8e4f"),
@@ -355,7 +428,7 @@ GOLDEN_OUTPUT_DIGESTS = [
     ((7, 777, 29, 3),
      "a8e57a281dee935e0416a2e503376965519e042e41490ead73ddefa02ffd4640",
      "372a70d9ecb1e669b6ae67116cd8a0a8a3afee64e44182c69f195f7a4af03ca8"),
-    # four row tiles, three slice groups (_multi_tile_shape at the default tiling)
+    # seven row tiles (the last of one row), one group of 100 2-bit slices
     ((193, 64, 200, 5),
      "200c5d8a67a1e3010fa9eb32a845e0f8d439484f4505a906987a063636201ec6",
      "6d493559967016aeaa47d005670d7bce7d2876c11358cba0e479ff60af2e07be"),
@@ -514,7 +587,7 @@ def test_project_mailman_allocates_within_its_stated_budget():
     a = np.random.default_rng(41).standard_normal((n, d))
     before = a.copy()
     plan = mailman.build_plan(d, t, 41)
-    slices = sum(len(mailman.bit_slices(p)) for p in plan.widths.tolist())
+    slices = mailman.bit_slices(d, t)[0].size
     budget = (8 * n * t + 12 * d * slices + 8 * d * mailman.ROW_TILE
               + mailman.TILE_BYTES)
     tracemalloc.start()
