@@ -1,17 +1,15 @@
 """The packed sign matrix and the mailman multiply that applies it.
 
-SignMatrix holds a d x t matrix of +-1/sqrt(t) entries in column blocks of
-width p = floor(log2 d) (1 at d = 1), as one codes array: row j holds block
-j's integer pattern code for each input row (bit b of a code is the sign of
-block column b: 1 -> +1, 0 -> -1).  Its blocks are MailmanBlock views of
-those rows, made only when read.  The scale 1/sqrt(t) is one number for the
-whole matrix, and densify(sign, scaled=True) gives the dense entries.  The
-SignMatrix constructor is the one place widths and codes are checked:
-sampled matrices, blocks and caller-built matrices all go through it, so
-every sampler accepts exactly the sizes d, t >= 1.
-Multiplying a row vector by one block then costs d bucket additions plus
-a fold over the 2**p buckets, instead of d*p multiply-adds (Liberty and
-Zucker, "The Mailman algorithm", 2009).
+SignMatrix holds a d x t matrix of +-1/sqrt(t) entries in column blocks
+whose widths it derives from (d, t) by block_widths, the one place the
+layout is decided: p = floor(log2 d) bits (1 at d = 1), then the remainder.
+Row j of its one codes array holds block j's pattern code for each input row
+(bit b of a code is the sign of block column b: 1 -> +1, 0 -> -1); its
+blocks are MailmanBlock views of those rows, made only when read, and
+densify(sign, scaled=True) gives the dense entries, scaled by the one
+number 1/sqrt(t).  Multiplying a row vector by one block costs d bucket
+additions plus a fold over the 2**p buckets, instead of d*p multiply-adds
+(Liberty and Zucker, "The Mailman algorithm", 2009).
 
 The matrix is sampled at p = floor(log2 d), as the paper's analysis
 prescribes, and block_row_multiply_counted applies it at that width.
@@ -22,11 +20,10 @@ constants bound its pieces:
 - SLICE_BITS bounds the width of a bit-slice.  The t columns are cut in
   order into ceil(t / w) slices of balanced width (bit_slices), at most
   w = min(SLICE_BITS, max(1, floor(log2 d) - 4)) wide, so that a slice has
-  at most d / 16 buckets.  A slice may span block bounds: its code is
-  read with shifts and masks from every block it crosses (one or two for
-  build_plan's widths, more where a caller's blocks are narrower than a
-  slice).  A row costs d bucket additions per slice and at most
-  2**(w + 1) adds per slice to fold.
+  at most d / 16 buckets.  A slice may span a block bound, and reads its
+  code with shifts and masks from its first block and at most the next.  A
+  row costs d bucket additions per slice and at most 2**(w + 1) adds per
+  slice to fold.
 - ROW_TILE bounds the rows taken at once.  Each row tile is transposed
   into one buffer of 8 * d * ROW_TILE bytes, made once per call, so that
   each input coordinate of the tile is one contiguous vector to add into a
@@ -43,6 +40,7 @@ None of these grow with n; the output is the only n-sized allocation.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +65,9 @@ TILE_BYTES = 1 << 20
 # Bytes of bits that densify unpacks at a time: one row chunk of codes,
 # every bit of each code.
 UNPACK_BYTES = 1 << 20
-# Widest block: codes are int64, so 2**p must fit in 63 bits.
-MAX_WIDTH = 63
+# Widest block: block_widths refuses d >= 2**32 (a 16 GiB codes row per
+# block), so a code is the top bits of one 32-bit draw.
+MAX_WIDTH = 31
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -86,6 +85,28 @@ def _integers(values, what: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+def _size(value, name: str) -> int:
+    """value as a plain int; numpy integers pass, bools and non-integers do not."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{name} must be an integer, not {value!r}")
+
+
+def _checked_codes(codes, widths: np.ndarray, d: int) -> np.ndarray:
+    """codes as int64 of shape widths.shape + (d,), every code of block j in
+    [0, 2**widths[j]); int64 codes stay the caller's array."""
+    codes = _integers(codes, "codes")
+    if codes.shape != widths.shape + (d,):
+        raise ParameterError(f"codes must have shape {widths.shape + (d,)}, not {codes.shape}")
+    # codes >> p is nonzero exactly for codes outside [0, 2**p)
+    if (codes >> widths[..., None]).any():
+        raise ParameterError("codes must lie in [0, 2**p) for block width p")
+    return codes
+
+
 @dataclass
 class MailmanBlock:
     """One column block: width p, one pattern code per input row.  A
@@ -95,10 +116,11 @@ class MailmanBlock:
     codes: np.ndarray  # (d,) integers in [0, 2**p)
 
     def __post_init__(self):
-        # checked as the one block of a d x p sign matrix; int64 codes stay a
-        # view of the caller's array
-        self.codes = SignMatrix(d=np.size(self.codes), t=self.p, widths=[self.p],
-                                codes=np.asarray(self.codes)[None]).codes[0]
+        self.p = _size(self.p, "block width")
+        if not 1 <= self.p <= MAX_WIDTH:
+            raise ParameterError(f"block widths must lie in [1, {MAX_WIDTH}]")
+        # d = max(1, size): an empty row is refused by its shape
+        self.codes = _checked_codes(self.codes, np.int64(self.p), max(1, np.size(self.codes)))
 
 
 @dataclass
@@ -108,23 +130,13 @@ class SignMatrix:
 
     d: int
     t: int
-    widths: np.ndarray  # (blocks,) integers in [1, MAX_WIDTH]
     codes: np.ndarray = field(repr=False)  # (blocks, d) integers in [0, 2**widths[j])
+    widths: np.ndarray = field(init=False)  # block_widths(d, t), never passed in
 
     def __post_init__(self):
-        if self.d < 1 or self.t < 1:
-            raise ParameterError("d and t must be positive")
-        self.widths = _integers(self.widths, "block widths")
-        self.codes = _integers(self.codes, "codes")
-        if self.widths.ndim != 1 or self.widths.sum() != self.t:
-            raise ParameterError("block widths must sum to t")
-        if self.widths.min() < 1 or self.widths.max() > MAX_WIDTH:
-            raise ParameterError(f"block widths must lie in [1, {MAX_WIDTH}]")
-        if self.codes.shape != (self.widths.size, self.d):
-            raise ParameterError(f"codes must have shape (len(widths), d), not {self.codes.shape}")
-        # codes >> p is nonzero exactly for codes outside [0, 2**p)
-        if (self.codes >> self.widths[:, None]).any():
-            raise ParameterError("codes must lie in [0, 2**p) for block width p")
+        self.widths = np.array(block_widths(self.d, self.t), dtype=np.int64)
+        self.d, self.t = int(self.d), int(self.t)
+        self.codes = _checked_codes(self.codes, self.widths, self.d)
 
     @property
     def blocks(self) -> list:
@@ -133,9 +145,13 @@ class SignMatrix:
 
 
 def block_widths(d: int, t: int) -> list:
-    """Column-block widths: full blocks of floor(log2 d), then the remainder."""
+    """Column-block widths: full blocks of floor(log2 d), then the remainder,
+    for integers (numpy's pass, bools do not) t >= 1 and 1 <= d < 2**32."""
+    d, t = _size(d, "d"), _size(t, "t")
     if d < 1 or t < 1:
         raise ParameterError("d and t must be positive")
+    if d >= 1 << (MAX_WIDTH + 1):
+        raise ParameterError(f"d = {d} must be below 2**{MAX_WIDTH + 1}")
     p_full = max(1, d.bit_length() - 1)
     widths = [p_full] * (t // p_full)
     if t % p_full:
@@ -143,23 +159,17 @@ def block_widths(d: int, t: int) -> list:
     return widths
 
 
-def _sample_codes(d: int, widths: list, seed: int, first: int) -> np.ndarray:
-    """Codes of blocks first, first + 1, ... (of the given widths), one row each.
+def _sample_codes(d: int, widths: list, seed: int) -> np.ndarray:
+    """Codes of blocks 0, 1, ... (of the given widths), one row each.
 
     Each code is what (seed, block j) stream's Generator.integers(0, 2**p,
-    size=d, dtype=np.int64) returns: for p <= 32 it draws 32-bit halves of the
-    raw words, low half first, and above 32 bits whole words.  Lemire's method
-    never rejects a draw when the range is a power of two, so each code is the
-    top p bits of its draw.
+    size=d, dtype=np.int64) returns: it draws 32-bit halves of the raw
+    words, low half first, and Lemire's method never rejects a draw when the
+    range is a power of two, so each code is the top p bits of its draw.
     """
-    p = np.array(widths, dtype=np.int64)[:, None]
-    indices = range(first, first + len(widths))
-    if max(widths) <= 32:
-        words = _rng.stream_words(seed, _rng.SIGN_BLOCK, indices, (d + 1) // 2)
-        draws, draw_bits = words.astype("<u8", copy=False).view("<u4")[:, :d], 32
-    else:
-        draws, draw_bits = _rng.stream_words(seed, _rng.SIGN_BLOCK, indices, d), 64
-    return (draws >> (draw_bits - p).astype(draws.dtype)).astype(np.int64)
+    words = _rng.stream_words(seed, _rng.SIGN_BLOCK, range(len(widths)), (d + 1) // 2)
+    draws = words.astype("<u8", copy=False).view("<u4")[:, :d]
+    return (draws >> (32 - np.array(widths, dtype=np.uint32))[:, None]).astype(np.int64)
 
 
 def _plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
@@ -167,11 +177,11 @@ def _plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
 
     Block j draws from the (seed, block j) stream, so blocks can be
     generated independently and in any order.  All blocks are sampled in
-    one pass, into the one codes array of the matrix.  Any d, t >= 1 is
-    accepted; block_widths refuses the rest.
+    one pass, into the one codes array of the matrix.  block_widths refuses
+    sizes before anything is drawn.
     """
-    widths = block_widths(d, t)
-    return SignMatrix(d=d, t=t, widths=widths, codes=_sample_codes(d, widths, seed, 0))
+    widths = block_widths(d, t)  # refuses d or t that int() would coerce
+    return SignMatrix(d=d, t=t, codes=_sample_codes(int(d), widths, seed))
 
 
 def build_plan(d: int, t: int, seed: int) -> SignMatrix:
@@ -285,16 +295,14 @@ def _slice_groups(plan: SignMatrix) -> list:
     # int32 indices when every group's rows and nonzeros fit; scipy would
     # otherwise convert them on every product
     index = np.int32 if max(d, 1 << w) * g_max < 2**31 else np.int64
-    # a slice starts at bit `shift` of block blk's codes and reads `reach`
-    # more blocks, from their bit 0; any widths, so a slice may cross
-    # several narrow blocks.  Unsigned, so shifts drop the bits they push
-    # out, and the mask drops the bits past the slice.
-    unsigned = np.uint32 if plan.widths.max() < 32 else np.uint64
-    codes = plan.codes.astype(unsigned)
-    starts = np.cumsum(plan.widths) - plan.widths
-    blk = np.searchsorted(starts, first, side="right") - 1
-    reach = np.searchsorted(starts, first + width - 1, side="right") - 1 - blk
-    shift, masks = (v.astype(unsigned)[:, None] for v in (first - starts[blk], (1 << width) - 1))
+    # a slice starts at bit `shift` of block blk, which holds `held` of its
+    # bits; every block but the last is floor(log2 d) >= w bits wide, so the
+    # rest are block blk + 1's low bits.  Unsigned, so shifts drop the bits
+    # they push out, and the mask drops the bits past the slice.
+    codes = plan.codes.astype(np.uint32)
+    blk, shift = np.divmod(first, plan.widths[0])
+    held = (plan.widths[blk] - shift).astype(np.uint32)
+    shift, masks = (v.astype(np.uint32)[:, None] for v in (shift, (1 << width) - 1))
     # every one-hot entry is 1.0: the groups share one array of them
     ones = np.ones(d * g_max)
     groups = []
@@ -304,13 +312,11 @@ def _slice_groups(plan: SignMatrix) -> list:
         # column i (input coordinate i) holds one 1 per slice, in row
         # code(i) * g + slice: bucket-major, slice-minor
         rows = codes[blk[s]] >> shift[s]
-        for k in range(1, int(reach[s].max()) + 1):
-            part = lo + np.flatnonzero(reach[s] >= k)
-            lift = (starts[blk[part] + k] - first[part]).astype(unsigned)[:, None]
-            rows[part - lo] |= codes[blk[part] + k] << lift
+        cross = lo + np.flatnonzero(held[s] < width[s])
+        rows[cross - lo] |= codes[blk[cross] + 1] << held[cross, None]
         rows &= masks[s]
         rows *= g
-        rows += np.arange(g, dtype=unsigned)[:, None]
+        rows += np.arange(g, dtype=np.uint32)[:, None]
         rows = rows.T.astype(index, order="C")
         onehot = sparse.csc_matrix(
             (ones[:d * g], rows.reshape(-1), np.arange(0, (d + 1) * g, g, dtype=index)),
@@ -331,22 +337,14 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
     block bounds, and every slice is bucketed and folded as a narrow block
     of its own.  Bits keep their order, so output columns do too.
 
-    The work is tiled two ways.  Rows go in tiles of at most ROW_TILE, each
-    transposed once, so that one input coordinate of the whole tile is one
-    contiguous vector.  Slices go in groups whose bucket buffer (2**w
-    buckets per slice, one ROW_TILE-long vector each) stays within
-    TILE_BYTES.  Each group has its own one-hot sparse matrix, built once per
-    call, that adds every coordinate's vector into its slice's bucket; the
-    buckets come out bucket axis first and _fold_in_place folds them along
-    it with elementwise adds only.  Each output element is therefore computed
-    by one fixed sequence of adds, and every row is bit-identical whatever
-    the row count or tiling, n = 1 included.
-
-    Besides the output, memory goes to the one-hot matrices (about 12 bytes
-    per input column per slice), one transposed tile for the whole call (8
-    * d * ROW_TILE bytes) and one group's buckets, folded in place in the
-    array the product returns (within about TILE_BYTES); none of it grows
-    with n, and a is left as it was.
+    The work is tiled by rows (ROW_TILE) and by slice groups (TILE_BYTES),
+    as the module docstring sets out, and a is left as it was.  Each group
+    has its own one-hot sparse matrix, built once per call, that adds every
+    coordinate's vector of a row tile into its slice's bucket; the buckets
+    come out bucket axis first and _fold_in_place folds them along it, in
+    place, with elementwise adds only.  Each output element is therefore
+    computed by one fixed sequence of adds, and every row is bit-identical
+    whatever the row count or tiling, n = 1 included.
     """
     a = as_matrix(a)
     if a.shape[1] != plan.d:
@@ -376,8 +374,8 @@ def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
     """Expand a packed sign matrix into its dense d x t entries.
 
     Entries are +-1 (bit b of a code set -> +1 in block column b), times
-    1/sqrt(t) when scaled=True.  Each run of blocks of one width is
-    expanded straight from its rows of codes into its output columns, a
+    1/sqrt(t) when scaled=True.  The full blocks, then the remainder block,
+    are each expanded straight from its rows of codes into its output columns, a
     chunk of input rows at a time: every code of the chunk is unpacked to
     all of its bits in one flat pass, and bits 0..p-1 are kept.  Besides the
     output, memory goes to one row chunk's codes and bits, within about
@@ -386,7 +384,7 @@ def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
     dense = np.empty((sign.d, sign.t))
     # bit b maps to 2 * scale * b - scale: +-scale exactly, as 2 * scale is
     scale = 1.0 / math.sqrt(sign.t) if scaled else 1.0
-    # runs of equal widths: blocks bounds[i] to bounds[i + 1]
+    # runs of equal widths, the full blocks and the remainder: bounds[i] to bounds[i + 1]
     bounds = [0, *(np.flatnonzero(np.diff(sign.widths)) + 1).tolist(), sign.widths.size]
     offset = 0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -394,7 +392,7 @@ def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
         width = (hi - lo) * p
         # little-endian codes in the narrowest unsigned type that holds p
         # bits: their bytes, least significant first, unpack to bits 0..p-1
-        code_type = np.dtype(f"<u{next(n for n in (1, 2, 4, 8) if 8 * n >= p)}")
+        code_type = np.dtype(f"<u{next(n for n in (1, 2, 4) if 8 * n >= p)}")
         code_bits = 8 * code_type.itemsize
         step = max(1, UNPACK_BYTES // ((hi - lo) * code_bits))
         for r0 in range(0, sign.d, step):

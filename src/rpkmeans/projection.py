@@ -77,7 +77,7 @@ class ProjectionConfig:
 
 def sample_sign_matrix(d: int, t: int, seed: int) -> mailman.SignMatrix:
     """Sample a d x t sign matrix scaled by 1/sqrt(t), packed by block:
-    mailman._plan_blocks, which accepts any d, t >= 1."""
+    mailman._plan_blocks, which accepts integers 1 <= d < 2**32 and t >= 1."""
     return mailman._plan_blocks(d, t, seed)
 
 

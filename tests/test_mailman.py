@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,44 @@ def test_samplers_refuse_and_accept_the_same_sizes(sample):
     assert np.array_equal(sign.codes, mailman.build_plan(1, 4, seed=0).codes)
 
 
+@pytest.mark.parametrize("sample", [mailman.build_plan, projection.sample_sign_matrix],
+                         ids=lambda sample: sample.__name__)
+def test_sizes_may_be_numpy_integers_but_not_floats_bools_or_strings(sample):
+    # numpy integers once failed on d.bit_length(), and True sampled d = 1;
+    # d + 1 must not overflow an int8 d
+    plain = sample(127, 5, seed=0)
+    for d, t in ((np.int64(127), 5), (127, np.int32(5)), (np.uint16(127), np.int8(5)),
+                 (np.int8(127), 5)):
+        sign = sample(d, t, seed=0)
+        assert type(sign.d) is type(sign.t) is int and np.array_equal(sign.codes, plain.codes)
+        x = np.random.default_rng(0).standard_normal((2, 127))
+        assert np.array_equal(mailman.project_mailman(x, sign), mailman.project_mailman(x, plain))
+    for d, t in ((64.0, 5), (True, 3), ("64", 5), (64, 5.0), (64, True), (np.float64(64), 5)):
+        for call in (lambda: sample(d, t, 0), lambda: mailman.block_widths(d, t),
+                     lambda: mailman.SignMatrix(d=d, t=t, codes=plain.codes)):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                call()
+
+
+def test_sizes_refuse_d_of_2_to_the_32_before_allocating():
+    # 32-bit blocks would need a 16 GiB codes row each; 2**40 once failed
+    # only when the 4 TiB codes array was allocated
+    assert mailman.MAX_WIDTH == 31
+    assert mailman.block_widths(2**32 - 1, 40) == [31, 9]
+    tracemalloc.start()
+    try:
+        for d in (2**32, 2**40, np.uint64(2**32)):
+            for call in (lambda: mailman.build_plan(d, 1, 0), lambda: mailman.block_widths(d, 1),
+                         lambda: projection.sample_sign_matrix(d, 1, 0),
+                         lambda: mailman.SignMatrix(d=d, t=1, codes=[[0]])):
+                with pytest.raises(ParameterError, match=r"below 2\*\*32"):
+                    call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_densified_plan_matches_sampled_sign_matrix():
     plan = mailman.build_plan(32, 7, seed=1)
     sign = projection.sample_sign_matrix(32, 7, seed=1)
@@ -58,8 +97,11 @@ def test_block_refuses_non_integer_codes_and_widths_above_63():
     # float codes were once truncated: [0.5, 3.9] became [0, 3]
     with pytest.raises(ParameterError, match="codes must be integers"):
         mailman.MailmanBlock(p=2, codes=[0.5, 3.9])
-    with pytest.raises(ParameterError, match="block widths must lie"):
-        mailman.MailmanBlock(p=64, codes=[0, 1])
+    for p in (32, 64):
+        with pytest.raises(ParameterError, match="block widths must lie"):
+            mailman.MailmanBlock(p=p, codes=[0, 1])
+    with pytest.raises(ParameterError, match="block width must be an integer"):
+        mailman.MailmanBlock(p=2.0, codes=[0, 1])
     with pytest.raises(ParameterError):
         mailman.MailmanBlock(p=0, codes=[0, 0])
     with pytest.raises(ParameterError):
@@ -187,43 +229,52 @@ def test_project_mailman_dimension_mismatch():
 
 
 def test_plan_widths_sum_is_validated():
+    # widths are derived from (d, t), so they sum to t and cannot be passed in
+    assert list(inspect.signature(mailman.SignMatrix).parameters) == ["d", "t", "codes"]
     sign = mailman.build_plan(16, 6, seed=0)
-    with pytest.raises(ParameterError, match="sum to t"):
-        mailman.SignMatrix(d=16, t=7, widths=sign.widths, codes=sign.codes)
-    with pytest.raises(ParameterError, match="codes must have shape"):
-        mailman.SignMatrix(d=17, t=6, widths=sign.widths, codes=sign.codes)
+    for d, t in ((16, 6), (16, 7), (1, 9), (10304, 360), (2**32 - 1, 100)):
+        assert sum(mailman.block_widths(d, t)) == t
+    # [4, 2] codes are a valid [4, 3] matrix; [4, 4, 1] and d = 17 are not
+    assert mailman.SignMatrix(d=16, t=7, codes=sign.codes).widths.tolist() == [4, 3]
+    for d, t in ((16, 9), (17, 6), (16, 3)):
+        with pytest.raises(ParameterError, match="codes must have shape"):
+            mailman.SignMatrix(d=d, t=t, codes=sign.codes)
 
 
 def test_sign_matrix_refuses_malformed_arrays():
     codes = np.array([[0, 1, 1], [1, 0, 1]])
-    assert mailman.densify(mailman.SignMatrix(d=3, t=2, widths=[1, 1], codes=codes)).shape == (3, 2)
+    assert mailman.densify(mailman.SignMatrix(d=3, t=2, codes=codes)).shape == (3, 2)
     # t < 1 was once accepted when there were no blocks
     with pytest.raises(ParameterError, match="positive"):
-        mailman.SignMatrix(d=2, t=0, widths=[], codes=np.empty((0, 2), dtype=np.int64))
-    # a width above 63 once escaped densify as a bare StopIteration
-    with pytest.raises(ParameterError, match="block widths must lie"):
-        mailman.SignMatrix(d=3, t=64, widths=[64], codes=codes[:1])
-    with pytest.raises(ParameterError, match="block widths must lie"):
-        mailman.SignMatrix(d=3, t=2, widths=[3, -1], codes=codes)
+        mailman.SignMatrix(d=2, t=0, codes=np.empty((0, 2), dtype=np.int64))
     for shape_wrong in (codes.T, codes[:, :2], codes[:1], codes.reshape(-1)):
         with pytest.raises(ParameterError, match="codes must have shape"):
-            mailman.SignMatrix(d=3, t=2, widths=[1, 1], codes=shape_wrong)
+            mailman.SignMatrix(d=3, t=2, codes=shape_wrong)
     with pytest.raises(ParameterError, match="codes must be integers"):
-        mailman.SignMatrix(d=3, t=2, widths=[1, 1], codes=codes + 0.5)
-    with pytest.raises(ParameterError, match="block widths must be integers"):
-        mailman.SignMatrix(d=3, t=2, widths=[1.0, 1.0], codes=codes)
+        mailman.SignMatrix(d=3, t=2, codes=codes + 0.5)
+    with pytest.raises(ParameterError, match="d must be an integer"):
+        mailman.SignMatrix(d=3.0, t=2, codes=codes)
     with pytest.raises(ParameterError, match=r"\[0, 2\*\*p\)"):
-        mailman.SignMatrix(d=3, t=2, widths=[1, 1], codes=codes * 2)
+        mailman.SignMatrix(d=3, t=2, codes=codes * 2)
+    # the range is checked per derived width: 4 and 2 bits at d = 16, t = 6
+    wide = np.array([[15] * 16, [3] * 16])
+    assert mailman.SignMatrix(d=16, t=6, codes=wide).widths.tolist() == [4, 2]
+    for j, code in ((0, 16), (1, 4), (1, -1)):
+        bad = wide.copy()
+        bad[j, 5] = code
+        with pytest.raises(ParameterError, match=r"\[0, 2\*\*p\)"):
+            mailman.SignMatrix(d=16, t=6, codes=bad)
 
 
 def test_sign_matrix_names_integers_outside_int64():
     # such entries were once called "not integers", and uint64 codes wrapped
     for codes in ([[0, 2**64]], [[0, 2**63]], np.array([[0, 2**64 - 1]], dtype=np.uint64)):
         with pytest.raises(ParameterError, match="codes must lie in the int64 range"):
-            mailman.SignMatrix(d=2, t=1, widths=[1], codes=codes)
-    with pytest.raises(ParameterError, match="block widths must lie in the int64 range"):
-        mailman.SignMatrix(d=2, t=1, widths=[2**64], codes=[[0, 1]])
-    ok = mailman.SignMatrix(d=2, t=1, widths=[1], codes=np.array([[0, 1]], dtype=np.uint64))
+            mailman.SignMatrix(d=2, t=1, codes=codes)
+    # a d past int64 is past the layout's 2**32 bound too
+    with pytest.raises(ParameterError, match=r"below 2\*\*32"):
+        mailman.SignMatrix(d=2**64, t=1, codes=[[0, 1]])
+    ok = mailman.SignMatrix(d=2, t=1, codes=np.array([[0, 1]], dtype=np.uint64))
     assert ok.codes.dtype == np.int64 and ok.codes.tolist() == [[0, 1]]
 
 
@@ -273,7 +324,7 @@ def test_bit_slices_are_balanced_and_cover_the_block():
     assert width.tolist() == [9] * 40 and first.tolist() == list(range(0, 360, 9))
     assert mailman.bit_slices(1024, 100)[1].tolist() == [6] * 15 + [5] * 2
     assert mailman.bit_slices(1, 9)[1].tolist() == [1] * 9
-    for d in (1, 2, 31, 32, 63, 64, 200, 1000, 1024, 10304, 2**17, 2**20):
+    for d in (1, 2, 31, 32, 63, 64, 200, 1000, 1024, 10304, 2**17, 2**20, 2**31 - 1):
         # at most d / 16 buckets per slice, and never more than SLICE_BITS bits
         w = min(mailman.SLICE_BITS, max(1, d.bit_length() - 5))
         assert 1 << w <= max(2, d // 16)
@@ -286,6 +337,11 @@ def test_bit_slices_are_balanced_and_cover_the_block():
             # balanced, wider first
             assert width.max() <= w and width.max() - width.min() <= 1
             assert np.all(np.diff(width) <= 0)
+            # a slice crosses at most one block bound, so _slice_groups
+            # reads its code from its first block and at most the next
+            starts = np.cumsum([0] + mailman.block_widths(d, t))
+            blocks = np.searchsorted(starts, np.stack([first, first + width - 1]), side="right")
+            assert np.all(blocks[1] - blocks[0] <= 1)
     # the cut ignores block bounds: slices span two blocks, the last block
     # may be narrower than the last slice, and t may exceed d.  The 27 inner
     # block bounds of 10304 x 360 fall inside 24 slices; 117, 234 and 351
@@ -311,32 +367,6 @@ def test_rp_faces_shape_cuts_40_slices_of_9_bits():
     assert sorted(np.concatenate([cols for _, _, cols in groups])) == list(range(t))
     # each input coordinate of each row is added into one bucket per slice
     assert n * sum(onehot.nnz for onehot, _, _ in groups) == 164_864_000
-
-
-def test_project_mailman_applies_blocks_wider_than_31_bits():
-    # caller-built blocks up to 63 bits: codes were once cut to int32 before
-    # their slices were shifted out, so every column past bit 31 was wrong
-    for widths in ([40], [63], [31, 33], [3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40]):
-        sign = _drawn_sign_matrix(widths, 37, 97)
-        _assert_matches_dense(np.random.default_rng(3).standard_normal((4, 37)), sign)
-
-
-@pytest.mark.parametrize("widths, d, spans", [
-    ([13, 1, 13, 2, 3, 40], 1024, 3),  # 6-bit slices: bits 12..17 read 3 blocks
-    ([1] * 40, 1024, 6),               # every 6-bit slice reads six 1-bit blocks
-    ([1] * 360, 10304, 9),             # the rp-faces shape cut into 1-bit blocks
-    ([2, 1, 1, 63, 1, 1, 1, 30], 2000, 5),  # bits 66..71 read 5 blocks
-])
-def test_project_mailman_reads_slices_across_several_narrow_blocks(widths, d, spans):
-    # caller-built widths in any order: a slice wider than the blocks it
-    # starts in reads its code from as many blocks as it crosses
-    sign = _drawn_sign_matrix(widths, d, 97)
-    first, width = mailman.bit_slices(d, sign.t)
-    starts = np.cumsum([0] + widths)
-    crossed = (np.searchsorted(starts, first + width - 1, side="right")
-               - np.searchsorted(starts, first, side="right") + 1)
-    assert crossed.max() == spans
-    _assert_matches_dense(np.random.default_rng(3).standard_normal((5, d)), sign)
 
 
 def _multi_tile_shape():
@@ -479,8 +509,8 @@ def test_plan_blocks_equal_per_stream_integers(d, t, seed):
     assert sign.widths.tolist() == mailman.block_widths(d, t)
     assert sign.widths.dtype == sign.codes.dtype == np.int64
     # a sampled matrix's arrays pass the constructor's checks again unchanged
-    checked = mailman.SignMatrix(d=d, t=t, widths=sign.widths, codes=sign.codes)
-    assert checked.widths is sign.widths and checked.codes is sign.codes
+    checked = mailman.SignMatrix(d=d, t=t, codes=sign.codes)
+    assert np.array_equal(checked.widths, sign.widths) and checked.codes is sign.codes
     for j, (p, codes) in enumerate(zip(sign.widths.tolist(), sign.codes)):
         g = rng.stream(seed, rng.SIGN_BLOCK, j)
         expect = g.integers(0, 1 << p, size=d, dtype=np.int64)
@@ -492,23 +522,6 @@ def test_plan_blocks_equal_per_stream_integers(d, t, seed):
         assert np.array_equal(words[j], raw)
 
 
-@pytest.mark.parametrize("p", [33, 40, 62])
-def test_codes_wider_than_32_bits_take_whole_words(p):
-    # a sampler reaches p > 32 only at d >= 2**33; the derivation is
-    # checked on a few codes of such a block instead
-    for seed, j in ((0, 0), (-3, 5), (2**63 + 1, 2**48 - 1)):
-        codes = mailman._sample_codes(7, [p], seed, j)
-        expect = rng.stream(seed, rng.SIGN_BLOCK, j).integers(0, 1 << p, size=7, dtype=np.int64)
-        assert np.array_equal(codes, expect[None, :])
-
-
-def _drawn_sign_matrix(widths, d, seed):
-    # widths in any order, each row's codes drawn uniformly from [0, 2**p)
-    g = np.random.default_rng(seed)
-    codes = np.array([g.integers(0, 1 << p, size=d) for p in widths])
-    return mailman.SignMatrix(d=d, t=sum(widths), widths=widths, codes=codes)
-
-
 def _assert_densify_matches_blocks(sign, scaled):
     for j, block in enumerate(sign.blocks):
         assert block.p == sign.widths[j] and np.shares_memory(block.codes, sign.codes[j])
@@ -518,10 +531,7 @@ def _assert_densify_matches_blocks(sign, scaled):
 
 @pytest.mark.parametrize("scaled", [False, True])
 def test_densify_matches_per_block_oracle(scaled):
-    # mixed widths, up to 40 bits: the reason widths are stored, not derived
-    # from (d, t)
-    cases = [_drawn_sign_matrix([3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40], 37, 97),
-             mailman.build_plan(777, 29, 3),
+    cases = [mailman.build_plan(777, 29, 3),
              mailman.build_plan(1000, 19, 1), mailman.build_plan(50, 1600, 11),
              mailman.build_plan(2, 3, 0), mailman.build_plan(1, 4, 0)]
     for sign in cases:
@@ -540,16 +550,6 @@ def test_sampled_densify_equals_per_block_oracle(d, t, seed):
         _assert_densify_matches_blocks(sign, scaled)
 
 
-@settings(max_examples=40, deadline=None)
-@given(widths=st.lists(st.integers(1, mailman.MAX_WIDTH), min_size=1, max_size=12),
-       d=st.integers(1, 20), seed=st.integers(0, 2**32))
-@example(widths=[8, 8, 9, 16, 17, 32, 33, 63], d=5, seed=0)  # 1-, 2-, 4- and 8-byte codes
-def test_mixed_width_densify_equals_per_block_oracle(widths, d, seed):
-    sign = _drawn_sign_matrix(widths, d, seed)
-    for scaled in (False, True):
-        _assert_densify_matches_blocks(sign, scaled)
-
-
 @pytest.mark.parametrize("d, t", [(1000, 2000), (10304, 360)])
 def test_densify_over_several_row_chunks_equals_per_block_oracle(d, t):
     sign = mailman.build_plan(d, t, 5)
@@ -562,8 +562,7 @@ def test_densify_over_several_row_chunks_equals_per_block_oracle(d, t):
 @pytest.mark.parametrize("budget", [1, 40, 1000])
 def test_densify_row_chunks_of_any_size_equal_per_block_oracle(monkeypatch, budget):
     monkeypatch.setattr(mailman, "UNPACK_BYTES", budget)
-    cases = [_drawn_sign_matrix([3, 3, 1, 5, 5, 5, 2, 3, 13, 13, 40], 37, 97),
-             mailman.build_plan(777, 29, 3), mailman.build_plan(1, 4, 0)]
+    cases = [mailman.build_plan(777, 29, 3), mailman.build_plan(1, 4, 0)]
     for sign in cases:
         for scaled in (False, True):
             _assert_densify_matches_blocks(sign, scaled)

@@ -82,7 +82,7 @@ def test_project_naive_forced_all_plus():
     d, t = 10, 4
     widths = np.array(mailman.block_widths(d, t))
     codes = np.repeat((1 << widths[:, None]) - 1, d, axis=1)
-    r = mailman.SignMatrix(d=d, t=t, widths=widths, codes=codes)
+    r = mailman.SignMatrix(d=d, t=t, codes=codes)
     out = projection.project_naive(np.ones((1, d)), r)
     assert np.allclose(out, d / np.sqrt(t), atol=1e-12)
 
