@@ -15,7 +15,7 @@ from .errors import DataFormatError, ParameterError
 from .matrix import as_matrix
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Points (n x d), optional integer class labels, and a source note.
 

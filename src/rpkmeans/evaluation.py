@@ -44,7 +44,7 @@ class PropertyReport:
     bound: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentRecord:
     """One sweep cell: the method, its pipeline run, and its scores.
 

@@ -49,7 +49,7 @@ _ENUM_CHUNK = 1 << 15
 OBJECTIVE_LEAF = 1 << 16
 
 
-@dataclass
+@dataclass(eq=False)
 class Assignment:
     """A hard clustering: one label in [0, k) per point."""
 
@@ -109,7 +109,7 @@ class SolverSpec:
             self.init = tuple(init.tolist())
 
 
-@dataclass
+@dataclass(eq=False)
 class KMeansResult:
     assignment: Assignment
     objective: float
@@ -594,7 +594,7 @@ def apply_projection(a, cfg: _projection.ProjectionConfig, method: str):
     return projected, t
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineResult:
     """A pipeline run: the projected-space solver result, the plug-back
     objective of its partition on the original rows, and the wall

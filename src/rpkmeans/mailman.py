@@ -11,6 +11,10 @@ number 1/sqrt(t).  Multiplying a row vector by one block costs d bucket
 additions plus a fold over the 2**p buckets, instead of d*p multiply-adds
 (Liberty and Zucker, "The Mailman algorithm", 2009).
 
+Every block but the last is p = widths[0] bits wide, so one column rule
+reads the matrix: column c is bit c mod p of block c div p's code.
+densify and _slice_groups both read it by that rule.
+
 The matrix is sampled at p = floor(log2 d), as the paper's analysis
 prescribes, and block_row_multiply_counted applies it at that width.
 project_mailman applies the same matrix in narrower pieces, because 2**p
@@ -62,8 +66,8 @@ ROW_TILE = 32
 # the bucket scatter fast: on the same Xeon, 2 MiB measured about 20%
 # slower than 1 MiB.
 TILE_BYTES = 1 << 20
-# Bytes of bits that densify unpacks at a time: one row chunk of codes,
-# every bit of each code.
+# Bytes of gathered codes that densify holds at a time: one row chunk's
+# code for every output column, in the narrowest type that holds p bits.
 UNPACK_BYTES = 1 << 20
 # Widest block: block_widths refuses d >= 2**32 (a 16 GiB codes row per
 # block), so a code is the top bits of one 32-bit draw.
@@ -107,7 +111,7 @@ def _checked_codes(codes, widths: np.ndarray, d: int) -> np.ndarray:
     return codes
 
 
-@dataclass
+@dataclass(eq=False)
 class MailmanBlock:
     """One column block: width p, one pattern code per input row.  A
     SignMatrix's blocks are these, over row views of its codes."""
@@ -123,7 +127,7 @@ class MailmanBlock:
         self.codes = _checked_codes(self.codes, np.int64(self.p), max(1, np.size(self.codes)))
 
 
-@dataclass
+@dataclass(eq=False)
 class SignMatrix:
     """A d x t matrix of +-1/sqrt(t) entries, packed in column blocks: row j
     of codes holds block j's pattern codes, one per input row."""
@@ -159,29 +163,24 @@ def block_widths(d: int, t: int) -> list:
     return widths
 
 
-def _sample_codes(d: int, widths: list, seed: int) -> np.ndarray:
-    """Codes of blocks 0, 1, ... (of the given widths), one row each.
-
-    Each code is what (seed, block j) stream's Generator.integers(0, 2**p,
-    size=d, dtype=np.int64) returns: it draws 32-bit halves of the raw
-    words, low half first, and Lemire's method never rejects a draw when the
-    range is a power of two, so each code is the top p bits of its draw.
-    """
-    words = _rng.stream_words(seed, _rng.SIGN_BLOCK, range(len(widths)), (d + 1) // 2)
-    draws = words.astype("<u8", copy=False).view("<u4")[:, :d]
-    return (draws >> (32 - np.array(widths, dtype=np.uint32))[:, None]).astype(np.int64)
-
-
 def _plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
     """Sample the pattern codes of every block of a d x t sign matrix.
 
     Block j draws from the (seed, block j) stream, so blocks can be
     generated independently and in any order.  All blocks are sampled in
     one pass, into the one codes array of the matrix.  block_widths refuses
-    sizes before anything is drawn.
+    sizes before anything is drawn.  Each code is what block j's stream's
+    Generator.integers(0, 2**p, size=d, dtype=np.int64) returns: it draws
+    32-bit halves of the raw words, low half first, and Lemire's method
+    never rejects a draw when the range is a power of two, so each code is
+    the top p bits of its draw.
     """
-    widths = block_widths(d, t)  # refuses d or t that int() would coerce
-    return SignMatrix(d=d, t=t, codes=_sample_codes(int(d), widths, seed))
+    # block_widths refuses d or t that int() would coerce
+    widths = np.array(block_widths(d, t), dtype=np.uint32)
+    d = int(d)
+    words = _rng.stream_words(seed, _rng.SIGN_BLOCK, range(widths.size), (d + 1) // 2)
+    draws = words.astype("<u8", copy=False).view("<u4")[:, :d]
+    return SignMatrix(d=d, t=t, codes=(draws >> (32 - widths)[:, None]).astype(np.int64))
 
 
 def build_plan(d: int, t: int, seed: int) -> SignMatrix:
@@ -295,10 +294,11 @@ def _slice_groups(plan: SignMatrix) -> list:
     # int32 indices when every group's rows and nonzeros fit; scipy would
     # otherwise convert them on every product
     index = np.int32 if max(d, 1 << w) * g_max < 2**31 else np.int64
-    # a slice starts at bit `shift` of block blk, which holds `held` of its
-    # bits; every block but the last is floor(log2 d) >= w bits wide, so the
-    # rest are block blk + 1's low bits.  Unsigned, so shifts drop the bits
-    # they push out, and the mask drops the bits past the slice.
+    # by the module's column rule, a slice starts at bit `shift` of block
+    # blk, which holds `held` of its bits; every block but the last is
+    # floor(log2 d) >= w bits wide, so the rest are block blk + 1's low
+    # bits.  Unsigned, so shifts drop the bits they push out, and the mask
+    # drops the bits past the slice.
     codes = plan.codes.astype(np.uint32)
     blk, shift = np.divmod(first, plan.widths[0])
     held = (plan.widths[blk] - shift).astype(np.uint32)
@@ -374,35 +374,27 @@ def densify(sign: SignMatrix, scaled: bool = False) -> np.ndarray:
     """Expand a packed sign matrix into its dense d x t entries.
 
     Entries are +-1 (bit b of a code set -> +1 in block column b), times
-    1/sqrt(t) when scaled=True.  The full blocks, then the remainder block,
-    are each expanded straight from its rows of codes into its output columns, a
-    chunk of input rows at a time: every code of the chunk is unpacked to
-    all of its bits in one flat pass, and bits 0..p-1 are kept.  Besides the
-    output, memory goes to one row chunk's codes and bits, within about
-    UNPACK_BYTES.
+    1/sqrt(t) when scaled=True.  Column c is read by the module's column
+    rule, bit c mod p of block c div p, from the codes cast once, transposed,
+    to the narrowest unsigned type that holds p bits.  A chunk of input rows
+    at a time gathers each output column's code, shifts and masks it to its
+    bit and writes the entries.  Besides the output, memory goes to the cast
+    codes and one row chunk's gathered codes, within about UNPACK_BYTES.
     """
     dense = np.empty((sign.d, sign.t))
     # bit b maps to 2 * scale * b - scale: +-scale exactly, as 2 * scale is
     scale = 1.0 / math.sqrt(sign.t) if scaled else 1.0
-    # runs of equal widths, the full blocks and the remainder: bounds[i] to bounds[i + 1]
-    bounds = [0, *(np.flatnonzero(np.diff(sign.widths)) + 1).tolist(), sign.widths.size]
-    offset = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        p = int(sign.widths[lo])
-        width = (hi - lo) * p
-        # little-endian codes in the narrowest unsigned type that holds p
-        # bits: their bytes, least significant first, unpack to bits 0..p-1
-        code_type = np.dtype(f"<u{next(n for n in (1, 2, 4) if 8 * n >= p)}")
-        code_bits = 8 * code_type.itemsize
-        step = max(1, UNPACK_BYTES // ((hi - lo) * code_bits))
-        for r0 in range(0, sign.d, step):
-            codes = sign.codes[lo:hi, r0:r0 + step].T.astype(code_type, order="C")
-            bits = np.unpackbits(codes.view(np.uint8), bitorder="little")
-            bits = bits.reshape(-1, hi - lo, code_bits)[:, :, :p]
-            # via the 2-D column slice: in-place ops on a 3-D view of these
-            # strided columns allocate a float temporary the chunk's size
-            cols = dense[r0:r0 + step, offset:offset + width]
-            np.multiply(bits.reshape(-1, width), 2.0 * scale, out=cols)
-            cols -= scale
-        offset += width
+    p = int(sign.widths[0])
+    code_type = np.min_scalar_type((1 << p) - 1)
+    # (d, blocks), laid out as codes is: a gathered column is one block's run
+    codes = sign.codes.T.astype(code_type)
+    blk, bit = np.divmod(np.arange(sign.t), p)
+    bit = bit.astype(code_type)
+    step = max(1, UNPACK_BYTES // (code_type.itemsize * sign.t))
+    for r0 in range(0, sign.d, step):
+        bits = codes[r0:r0 + step, blk]
+        bits >>= bit
+        bits &= 1
+        np.multiply(bits, 2.0 * scale, out=dense[r0:r0 + step])
+        dense[r0:r0 + step] -= scale
     return dense

@@ -55,7 +55,7 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(as_matrix(a), compute_uv=False)[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class SvdResult:
     u: np.ndarray       # n x k, orthonormal columns
     sigma: np.ndarray   # k, nonnegative, nonincreasing

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpkmeans import evaluation, kmeans, mailman, matrix, projection, rng
+from rpkmeans import dataio, evaluation, kmeans, mailman, matrix, projection, rng
 from rpkmeans.errors import ParameterError
 
 from _oracles import accuracy_by_assignment, accuracy_by_permutation
@@ -289,3 +289,30 @@ def test_tightened_bounds_trip_every_check():
     ]
     for report in reports:
         assert report.passes < report.trials, report.check_name
+
+
+def _pipeline_run():
+    a = seeded((12, 4), 5)
+    projected = kmeans.lloyd(a, 2, kmeans.SolverSpec(), 0)
+    return kmeans.PipelineResult(projected, 1.0, 4, 0.0, 0.0, 0.0)
+
+
+# each builds a fresh value equal to the last one built, field by field
+ARRAY_HOLDERS = {
+    "SignMatrix": lambda: mailman.build_plan(8, 3, 0),
+    "MailmanBlock": lambda: mailman.MailmanBlock(p=2, codes=np.arange(4)),
+    "Assignment": lambda: kmeans.Assignment(np.array([0, 1, 0]), 2),
+    "KMeansResult": lambda: kmeans.lloyd(seeded((12, 4), 5), 2, kmeans.SolverSpec(), 0),
+    "PipelineResult": _pipeline_run,
+    "SvdResult": lambda: matrix.svd_thin(seeded((6, 4), 3), 2),
+    "Dataset": lambda: dataio.Dataset(seeded((5, 3), 1), np.arange(5), "seeded"),
+    "ExperimentRecord": lambda: evaluation.ExperimentRecord("hd", _pipeline_run(), 0.5, 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(make):
+    # field-wise == would ask numpy for the truth value of an array
+    x, y = make(), make()
+    assert (x == x) is True
+    assert (x == y) is False

@@ -541,8 +541,8 @@ def test_densify_matches_per_block_oracle(scaled):
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 600), t=st.integers(1, 300), seed=SEEDS)
 @example(d=1, t=9, seed=3)             # d = 1: width-1 blocks of one row
-@example(d=2**16, t=35, seed=0)        # 16-bit blocks: 2-byte codes
-@example(d=2**17 + 3, t=20, seed=-1)   # 17-bit blocks: 4-byte codes
+@example(d=2**16, t=35, seed=0)        # 16-bit blocks: uint16 codes
+@example(d=2**17 + 3, t=20, seed=-1)   # 17-bit blocks: uint32 codes
 @example(d=600, t=300, seed=2**63)     # 9-bit blocks and a 3-bit remainder
 def test_sampled_densify_equals_per_block_oracle(d, t, seed):
     sign = projection.sample_sign_matrix(d, t, seed)
@@ -553,8 +553,10 @@ def test_sampled_densify_equals_per_block_oracle(d, t, seed):
 @pytest.mark.parametrize("d, t", [(1000, 2000), (10304, 360)])
 def test_densify_over_several_row_chunks_equals_per_block_oracle(d, t):
     sign = mailman.build_plan(d, t, 5)
-    # 2-byte codes, 16 bits unpacked per code: at least three row chunks
-    assert d * sign.widths.size * 16 >= 3 * mailman.UNPACK_BYTES
+    # one gathered code per output column, in the type that holds p bits
+    # (uint16 at p = 9 and 13): at least three row chunks
+    code_bytes = np.min_scalar_type((1 << int(sign.widths[0])) - 1).itemsize
+    assert d * t * code_bytes >= 3 * mailman.UNPACK_BYTES
     for scaled in (False, True):
         _assert_densify_matches_blocks(sign, scaled)
 
