@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import DataFormatError, ParameterError
-from .matrix import as_matrix
+from .matrix import _integers, _size, as_matrix
 
 
 @dataclass(eq=False)
@@ -29,7 +29,7 @@ class Dataset:
     def __post_init__(self):
         self.points = as_matrix(self.points)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = _integers(self.labels, "labels")
             if self.labels.shape != (self.points.shape[0],):
                 raise ParameterError("labels must be one integer per row")
 
@@ -54,6 +54,7 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        self.n, self.d, self.k = _size(self.n, "n"), _size(self.d, "d"), _size(self.k, "k")
         if self.d < 1:
             raise ParameterError("d must be at least 1")
         if not 1 <= self.k <= self.n:

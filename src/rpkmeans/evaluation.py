@@ -17,8 +17,8 @@ from .errors import CrossCheckError, ParameterError
 from .kmeans import (Assignment, PipelineResult, SolverSpec, brute_force_optimal,
                      objective, project_and_cluster)
 from .mailman import build_plan, densify, project_mailman
-from .matrix import (as_matrix, best_rank_k, frobenius_norm, pseudo_inverse,
-                     spectral_norm, svd_thin)
+from .matrix import (_integers, as_matrix, best_rank_k, frobenius_norm,
+                     pseudo_inverse, spectral_norm, svd_thin)
 
 # Experiment method names -> pipeline method names.
 METHOD_MAP = {
@@ -74,7 +74,7 @@ def accuracy(pred: Assignment, truth) -> float:
     Classes are the distinct truth labels, any integers, numbered densely,
     so the cost follows their count, not their values.
     """
-    truth = np.asarray(truth, dtype=np.int64)
+    truth = _integers(truth, "truth labels")
     if truth.ndim != 1 or truth.size != pred.n:
         raise ParameterError("truth labels must match the assignment length")
     classes, truth = np.unique(truth, return_inverse=True)

@@ -24,12 +24,12 @@ rows the fixed form decided (settled) depends on the screen.
 
 A partition's cost is computed two ways, on purpose.  objective prices it
 directly for the final plug-back: each row's ||a_i - c_l(i)||^2 in the
-fixed form Lloyd's labels use (_own_d2, which also prices the rows of the
-empty-cluster repair), the n row costs added by np.sum.  Lloyd's trace
-takes sum ||a_i||^2 - sum_j ||S_j||^2 / z_j (_partition_cost) from the
-cluster sums S_j it has already formed: pricing every iteration directly
-would add about 24% to an iteration at 400 x 100, k = 40, and 3x at
-1000 x 256, k = 20."""
+fixed form (_fixed_d2, the one function that also prices Lloyd's unsettled
+pairs and the rows of its empty-cluster repair), the n row costs added by
+np.sum.  Lloyd's trace takes sum ||a_i||^2 - sum_j ||S_j||^2 / z_j
+(_partition_cost) from the cluster sums S_j it has already formed: pricing
+every iteration directly would add about 24% to an iteration at 400 x 100,
+k = 40, and 3x at 1000 x 256, k = 20."""
 
 import math
 import time
@@ -39,12 +39,12 @@ import numpy as np
 
 from . import mailman as _mailman, projection as _projection, rng as _rng
 from .errors import ParameterError
-from .matrix import as_matrix
+from .matrix import _integers, _size, as_matrix
 
 BRUTE_FORCE_MAX_POINTS = 14
 _ENUM_CHUNK = 1 << 15
-# the fixed-form row costs (objective, lloyd's repair), lloyd's fixed-form
-# (row, centroid) pairs and its screen form go through their scratch in
+# _fixed_d2's pairs (the rows of objective and lloyd's repair, and lloyd's
+# unsettled pairs) and lloyd's screen form go through their scratch in
 # chunks of whole rows, at most this many elements (one row, if longer)
 OBJECTIVE_LEAF = 1 << 16
 
@@ -59,7 +59,8 @@ class Assignment:
     cluster_sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _integers(self.labels, "labels")
+        self.k = _size(self.k, "k")
         if self.labels.ndim != 1 or self.labels.size == 0:
             raise ParameterError("labels must be a nonempty 1-D array")
         if self.k < 1:
@@ -95,6 +96,8 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in ("lloyd", "brute_force"):
             raise ParameterError(f"unknown solver kind {self.kind!r}")
+        self.max_iter = _size(self.max_iter, "max_iter")
+        self.replicates = _size(self.replicates, "replicates")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
         # tol >= 1 would stop every run after two iterations as converged
@@ -103,7 +106,7 @@ class SolverSpec:
         if self.replicates < 1:
             raise ParameterError("replicates must be at least 1")
         if self.init is not None:
-            init = _mailman._integers(self.init, "init row indices")
+            init = _integers(self.init, "init row indices")
             if init.ndim != 1:
                 raise ParameterError("init must be a 1-D sequence of row indices")
             self.init = tuple(init.tolist())
@@ -154,26 +157,28 @@ def cluster_sums(a, labels, k: int) -> np.ndarray:
     return np.asarray(_onehot(labels, k) @ a)
 
 
-def _own_d2(a, centroids, labels):
-    """Each row's squared distance to its own centroid in the fixed form:
-    entry i is numpy's own sum of (a[i] - centroids[labels[i]]) ** 2 over
-    the columns, the bits _fixed_d2 gives the pair (i, labels[i]).  Rows go
-    in chunks of at most OBJECTIVE_LEAF elements through one reused buffer,
-    with no n x d gather."""
-    n, d = a.shape
-    out = np.empty(n)
+def _fixed_d2(a, rows, centroids, cols):
+    """The fixed form of the squared distance of each (row, centroid) pair:
+    entry m is numpy's own sum of (a[rows[m]] - centroids[cols[m]]) ** 2
+    over the columns.  rows=None pairs row m of a with cols[m], read in
+    place, with no n x d gather.  Pairs go in chunks of at most
+    OBJECTIVE_LEAF elements (one pair, if longer) through one reused
+    buffer."""
+    count, d = cols.size, a.shape[1]
+    out = np.empty(count)
     step = max(1, OBJECTIVE_LEAF // d)
-    buf = np.empty((min(step, n), d))
-    for lo in range(0, n, step):
-        part = buf[:min(step, n - lo)]
+    buf = np.empty((min(step, count), d))
+    for lo in range(0, count, step):
+        chunk = slice(lo, lo + step)
+        part = buf[:min(step, count - lo)]
         # mode="clip" writes straight into part; "raise" would buffer it,
-        # and the labels are in range
-        np.take(centroids, labels[lo:lo + step], axis=0, mode="clip", out=part)
-        np.subtract(a[lo:lo + step], part, out=part)
+        # and cols are in range
+        np.take(centroids, cols[chunk], axis=0, mode="clip", out=part)
+        np.subtract(a[chunk] if rows is None else a[rows[chunk]], part, out=part)
         np.multiply(part, part, out=part)
         # a sum along the last, contiguous axis is numpy's pairwise sum of
         # each row, the bits np.sum gives that row alone
-        out[lo:lo + step] = part.sum(axis=1)
+        out[chunk] = part.sum(axis=1)
     return out
 
 
@@ -181,7 +186,7 @@ def objective(a, asg: Assignment) -> float:
     """Sum of squared distances from each point to its cluster mean.
 
     The means come from cluster_sums.  Each row is priced once in the fixed
-    form Lloyd's labels use (_own_d2), and the result is np.sum of those n
+    form Lloyd's labels use (_fixed_d2), and the result is np.sum of those n
     row costs: the bits of np.sum(np.sum(diff * diff, axis=1)) with
     diff = a - means[labels], without an n x d temporary.
     """
@@ -190,7 +195,7 @@ def objective(a, asg: Assignment) -> float:
         raise ParameterError("assignment length does not match row count")
     means = cluster_sums(a, asg.labels, asg.k)
     means /= np.maximum(asg.cluster_sizes, 1)[:, None]
-    return float(_own_d2(a, means, asg.labels).sum())
+    return float(_fixed_d2(a, None, means, asg.labels).sum())
 
 
 def _partition_cost(a_sq_total, sums_sq, sizes):
@@ -213,24 +218,6 @@ def _squared_norms(a):
     return a_sq, total
 
 
-def _fixed_d2(a, rows, centroids, cols):
-    """The fixed form of the squared distance of each (row, centroid) pair:
-    entry m is numpy's own sum of (a[rows[m]] - centroids[cols[m]]) ** 2
-    over the columns.  Pairs are priced in chunks of at most OBJECTIVE_LEAF
-    elements."""
-    d = a.shape[1]
-    out = np.empty(rows.size)
-    step = max(1, OBJECTIVE_LEAF // d)
-    for lo in range(0, rows.size, step):
-        part = slice(lo, lo + step)
-        diff = a[rows[part]] - centroids[cols[part]]
-        np.multiply(diff, diff, out=diff)
-        # a sum along the last, contiguous axis is numpy's pairwise sum of
-        # each row, the bits np.sum gives that row alone
-        out[part] = diff.sum(axis=1)
-    return out
-
-
 def _repair(a, labels, sizes, centroids):
     """Fill one replicate's empty clusters, in ascending order, each with the
     point farthest from its current centroid that does not leave a cluster
@@ -245,10 +232,10 @@ def _repair(a, labels, sizes, centroids):
     would pick the same row: by lloyd's bound, a row whose screened distance
     lies more than both rows' margins below the largest is strictly nearer
     in the fixed form.  The cost is one fixed-form pass over the rows per
-    call (_own_d2), about 0.4 ms at 1000 x 256 and 0.2 ms at 400 x 360,
+    call (_fixed_d2 with rows=None), about 0.4 ms at 1000 x 256 and 0.2 ms at 400 x 360,
     against about 0.5 ms for that iteration's five-replicate screen product
     at 1000 x 256 (1 BLAS thread on a 2-core Xeon VM)."""
-    own = _own_d2(a, centroids, labels)
+    own = _fixed_d2(a, None, centroids, labels)
     for empty in np.flatnonzero(sizes == 0):
         # never drain a singleton cluster: that would just shift the hole
         own[sizes[labels] <= 1] = -np.inf
@@ -366,6 +353,7 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     a = as_matrix(a)
     spec = spec if spec is not None else SolverSpec()
     n, d = a.shape
+    k = _size(k, "k")
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} outside [1, n={n}]")
     a_sq, a_sq_total = _squared_norms(a)
@@ -532,6 +520,7 @@ def brute_force_optimal(a, k: int) -> KMeansResult:
         raise ParameterError(
             f"exhaustive solver refuses n={n} > {BRUTE_FORCE_MAX_POINTS} points"
         )
+    k = _size(k, "k")
     if not 1 <= k <= n:
         raise ParameterError(f"k={k} outside [1, n={n}]")
     _squared_norms(a)

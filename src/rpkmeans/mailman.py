@@ -44,14 +44,13 @@ None of these grow with n; the output is the only n-sized allocation.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import ParameterError
-from .matrix import as_matrix
+from .matrix import _integers, _size, as_matrix
 
 # project_mailman buckets and folds at most this many sign columns at a
 # time.  At d = 10304, 9-bit slices cut t = 360 into 40 slices where the
@@ -72,31 +71,6 @@ UNPACK_BYTES = 1 << 20
 # Widest block: block_widths refuses d >= 2**32 (a 16 GiB codes row per
 # block), so a code is the top bits of one 32-bit draw.
 MAX_WIDTH = 31
-
-
-def _integers(values, what: str) -> np.ndarray:
-    """values as int64, refusing (never truncating or wrapping) entries that
-    are not integers or lie outside the int64 range."""
-    array = np.asarray(values)
-    if array.size and array.dtype.kind not in "iu":
-        # numpy holds Python ints past int64 as float64 or object entries
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in np.asarray(values, dtype=object).flat):
-            raise ParameterError(f"{what} must be integers")
-        raise ParameterError(f"{what} must lie in the int64 range")
-    if array.dtype == np.uint64 and array.size and array.max() > np.iinfo(np.int64).max:
-        raise ParameterError(f"{what} must lie in the int64 range")
-    return array.astype(np.int64, copy=False)
-
-
-def _size(value, name: str) -> int:
-    """value as a plain int; numpy integers pass, bools and non-integers do not."""
-    try:
-        if not isinstance(value, (bool, np.bool_)):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ParameterError(f"{name} must be an integer, not {value!r}")
 
 
 def _checked_codes(codes, widths: np.ndarray, d: int) -> np.ndarray:

@@ -1,6 +1,8 @@
-"""Dense matrix kernels: norms, thin SVD, rank-k truncation, pseudo-inverse."""
+"""Dense matrix kernels: norms, thin SVD, rank-k truncation, pseudo-inverse,
+and the input checks every module shares (as_matrix, _integers, _size)."""
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,31 @@ def as_matrix(values) -> np.ndarray:
         if not ok.all():
             raise ParameterError("matrix entries must be finite (no NaN or Inf)")
     return np.ascontiguousarray(a)
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """values as int64, refusing (never truncating or wrapping) entries that
+    are not integers or lie outside the int64 range."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        # numpy holds Python ints past int64 as float64 or object entries
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in np.asarray(values, dtype=object).flat):
+            raise ParameterError(f"{what} must be integers")
+        raise ParameterError(f"{what} must lie in the int64 range")
+    if array.dtype == np.uint64 and array.size and array.max() > np.iinfo(np.int64).max:
+        raise ParameterError(f"{what} must lie in the int64 range")
+    return array.astype(np.int64, copy=False)
+
+
+def _size(value, name: str) -> int:
+    """value as a plain int; numpy integers pass, bools and non-integers do not."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{name} must be an integer, not {value!r}")
 
 
 def frobenius_norm(a) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import mailman
 from .errors import ParameterError
-from .matrix import as_matrix, matmul, svd_thin
+from .matrix import _size, as_matrix, matmul, svd_thin
 
 # Distances of exactly zero are preserved when the embedded distance stays
 # below this absolute threshold.
@@ -39,6 +39,7 @@ def target_dimension(k: int, epsilon: float) -> int:
     _snapped_ceil.  A k past the float range overflows like any other
     k / epsilon**2.
     """
+    k = _size(k, "k")
     if k < 1:
         raise ParameterError("k must be at least 1")
     _validate_epsilon(epsilon)
@@ -60,11 +61,14 @@ class ProjectionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.k = _size(self.k, "k")
         if self.k < 1:
             raise ParameterError("k must be at least 1")
         _validate_epsilon(self.epsilon)
-        if self.t_override is not None and self.t_override < 1:
-            raise ParameterError("t_override must be at least 1")
+        if self.t_override is not None:
+            self.t_override = _size(self.t_override, "t_override")
+            if self.t_override < 1:
+                raise ParameterError("t_override must be at least 1")
 
     def resolve_t(self, d: int) -> int:
         """The projection dimension to use against d original columns."""

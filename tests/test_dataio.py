@@ -77,6 +77,10 @@ def test_dataset_label_validation():
     with pytest.raises(ParameterError):
         dataio.Dataset(points=np.zeros((3, 2)), labels=np.array([0, 1]),
                        source="x")
+    # labels are integers or refused, never truncated
+    for labels in ([0.5, 1.5, 2.5], [0, np.nan, 1], [True, False, True]):
+        with pytest.raises(ParameterError, match="labels must be integers"):
+            dataio.Dataset(points=np.zeros((3, 2)), labels=labels, source="x")
 
 
 def test_read_csv_plain_numbers(tmp_path):

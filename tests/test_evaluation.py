@@ -133,6 +133,14 @@ def test_accuracy_length_mismatch():
         evaluation.accuracy(pred, np.array([0, 1, 1]))
 
 
+def test_accuracy_refuses_truth_labels_that_are_not_integers():
+    # [0.4, 1.6, 0.9] once truncated to [0, 1, 0] and scored 1.0
+    pred = kmeans.Assignment([0, 1, 0], 2)
+    for truth in ([0.4, 1.6, 0.9], [0.5, 1, 0], [0, np.nan, 1], [True, False, True]):
+        with pytest.raises(ParameterError, match="truth labels must be integers"):
+            evaluation.accuracy(pred, truth)
+
+
 def test_jl_distortion_check_full_parameters():
     report = evaluation.jl_distortion_check(50, 1000, 2000, 0.3, seeds=10,
                                             seed=SEED)

@@ -10,7 +10,7 @@ from rpkmeans import kmeans
 from rpkmeans.dataio import MixtureSpec, generate_mixture
 from rpkmeans.errors import ParameterError
 from rpkmeans.rng import LLOYD_RESTART, stream
-from rpkmeans.projection import ProjectionConfig
+from rpkmeans.projection import ProjectionConfig, target_dimension
 
 from _oracles import (growth_strings, lloyd_by_add_at, normalized_indicator, objective_by_gather,
                       scatter_about_mean)
@@ -30,6 +30,10 @@ def test_assignment_validates_labels_and_sizes():
     assert np.array_equal(kmeans.Assignment([1, 1], 3).cluster_sizes, [0, 2, 0])
     with pytest.raises(ParameterError):
         kmeans.Assignment.from_labels([0, 3], 3)
+    # labels are integers or refused, never truncated
+    for labels in ([0.5, 1.7, 0.2], [0, np.nan, 1], [True, False, True]):
+        with pytest.raises(ParameterError, match="labels must be integers"):
+            kmeans.Assignment(labels, 2)
     with pytest.raises(TypeError):
         kmeans.Assignment(labels=np.array([0, 1]), k=2, cluster_sizes=np.array([2, 0]))
 
@@ -336,11 +340,12 @@ def test_lloyd_replicate_does_not_depend_on_its_neighbours(kind, n, d, k, replic
 
 @pytest.mark.parametrize("m, k, d", [(1, 1, 1), (3, 5, 7), (2, 4, 8), (5, 3, 9),
                                      (4, 2, 127), (3, 3, 128), (2, 2, 129),
-                                     (2, 3, 300), (5, 3, 8193), (40, 1, 3)])
+                                     (2, 3, 300), (5, 3, 8193), (20, 3, 8193),
+                                     (40, 1, 3)])
 def test_fixed_form_sums_each_pair_as_np_sum(m, k, d):
-    # the label rule's fixed form is numpy's own sum of each (row, centroid)
-    # pair's squared differences, whatever the chunk of pairs around it (at
-    # d = 8193 a chunk holds seven pairs)
+    # the fixed form is numpy's own sum of each (row, centroid) pair's
+    # squared differences, whatever the chunk of pairs around it (at
+    # d = 8193 a chunk holds seven pairs, so 20 own rows go 7 + 7 + 6)
     g = np.random.default_rng(m * k * d)
     a = g.standard_normal((m + 2, d)) * 10.0 ** g.uniform(-6, 6, size=(m + 2, 1))
     # two replicates' centroids, stacked as lloyd stacks them
@@ -353,10 +358,10 @@ def test_fixed_form_sums_each_pair_as_np_sum(m, k, d):
     assert np.array_equal(kmeans._fixed_d2(a, rows[pair_row], c, pair_col),
                           expect[pair_row, pair_col])
     # the repair and objective price each row against its own centroid
-    # alone, in the same bits
+    # alone, read in place (rows=None), in the same bits as gathered rows
     own = np.arange(m) % k
     assert np.array_equal(kmeans._fixed_d2(a, rows, c, own), expect[np.arange(m), own])
-    assert np.array_equal(kmeans._own_d2(a[rows], c, own), expect[np.arange(m), own])
+    assert np.array_equal(kmeans._fixed_d2(a[rows], None, c, own), expect[np.arange(m), own])
 
 
 def test_lloyd_repair_prices_each_row_once(monkeypatch):
@@ -364,17 +369,17 @@ def test_lloyd_repair_prices_each_row_once(monkeypatch):
     # clusters in most iterations, at most once per replicate; each repair
     # prices the rows in one call, however many clusters it fills
     counts = {"repairs": 0, "priced": 0}
-    own_d2, repair = kmeans._own_d2, kmeans._repair
+    fixed_d2, repair = kmeans._fixed_d2, kmeans._repair
 
-    def counted_own_d2(*args):
+    def counted_fixed_d2(*args):
         counts["priced"] += sys._getframe(1).f_code is repair.__code__
-        return own_d2(*args)
+        return fixed_d2(*args)
 
     def counted_repair(*args):
         counts["repairs"] += 1
         return repair(*args)
 
-    monkeypatch.setattr(kmeans, "_own_d2", counted_own_d2)
+    monkeypatch.setattr(kmeans, "_fixed_d2", counted_fixed_d2)
     monkeypatch.setattr(kmeans, "_repair", counted_repair)
     kmeans.lloyd(TIE_HEAVY["grid_20"]().astype(np.float64), 257,
                  kmeans.SolverSpec(replicates=2), seed=1)
@@ -620,6 +625,38 @@ def test_solver_spec_validation():
     for tol in (float("nan"), 1.0, 2.0, float("inf")):
         with pytest.raises(ParameterError):
             kmeans.SolverSpec(tol=tol)
+
+
+_GRID = np.arange(12.0).reshape(6, 2) ** 2
+# each call takes one count, 2 when valid, and returns what it computed
+_COUNT_CALLS = {
+    "Assignment.k": lambda c: kmeans.Assignment([0, 1, 1], c).cluster_sizes.tolist(),
+    "SolverSpec.max_iter": lambda c: kmeans.lloyd(
+        _GRID, 3, kmeans.SolverSpec(max_iter=c)).objective_trace.tolist(),
+    "SolverSpec.replicates": lambda c: kmeans.lloyd(
+        _GRID, 3, kmeans.SolverSpec(replicates=c)).assignment.labels.tolist(),
+    "lloyd.k": lambda c: kmeans.lloyd(_GRID, c).assignment.labels.tolist(),
+    "brute_force_optimal.k": lambda c: kmeans.brute_force_optimal(_GRID, c).objective,
+    "target_dimension.k": lambda c: target_dimension(c, 0.25),
+    "ProjectionConfig.k": lambda c: ProjectionConfig(k=c).resolve_t(100),
+    "ProjectionConfig.t_override": lambda c: kmeans.apply_projection(
+        _GRID, ProjectionConfig(k=2, t_override=c), "svd_embed")[0].tolist(),
+    "MixtureSpec.n": lambda c: generate_mixture(MixtureSpec(n=c, d=3, k=2)).points.tolist(),
+    "MixtureSpec.d": lambda c: generate_mixture(MixtureSpec(n=4, d=c, k=2)).points.tolist(),
+    "MixtureSpec.k": lambda c: generate_mixture(MixtureSpec(n=4, d=3, k=c)).labels.tolist(),
+}
+
+
+@pytest.mark.parametrize("call", _COUNT_CALLS.values(), ids=_COUNT_CALLS.keys())
+def test_counts_may_be_numpy_integers_but_not_floats_bools_or_strings(call):
+    # a float k once resolved a fractional t, and other counts failed later
+    # with a TypeError or IndexError
+    plain = call(2)
+    for count in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert call(count) == plain
+    for count in (2.0, 2.5, True, np.float64(2), "2"):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(count)
 
 
 def test_brute_force_collinear_hand_case():
