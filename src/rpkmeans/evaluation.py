@@ -17,7 +17,7 @@ from .errors import CrossCheckError, ParameterError
 from .kmeans import (Assignment, PipelineResult, SolverSpec, brute_force_optimal,
                      objective, project_and_cluster)
 from .mailman import build_plan, densify, project_mailman
-from .matrix import (_integers, as_matrix, best_rank_k, frobenius_norm,
+from .matrix import (_integers, _size, as_matrix, best_rank_k, frobenius_norm,
                      pseudo_inverse, spectral_norm, svd_thin)
 
 # Experiment method names -> pipeline method names.
@@ -137,6 +137,7 @@ def jl_distortion_check(n: int, d: int, t: int, epsilon: float, seeds: int,
 
     bound_scale < 1 narrows the distance band (negative-control hook).
     """
+    seeds = _size(seeds, "seeds")
     passes = 0
     worst = 1.0
     for i in range(seeds):
@@ -157,6 +158,7 @@ def moment_identity_check(c, t: int, seeds: int, seed: int,
     """The squared norm of c @ R matches ||c||^2 on average: the sample mean
     of the ratio over the given seeds must sit within 1 +- 15/sqrt(seeds*t)."""
     c = as_matrix(c)
+    seeds = _size(seeds, "seeds")
     fro2 = frobenius_norm(c) ** 2
     if fro2 == 0.0:
         raise ParameterError("moment check needs a nonzero matrix")
@@ -177,6 +179,7 @@ def norm_bound_check(c, k: int, epsilon: float, trials: int, seed: int,
     """||c @ R||_F stays below sqrt(1 + epsilon) * ||c||_F at the fattened
     projection dimension t = ceil(200 k / epsilon^2), counted per trial."""
     c = as_matrix(c)
+    trials = _size(trials, "trials")
     if k < 1:
         raise ParameterError("k must be at least 1")
     if not 0.0 < epsilon < 1.0:
@@ -202,6 +205,7 @@ def singular_value_check(a, k: int, epsilon: float, t: int, trials: int,
     """All singular values of V_k^T R stay within epsilon of 1, where V_k is
     the top-k right factor of a and R is a fresh sign matrix per trial."""
     a = as_matrix(a)
+    trials = _size(trials, "trials")
     v = svd_thin(a, k).v
     d = a.shape[1]
     half = epsilon * bound_scale
@@ -224,6 +228,7 @@ def matmul_moment_check(s, tmat, t: int, seeds: int, seed: int,
     the seeds must stay below 1.5 times (2/t) ||S||_F^2 ||T||_F^2."""
     s = as_matrix(s)
     tmat = as_matrix(tmat)
+    seeds = _size(seeds, "seeds")
     if s.shape[1] != tmat.shape[0]:
         raise ParameterError("inner dimensions must agree")
     exact = s @ tmat
@@ -247,6 +252,7 @@ def pseudo_inverse_bound_check(a, k: int, epsilon: float, t: int, trials: int,
     """The pseudo-inverse of V_k^T R stays spectrally within 3*epsilon of its
     transpose, per trial."""
     a = as_matrix(a)
+    trials = _size(trials, "trials")
     v = svd_thin(a, k).v
     limit = 3.0 * epsilon * bound_scale
     passes = 0
@@ -269,6 +275,7 @@ def decomposition_residual_check(a, k: int, epsilon: float, t: int,
     residual ||a_k - (a R)(V_k^T R)^+ V_k^T||_F stays below
     4*epsilon*||a - a_k||_F, per trial."""
     a = as_matrix(a)
+    trials = _size(trials, "trials")
     if not 1 <= k < min(a.shape):
         raise ParameterError("k must be below min(n, d)")
     ak = best_rank_k(a, k)
@@ -303,6 +310,7 @@ def theorem_distortion_trial(n: int, d: int, k: int, epsilon: float, t: int,
     passes when that plug-back objective is at most (2 + epsilon) times the
     true optimum.
     """
+    trials = _size(trials, "trials")
     limit = (2.0 + epsilon) * bound_scale
     passes = 0
     worst = 0.0
@@ -423,6 +431,7 @@ def run_bench(d_list, t_list, n: int, seed: int, repeats: int = 5) -> list:
     output is cross-checked against naive to 1e-10 relative before any
     timing; disagreement raises CrossCheckError.
     """
+    n, repeats = _size(n, "n"), _size(repeats, "repeats")
     if n < 1 or repeats < 1:
         raise ParameterError("n and repeats must be positive")
     rows = []

@@ -148,9 +148,10 @@ def cluster_sums(a, labels, k: int) -> np.ndarray:
     A k x n one-hot CSC matrix, whose column i holds a single 1.0 in row
     labels[i], multiplies a.  scipy's CSC product adds row i into its
     cluster in ascending i, the same order as np.add.at, so the sums are
-    bit-identical to it.  Labels outside [0, k) raise ParameterError.
+    bit-identical to it.  Labels that are not integers, or lie outside
+    [0, k), raise ParameterError.
     """
-    labels = np.asarray(labels)
+    labels = _integers(labels, "labels")
     # scipy trusts the row indices of a matrix built this way, so check them
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ParameterError("labels must lie in [0, k)")

@@ -122,9 +122,21 @@ def matmul(a, b) -> np.ndarray:
     """Matrix product with a fixed accumulation order.
 
     Accumulates over the inner index in ascending order, so the result is
-    reproducible bit for bit and matches a scalar triple loop exactly.
-    Each step adds one einsum outer product (twice as fast as a broadcast
-    multiply on numpy 2.4); out starts at +0.0, as the triple loop's sums do.
+    reproducible bit for bit and matches a scalar triple loop exactly; out
+    starts at +0.0, as the triple loop's sums do.  Two routes take the steps:
+
+    - a scaled sign matrix b, every |b_ic| one c > 0 (as densify(sign,
+      scaled=True) gives): one BLAS dger rank-1 update per inner index i,
+      adding sign(b[i]) times numpy's a[:, i] * c.  Rounding to nearest is
+      symmetric in sign, so -(a_ri * c) is the triple loop's a_ri * (-c),
+      and a product with +-1 is exact: each update adds the triple loop's
+      own product once to each element, with one rounding, whether the
+      BLAS fuses the multiply and add or not and however it splits the
+      work across threads.
+    - any other b: one einsum outer product per step, then an add (twice as
+      fast as a broadcast multiply on numpy 2.4).  A general b must not go
+      through dger: with fused multiply-adds its products are not rounded
+      as the triple loop's are.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -132,6 +144,19 @@ def matmul(a, b) -> np.ndarray:
         raise ParameterError(
             f"inner dimensions differ: {a.shape[1]} vs {b.shape[0]}"
         )
+    # |b|, then (on the sign route) sign(b) in the same buffer
+    signs = np.abs(b)
+    c = float(signs[0, 0])
+    if c > 0.0 and (signs == c).all():
+        # imported here so that importing the package does not load scipy
+        from scipy.linalg.blas import dger
+
+        np.sign(b, out=signs)
+        # Fortran order, so that dger updates it in place
+        acc = np.zeros((b.shape[1], a.shape[0]), order="F")
+        for i in range(a.shape[1]):
+            acc = dger(1.0, signs[i], a[:, i] * c, a=acc, overwrite_a=1)
+        return acc.T
     out = np.zeros((a.shape[0], b.shape[1]))
     tmp = np.empty_like(out)
     for i in range(a.shape[1]):

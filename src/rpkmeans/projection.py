@@ -87,7 +87,14 @@ def sample_sign_matrix(d: int, t: int, seed: int) -> mailman.SignMatrix:
 
 def project_naive(a, sign: mailman.SignMatrix) -> np.ndarray:
     """Apply a sign matrix by plain (fixed-order) multiplication with its
-    dense entries; matmul refuses a whose width is not sign.d."""
+    dense entries; matmul refuses a whose width is not sign.d.
+
+    The dense entries are +-c, c = 1/sqrt(t), so matmul takes its BLAS
+    rank-1 route: a_ri * c rounds as the triple loop's a_ri * (+-c) does up
+    to sign, and adding it times +-1 is one exact term per element per
+    step, so the result equals the scalar triple loop's bit for bit at any
+    BLAS thread count.
+    """
     return matmul(a, mailman.densify(sign, scaled=True))
 
 

@@ -239,12 +239,16 @@ def test_import_and_generate_load_no_scipy(tmp_path):
 
 def test_cluster_loads_only_the_scipy_modules_it_uses(tmp_path):
     data = make_dataset(tmp_path)
-    modules = _modules_after("cluster", "--input", str(data), "--k", "4", "--method",
-                             "rp_mailman", "--t", "16", "--output", str(tmp_path / "r.json"))
-    assert "scipy.sparse" in modules  # the multiply and the plug-back use it
-    for package in ("scipy.optimize", "scipy.linalg", "scipy.spatial"):
-        assert _loaded(modules, package) == []
-    assert json.loads((tmp_path / "r.json").read_text())["result"]["accuracy"] is not None
+    # the reference product's rank-1 updates are scipy.linalg's dger
+    for method, linalg in (("rp_mailman", False), ("rp_naive", True)):
+        out = tmp_path / f"{method}.json"
+        modules = _modules_after("cluster", "--input", str(data), "--k", "4", "--method",
+                                 method, "--t", "16", "--output", str(out))
+        assert "scipy.sparse" in modules  # the plug-back (and mailman's multiply) use it
+        assert (_loaded(modules, "scipy.linalg") != []) is linalg
+        for package in ("scipy.optimize", "scipy.spatial"):
+            assert _loaded(modules, package) == []
+        assert json.loads(out.read_text())["result"]["accuracy"] is not None
 
 
 def test_experiment_hd_twice_identical_scores(tmp_path):
@@ -429,14 +433,18 @@ def test_cluster_overflowing_input_exits_two(tmp_path, capsys):
     assert cli.main(["cluster", "--input", str(path), "--k", "2",
                      "--solver", "brute_force"]) == 2
     assert "overflow" in capsys.readouterr().err
-    # finite rows whose packed projection overflows: the projection is blamed
-    a = np.random.default_rng(0).standard_normal((10, 64)) * 1e307
-    dataio.write_csv(dataio.Dataset(points=a, labels=None, source="huge"), path)
-    for command in (["cluster", "--k", "2"], ["project", "--output", str(tmp_path / "out.csv")]):
-        assert cli.main([*command, "--input", str(path), "--method", "rp_mailman",
-                         "--t", "8"]) == 2
-        assert "error: the projection overflows float64" in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
+    # finite rows whose sign projection overflows: the projection is blamed,
+    # also where BLAS adds the overflow without a floating-point warning (the
+    # reference product's ordered sums stay finite at the mailman's 1e307)
+    for method, scale in (("rp_mailman", 1e307), ("rp_naive", 4e307)):
+        a = np.random.default_rng(0).standard_normal((10, 64)) * scale
+        dataio.write_csv(dataio.Dataset(points=a, labels=None, source="huge"), path)
+        for command in (["cluster", "--k", "2"],
+                        ["project", "--output", str(tmp_path / "out.csv")]):
+            assert cli.main([*command, "--input", str(path), "--method", method,
+                             "--t", "8"]) == 2
+            assert "error: the projection overflows float64" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_cluster_sign_methods_accept_one_column(tmp_path):

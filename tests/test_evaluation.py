@@ -141,6 +141,39 @@ def test_accuracy_refuses_truth_labels_that_are_not_integers():
             evaluation.accuracy(pred, truth)
 
 
+COUNTED = {
+    "jl_distortion_check": ("seeds", lambda v: evaluation.jl_distortion_check(
+        10, 20, 10, 0.3, seeds=v, seed=SEED)),
+    "moment_identity_check": ("seeds", lambda v: evaluation.moment_identity_check(
+        seeded((4, 6), 1), t=8, seeds=v, seed=SEED)),
+    "matmul_moment_check": ("seeds", lambda v: evaluation.matmul_moment_check(
+        seeded((4, 6), 1), seeded((6, 2), 2), t=8, seeds=v, seed=SEED)),
+    "norm_bound_check": ("trials", lambda v: evaluation.norm_bound_check(
+        seeded((4, 6), 1), k=1, epsilon=0.5, trials=v, seed=SEED)),
+    "singular_value_check": ("trials", lambda v: evaluation.singular_value_check(
+        seeded((8, 10), 1), k=2, epsilon=0.5, t=8, trials=v, seed=SEED)),
+    "pseudo_inverse_bound_check": ("trials", lambda v: evaluation.pseudo_inverse_bound_check(
+        seeded((8, 10), 1), k=2, epsilon=0.5, t=8, trials=v, seed=SEED)),
+    "decomposition_residual_check": ("trials", lambda v: evaluation.decomposition_residual_check(
+        seeded((8, 10), 1), k=2, epsilon=0.5, t=8, trials=v, seed=SEED)),
+    "theorem_distortion_trial": ("trials", lambda v: evaluation.theorem_distortion_trial(
+        6, 4, 2, 0.5, 3, trials=v, seed=SEED)),
+    "run_bench repeats": ("repeats", lambda v: evaluation.run_bench(
+        [8], [3], n=2, seed=SEED, repeats=v)),
+    "run_bench n": ("n", lambda v: evaluation.run_bench([8], [3], n=v, seed=SEED, repeats=1)),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_counts_must_be_integers(name):
+    # a float count once failed as a bare TypeError from range()
+    parameter, run = COUNTED[name]
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ParameterError, match=f"^{parameter} must be an integer, not {bad!r}$"):
+            run(bad)
+    run(np.int64(1))
+
+
 def test_jl_distortion_check_full_parameters():
     report = evaluation.jl_distortion_check(50, 1000, 2000, 0.3, seeds=10,
                                             seed=SEED)

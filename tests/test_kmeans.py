@@ -176,6 +176,17 @@ def test_cluster_sums_refuses_labels_outside_range(labels):
         kmeans.cluster_sums(np.ones((3, 2)), np.array(labels), 3)
 
 
+def test_cluster_sums_refuses_labels_that_are_not_integers():
+    # [0.5, 1.7, 0.2] once summed rows 0 and 2 into cluster 0, and
+    # [True, False, True] read as [1, 0, 1]
+    a = np.arange(6.0).reshape(3, 2)
+    for labels in ([0.5, 1.7, 0.2], [0.0, 1.0, 0.0], [True, False, True], [0, np.nan, 1]):
+        with pytest.raises(ParameterError, match="^labels must be integers$"):
+            kmeans.cluster_sums(a, labels, 2)
+    assert np.array_equal(kmeans.cluster_sums(a, np.array([1, 0, 1], dtype=np.uint8), 2),
+                          [[2.0, 3.0], [4.0, 6.0]])
+
+
 LLOYD_KINDS = ["mixture", "decades", "integers", "all_equal", "n_equals_k", "repair",
                "near_tie", "repair_tie", "offset", "tiny_column", "far_column"]
 # Tie-heavy inputs, for examples only: integer grids and equal rows with k

@@ -220,16 +220,92 @@ def test_matmul_matches_triple_loop_exactly():
     assert np.array_equal(matrix.matmul(a, b), matmul_triple_loop(a, b))
 
 
-def test_matmul_matches_triple_loop_in_signed_zeros_and_cancellations():
-    # -0.0 entries make -0.0 products (all of them in the last row times
-    # the last column); exact cancellations make +0.0 sums
+def _count_dger_calls(monkeypatch):
+    """Count the rank-1 updates matmul's sign route makes."""
+    from scipy.linalg import blas
+
+    calls = []
+    real = blas.dger
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(blas, "dger", counted)
+    return calls
+
+
+def test_matmul_matches_triple_loop_in_signed_zeros_and_cancellations(monkeypatch):
+    # -0.0 entries make -0.0 products (all of them in the last row); exact
+    # cancellations make +0.0 sums
+    calls = _count_dger_calls(monkeypatch)
     a = np.array([[-0.0, 1.0, -1.0, 0.5], [2.0, -0.0, 0.0, -2.0], [-0.0, -0.0, -0.0, -0.0]])
-    b = np.array([[1.0, -0.0, 3.0, 1.0], [0.25, -1.0, -0.0, 2.0], [0.25, -1.0, 0.0, 0.5],
-                  [-0.0, 2.0, 1.5, 4.0]])
+    general = np.array([[1.0, -0.0, 3.0, 1.0], [0.25, -1.0, -0.0, 2.0], [0.25, -1.0, 0.0, 0.5],
+                        [-0.0, 2.0, 1.5, 4.0]])
+    # a scaled sign matrix whose rows 0 and 3 agree in columns 0 and 1, so
+    # row 1 of a cancels there; it takes one rank-1 update per inner index
+    sign = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, 1.0], [1.0, -1.0, -1.0, 1.0],
+                     [1.0, -1.0, -1.0, -1.0]]) / math.sqrt(3.0)
+    for b, route_calls in ((general, 0), (sign, 4)):
+        calls.clear()
+        got = matrix.matmul(a, b)
+        expect = matmul_triple_loop(a, b)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+        assert (got == 0.0).sum() >= 4
+        assert len(calls) == route_calls
+
+
+def _sign_route_case(n, d, t, c, seed):
+    """a with -0.0 entries, products that underflow to subnormals and (for
+    d >= 2) a row that cancels exactly, against a d x t matrix of +-c."""
+    rng = np.random.default_rng(seed)
+    b = np.where(rng.random((d, t)) < 0.5, -c, c)
+    a = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+    a[rng.random((n, d)) < 0.2] = -0.0
+    tiny = rng.random((n, d)) < 0.2
+    a[tiny] = rng.standard_normal(tiny.sum()) * 1e-310
+    # a row whose every product is subnormal or zero
+    a[-1] = np.copysign(rng.random(d) * 1e-310, a[-1])
+    if d >= 2:
+        # row 0 sums x c and -x c, then adds only -0.0 products
+        b[1] = -b[0]
+        a[0] = -0.0
+        a[0, :2] = 1.5
+    return a, b
+
+
+@pytest.mark.parametrize("c", [1.0 / math.sqrt(3.0), 1.0], ids=["c=1/sqrt3", "c=1"])
+@pytest.mark.parametrize("n, d, t", [
+    (6, 9, 7), (1, 9, 7), (6, 1, 7), (6, 9, 1), (1, 1, 1),
+    (40, 8, 300),  # t x n past 9216 elements, where a threaded BLAS splits dger
+])
+def test_matmul_sign_route_matches_triple_loop(monkeypatch, c, n, d, t):
+    calls = _count_dger_calls(monkeypatch)
+    a, b = _sign_route_case(n, d, t, c, seed=n * 10_000 + d * 100 + t)
+    got = matrix.matmul(a, b)
+    expect = matmul_triple_loop(a, b)
+    assert got.flags.c_contiguous and got.shape == (n, t)
+    assert np.array_equal(got, expect) and np.array_equal(np.signbit(got), np.signbit(expect))
+    assert len(calls) == d
+    if d >= 2:
+        assert np.all(got[0] == 0.0)
+    tiny = np.abs(got[-1][got[-1] != 0.0])
+    assert tiny.size == 0 or tiny.max() < np.finfo(np.float64).tiny
+
+
+@pytest.mark.parametrize("entry", [2.0, 0.0, -0.0], ids=["2c", "zero", "minus-zero"])
+@pytest.mark.parametrize("at", [(0, 0), (4, 6)], ids=["first", "last"])
+def test_matmul_near_sign_matrix_takes_the_loop(monkeypatch, entry, at):
+    # one entry off +-c sends b down the einsum loop, which still matches
+    calls = _count_dger_calls(monkeypatch)
+    c = 1.0 / math.sqrt(3.0)
+    a, b = _sign_route_case(6, 5, 7, c, seed=3)
+    b[at] = entry * c
     got = matrix.matmul(a, b)
     expect = matmul_triple_loop(a, b)
     assert np.array_equal(got, expect) and np.array_equal(np.signbit(got), np.signbit(expect))
-    assert (got == 0.0).sum() >= 4
+    assert calls == []
 
 
 def test_matmul_dimension_mismatch():

@@ -89,10 +89,15 @@ def test_project_naive_forced_all_plus():
 
 def test_project_naive_matches_dense_triple_loop():
     rng = np.random.default_rng(89)
-    a = rng.standard_normal((5, 8))
-    r = projection.sample_sign_matrix(8, 4, seed=6)
-    assert np.array_equal(projection.project_naive(a, r),
-                          matmul_triple_loop(a, mailman.densify(r, scaled=True)))
+    # the second shape's t x n passes 9216 elements, where a threaded BLAS
+    # splits each rank-1 update
+    for n, d, t in [(5, 8, 4), (40, 12, 300)]:
+        a = rng.standard_normal((n, d))
+        r = projection.sample_sign_matrix(d, t, seed=6)
+        got = projection.project_naive(a, r)
+        expect = matmul_triple_loop(a, mailman.densify(r, scaled=True))
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
 def test_project_naive_dimension_mismatch():
