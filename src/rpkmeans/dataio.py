@@ -55,10 +55,8 @@ class MixtureSpec:
 
     def __post_init__(self):
         self.n, self.d, self.k = _size(self.n, "n"), _size(self.d, "d"), _size(self.k, "k")
-        if self.d < 1:
-            raise ParameterError("d must be at least 1")
-        if not 1 <= self.k <= self.n:
-            raise ParameterError("need 1 <= k <= n")
+        if self.k > self.n:
+            raise ParameterError("need k <= n")
         for name in ("center_scale", "noise_sigma"):
             value = getattr(self, name)
             # NaN fails every comparison, so test for the good range

@@ -4,7 +4,9 @@ the sweep that clusters projections at several t beside clustering in d
 dimensions (run_experiment_sweep, which the CLI's cluster and experiment
 both run) and the timing of the sign-matrix multiply (run_bench)."""
 
+import functools
 import math
+import operator
 import statistics
 import time
 from dataclasses import dataclass
@@ -130,6 +132,26 @@ def _trial_seed(seed, index):
     return _rng.derive_seed(seed, _rng.TRIAL, index)
 
 
+def _trials(count, name: str, seed: int, trial) -> list:
+    """trial(trial seed) for each of the count trials, in order; count goes
+    through _size, so a check never runs zero trials."""
+    return [trial(_trial_seed(seed, i)) for i in range(_size(count, name))]
+
+
+def _tally(check_name: str, outcomes: list, bound: float, worst=max,
+           start: float = 0.0) -> PropertyReport:
+    """The report of a per-trial check from its (statistic, passed) outcomes;
+    the statistic kept is worst(start, every trial's statistic in order)."""
+    return PropertyReport(check_name, len(outcomes), sum(1 for _, ok in outcomes if ok),
+                          worst(start, *(stat for stat, _ in outcomes)), bound)
+
+
+def _mean(values: list) -> float:
+    """Mean of a left-to-right float sum: from Python 3.12 the built-in sum
+    of floats compensates, which would move the last bits."""
+    return functools.reduce(operator.add, values, 0.0) / len(values)
+
+
 def jl_distortion_check(n: int, d: int, t: int, epsilon: float, seeds: int,
                         seed: int, bound_scale: float = 1.0) -> PropertyReport:
     """Seeded Gaussian point sets: pairwise distances must survive the sign
@@ -137,20 +159,18 @@ def jl_distortion_check(n: int, d: int, t: int, epsilon: float, seeds: int,
 
     bound_scale < 1 narrows the distance band (negative-control hook).
     """
-    seeds = _size(seeds, "seeds")
-    passes = 0
-    worst = 1.0
-    for i in range(seeds):
-        ts = _trial_seed(seed, i)
+    n, d = _size(n, "n"), _size(d, "d")
+
+    def trial(ts):
         pts = _rng.stream(ts, _rng.INSTANCE).standard_normal((n, d))
         r = _projection.sample_sign_matrix(d, t, ts)
         rep = _projection.jl_distortion_report(
             pts, _projection.project_naive(pts, r), epsilon * bound_scale
         )
-        worst = min(worst, rep.fraction_ok)
-        if rep.fraction_ok >= 0.99:
-            passes += 1
-    return PropertyReport("jl_pairwise_distortion", seeds, passes, worst, 0.99)
+        return rep.fraction_ok, rep.fraction_ok >= 0.99
+
+    return _tally("jl_pairwise_distortion", _trials(seeds, "seeds", seed, trial),
+                  0.99, worst=min, start=1.0)
 
 
 def moment_identity_check(c, t: int, seeds: int, seed: int,
@@ -158,20 +178,20 @@ def moment_identity_check(c, t: int, seeds: int, seed: int,
     """The squared norm of c @ R matches ||c||^2 on average: the sample mean
     of the ratio over the given seeds must sit within 1 +- 15/sqrt(seeds*t)."""
     c = as_matrix(c)
-    seeds = _size(seeds, "seeds")
     fro2 = frobenius_norm(c) ** 2
     if fro2 == 0.0:
         raise ParameterError("moment check needs a nonzero matrix")
-    total = 0.0
-    for i in range(seeds):
-        r = _projection.sample_sign_matrix(c.shape[1], t, _trial_seed(seed, i))
-        proj = _projection.project_naive(c, r)
-        total += float(np.sum(proj * proj)) / fro2
-    mean = total / seeds
-    band = 15.0 / math.sqrt(seeds * t) * bound_scale
+
+    def trial(ts):
+        proj = _projection.project_naive(c, _projection.sample_sign_matrix(c.shape[1], t, ts))
+        return float(np.sum(proj * proj)) / fro2
+
+    ratios = _trials(seeds, "seeds", seed, trial)
+    mean = _mean(ratios)
+    band = 15.0 / math.sqrt(len(ratios) * t) * bound_scale
     ok = abs(mean - 1.0) <= band
-    return PropertyReport("norm_moment_identity", seeds,
-                          seeds if ok else 0, mean, band)
+    return PropertyReport("norm_moment_identity", len(ratios),
+                          len(ratios) if ok else 0, mean, band)
 
 
 def norm_bound_check(c, k: int, epsilon: float, trials: int, seed: int,
@@ -179,25 +199,21 @@ def norm_bound_check(c, k: int, epsilon: float, trials: int, seed: int,
     """||c @ R||_F stays below sqrt(1 + epsilon) * ||c||_F at the fattened
     projection dimension t = ceil(200 k / epsilon^2), counted per trial."""
     c = as_matrix(c)
-    trials = _size(trials, "trials")
-    if k < 1:
-        raise ParameterError("k must be at least 1")
+    k = _size(k, "k")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon={epsilon!r} outside (0, 1)")
     # proof-scale epsilons exceed the clustering range, so size t here
     t = _projection._snapped_ceil(200.0 * k / (epsilon * epsilon))
     fro = frobenius_norm(c)
     limit = math.sqrt(1.0 + epsilon * bound_scale) * fro
-    passes = 0
-    worst = 0.0
-    for i in range(trials):
-        r = _projection.sample_sign_matrix(c.shape[1], t, _trial_seed(seed, i))
+
+    def trial(ts):
+        r = _projection.sample_sign_matrix(c.shape[1], t, ts)
         val = frobenius_norm(_projection.project_naive(c, r))
-        worst = max(worst, val / fro)
-        if val <= limit:
-            passes += 1
-    return PropertyReport("projected_norm_upper_bound", trials, passes,
-                          worst, limit / fro)
+        return val / fro, val <= limit
+
+    return _tally("projected_norm_upper_bound", _trials(trials, "trials", seed, trial),
+                  limit / fro)
 
 
 def singular_value_check(a, k: int, epsilon: float, t: int, trials: int,
@@ -205,21 +221,17 @@ def singular_value_check(a, k: int, epsilon: float, t: int, trials: int,
     """All singular values of V_k^T R stay within epsilon of 1, where V_k is
     the top-k right factor of a and R is a fresh sign matrix per trial."""
     a = as_matrix(a)
-    trials = _size(trials, "trials")
     v = svd_thin(a, k).v
-    d = a.shape[1]
     half = epsilon * bound_scale
-    passes = 0
-    worst = 0.0
-    for i in range(trials):
-        r = _projection.sample_sign_matrix(d, t, _trial_seed(seed, i))
+
+    def trial(ts):
+        r = _projection.sample_sign_matrix(a.shape[1], t, ts)
         sig = np.linalg.svd(v.T @ densify(r, scaled=True), compute_uv=False)
         dev = float(np.max(np.abs(1.0 - sig)))
-        worst = max(worst, dev)
-        if dev <= half:
-            passes += 1
-    return PropertyReport("projected_basis_singular_values", trials, passes,
-                          worst, half)
+        return dev, dev <= half
+
+    return _tally("projected_basis_singular_values",
+                  _trials(trials, "trials", seed, trial), half)
 
 
 def matmul_moment_check(s, tmat, t: int, seeds: int, seed: int,
@@ -228,23 +240,23 @@ def matmul_moment_check(s, tmat, t: int, seeds: int, seed: int,
     the seeds must stay below 1.5 times (2/t) ||S||_F^2 ||T||_F^2."""
     s = as_matrix(s)
     tmat = as_matrix(tmat)
-    seeds = _size(seeds, "seeds")
     if s.shape[1] != tmat.shape[0]:
         raise ParameterError("inner dimensions must agree")
     exact = s @ tmat
-    total = 0.0
-    for i in range(seeds):
-        dense = densify(_projection.sample_sign_matrix(s.shape[1], t, _trial_seed(seed, i)),
-                        scaled=True)
+
+    def trial(ts):
+        dense = densify(_projection.sample_sign_matrix(s.shape[1], t, ts), scaled=True)
         err = exact - (s @ dense) @ (dense.T @ tmat)
-        total += float(np.sum(err * err))
-    mean = total / seeds
+        return float(np.sum(err * err))
+
+    errors = _trials(seeds, "seeds", seed, trial)
+    mean = _mean(errors)
     limit = 1.5 * (2.0 / t) * (frobenius_norm(s) ** 2) * (
         frobenius_norm(tmat) ** 2
     ) * bound_scale
     ok = mean <= limit
-    return PropertyReport("matrix_product_moment", seeds,
-                          seeds if ok else 0, mean, limit)
+    return PropertyReport("matrix_product_moment", len(errors),
+                          len(errors) if ok else 0, mean, limit)
 
 
 def pseudo_inverse_bound_check(a, k: int, epsilon: float, t: int, trials: int,
@@ -252,20 +264,16 @@ def pseudo_inverse_bound_check(a, k: int, epsilon: float, t: int, trials: int,
     """The pseudo-inverse of V_k^T R stays spectrally within 3*epsilon of its
     transpose, per trial."""
     a = as_matrix(a)
-    trials = _size(trials, "trials")
     v = svd_thin(a, k).v
     limit = 3.0 * epsilon * bound_scale
-    passes = 0
-    worst = 0.0
-    for i in range(trials):
-        r = _projection.sample_sign_matrix(a.shape[1], t, _trial_seed(seed, i))
-        vr = v.T @ densify(r, scaled=True)
+
+    def trial(ts):
+        vr = v.T @ densify(_projection.sample_sign_matrix(a.shape[1], t, ts), scaled=True)
         gap = spectral_norm(pseudo_inverse(vr) - vr.T)
-        worst = max(worst, gap)
-        if gap <= limit:
-            passes += 1
-    return PropertyReport("pseudo_inverse_transpose_gap", trials, passes,
-                          worst, limit)
+        return gap, gap <= limit
+
+    return _tally("pseudo_inverse_transpose_gap",
+                  _trials(trials, "trials", seed, trial), limit)
 
 
 def decomposition_residual_check(a, k: int, epsilon: float, t: int,
@@ -275,8 +283,8 @@ def decomposition_residual_check(a, k: int, epsilon: float, t: int,
     residual ||a_k - (a R)(V_k^T R)^+ V_k^T||_F stays below
     4*epsilon*||a - a_k||_F, per trial."""
     a = as_matrix(a)
-    trials = _size(trials, "trials")
-    if not 1 <= k < min(a.shape):
+    k = _size(k, "k")
+    if k >= min(a.shape):
         raise ParameterError("k must be below min(n, d)")
     ak = best_rank_k(a, k)
     base = frobenius_norm(a - ak)
@@ -284,19 +292,15 @@ def decomposition_residual_check(a, k: int, epsilon: float, t: int,
         raise ParameterError("input is already rank k; residual check undefined")
     v = svd_thin(a, k).v
     limit = 4.0 * epsilon * bound_scale
-    passes = 0
-    worst = 0.0
-    for i in range(trials):
-        r = _projection.sample_sign_matrix(a.shape[1], t, _trial_seed(seed, i))
-        dense = densify(r, scaled=True)
-        vr = v.T @ dense
-        recon = (a @ dense) @ pseudo_inverse(vr) @ v.T
+
+    def trial(ts):
+        dense = densify(_projection.sample_sign_matrix(a.shape[1], t, ts), scaled=True)
+        recon = (a @ dense) @ pseudo_inverse(v.T @ dense) @ v.T
         ratio = frobenius_norm(ak - recon) / base
-        worst = max(worst, ratio)
-        if ratio <= limit:
-            passes += 1
-    return PropertyReport("rank_k_decomposition_residual", trials, passes,
-                          worst, limit)
+        return ratio, ratio <= limit
+
+    return _tally("rank_k_decomposition_residual",
+                  _trials(trials, "trials", seed, trial), limit)
 
 
 def theorem_distortion_trial(n: int, d: int, k: int, epsilon: float, t: int,
@@ -310,25 +314,20 @@ def theorem_distortion_trial(n: int, d: int, k: int, epsilon: float, t: int,
     passes when that plug-back objective is at most (2 + epsilon) times the
     true optimum.
     """
-    trials = _size(trials, "trials")
+    n, d = _size(n, "n"), _size(d, "d")
     limit = (2.0 + epsilon) * bound_scale
-    passes = 0
-    worst = 0.0
-    for i in range(trials):
-        ts = _trial_seed(seed, i)
+
+    def trial(ts):
         a = _rng.stream(ts, _rng.INSTANCE).standard_normal((n, d))
         # price both partitions with the same evaluator so the identity
         # embedding yields a ratio of exactly one
         opt = objective(a, brute_force_optimal(a, k).assignment)
         proj = _projection.project_naive(a, _projection.sample_sign_matrix(d, t, ts))
-        asg = brute_force_optimal(proj, k).assignment
-        plug = objective(a, asg)
-        ratio = plug / opt if opt > 0 else 1.0
-        worst = max(worst, ratio)
-        if plug <= limit * opt:
-            passes += 1
-    return PropertyReport("cluster_distortion_guarantee", trials, passes,
-                          worst, limit)
+        plug = objective(a, brute_force_optimal(proj, k).assignment)
+        return (plug / opt if opt > 0 else 1.0), plug <= limit * opt
+
+    return _tally("cluster_distortion_guarantee",
+                  _trials(trials, "trials", seed, trial), limit)
 
 
 def property_suite(seed: int, scale: str, bound_scale: float = 1.0) -> list:
@@ -432,8 +431,6 @@ def run_bench(d_list, t_list, n: int, seed: int, repeats: int = 5) -> list:
     timing; disagreement raises CrossCheckError.
     """
     n, repeats = _size(n, "n"), _size(repeats, "repeats")
-    if n < 1 or repeats < 1:
-        raise ParameterError("n and repeats must be positive")
     rows = []
     cell = 0
     for d in d_list:

@@ -63,8 +63,6 @@ class Assignment:
         self.k = _size(self.k, "k")
         if self.labels.ndim != 1 or self.labels.size == 0:
             raise ParameterError("labels must be a nonempty 1-D array")
-        if self.k < 1:
-            raise ParameterError("k must be at least 1")
         if self.labels.min() < 0 or self.labels.max() >= self.k:
             raise ParameterError("labels must lie in [0, k)")
         self.cluster_sizes = np.bincount(self.labels, minlength=self.k)
@@ -98,13 +96,9 @@ class SolverSpec:
             raise ParameterError(f"unknown solver kind {self.kind!r}")
         self.max_iter = _size(self.max_iter, "max_iter")
         self.replicates = _size(self.replicates, "replicates")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be at least 1")
         # tol >= 1 would stop every run after two iterations as converged
         if not 0.0 <= self.tol < 1.0:
             raise ParameterError(f"tol={self.tol!r} outside [0, 1)")
-        if self.replicates < 1:
-            raise ParameterError("replicates must be at least 1")
         if self.init is not None:
             init = _integers(self.init, "init row indices")
             if init.ndim != 1:
@@ -151,7 +145,7 @@ def cluster_sums(a, labels, k: int) -> np.ndarray:
     bit-identical to it.  Labels that are not integers, or lie outside
     [0, k), raise ParameterError.
     """
-    labels = _integers(labels, "labels")
+    labels, k = _integers(labels, "labels"), _size(k, "k")
     # scipy trusts the row indices of a matrix built this way, so check them
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ParameterError("labels must lie in [0, k)")
@@ -355,7 +349,7 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     spec = spec if spec is not None else SolverSpec()
     n, d = a.shape
     k = _size(k, "k")
-    if not 1 <= k <= n:
+    if k > n:
         raise ParameterError(f"k={k} outside [1, n={n}]")
     a_sq, a_sq_total = _squared_norms(a)
     mean = a.mean(axis=0)
@@ -522,7 +516,7 @@ def brute_force_optimal(a, k: int) -> KMeansResult:
             f"exhaustive solver refuses n={n} > {BRUTE_FORCE_MAX_POINTS} points"
         )
     k = _size(k, "k")
-    if not 1 <= k <= n:
+    if k > n:
         raise ParameterError(f"k={k} outside [1, n={n}]")
     _squared_norms(a)
     gram = a @ a.T

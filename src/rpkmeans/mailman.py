@@ -95,7 +95,7 @@ class MailmanBlock:
 
     def __post_init__(self):
         self.p = _size(self.p, "block width")
-        if not 1 <= self.p <= MAX_WIDTH:
+        if self.p > MAX_WIDTH:
             raise ParameterError(f"block widths must lie in [1, {MAX_WIDTH}]")
         # d = max(1, size): an empty row is refused by its shape
         self.codes = _checked_codes(self.codes, np.int64(self.p), max(1, np.size(self.codes)))
@@ -126,8 +126,6 @@ def block_widths(d: int, t: int) -> list:
     """Column-block widths: full blocks of floor(log2 d), then the remainder,
     for integers (numpy's pass, bools do not) t >= 1 and 1 <= d < 2**32."""
     d, t = _size(d, "d"), _size(t, "t")
-    if d < 1 or t < 1:
-        raise ParameterError("d and t must be positive")
     if d >= 1 << (MAX_WIDTH + 1):
         raise ParameterError(f"d = {d} must be below 2**{MAX_WIDTH + 1}")
     p_full = max(1, d.bit_length() - 1)
@@ -245,6 +243,7 @@ def bit_slices(d: int, t: int) -> tuple:
     d = 10304 splits as 40 slices of 9, and t = 100 at d = 1024 as 15 of 6
     and 2 of 5.
     """
+    d, t = _size(d, "d"), _size(t, "t")
     w = min(SLICE_BITS, max(1, d.bit_length() - 5))
     count = -(-t // w)
     width = np.full(count, t // count)

@@ -58,10 +58,14 @@ def _integers(values, what: str) -> np.ndarray:
 
 
 def _size(value, name: str) -> int:
-    """value as a plain int; numpy integers pass, bools and non-integers do not."""
+    """value as a plain int of at least 1, the rule for every count; numpy
+    integers pass, bools and non-integers do not."""
     try:
         if not isinstance(value, (bool, np.bool_)):
-            return operator.index(value)
+            size = operator.index(value)
+            if size < 1:
+                raise ParameterError(f"{name} must be positive, not {size}")
+            return size
     except TypeError:
         pass
     raise ParameterError(f"{name} must be an integer, not {value!r}")
@@ -92,9 +96,9 @@ class SvdResult:
 def svd_thin(a, k: int) -> SvdResult:
     """Top-k singular triplets of a."""
     a = as_matrix(a)
-    n, d = a.shape
-    if not 1 <= k <= min(n, d):
-        raise ParameterError(f"k={k} outside [1, min(n, d)={min(n, d)}]")
+    k = _size(k, "k")
+    if k > min(a.shape):
+        raise ParameterError(f"k={k} outside [1, min(n, d)={min(a.shape)}]")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return SvdResult(
         u=np.ascontiguousarray(u[:, :k]),

@@ -40,8 +40,6 @@ def target_dimension(k: int, epsilon: float) -> int:
     k / epsilon**2.
     """
     k = _size(k, "k")
-    if k < 1:
-        raise ParameterError("k must be at least 1")
     _validate_epsilon(epsilon)
     if epsilon * epsilon == 0.0:
         raise ParameterError(f"epsilon={epsilon} squared underflows to 0")
@@ -62,13 +60,9 @@ class ProjectionConfig:
 
     def __post_init__(self):
         self.k = _size(self.k, "k")
-        if self.k < 1:
-            raise ParameterError("k must be at least 1")
         _validate_epsilon(self.epsilon)
         if self.t_override is not None:
             self.t_override = _size(self.t_override, "t_override")
-            if self.t_override < 1:
-                raise ParameterError("t_override must be at least 1")
 
     def resolve_t(self, d: int) -> int:
         """The projection dimension to use against d original columns."""
@@ -125,7 +119,7 @@ def jl_distortion_report(a, a_tilde, epsilon: float) -> DistortionReport:
     a_tilde = as_matrix(a_tilde)
     if a.shape[0] != a_tilde.shape[0]:
         raise ParameterError("a and a_tilde must have the same number of rows")
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN fails every comparison
         raise ParameterError("epsilon must be positive")
     if a.shape[0] < 2:
         return DistortionReport(fraction_ok=1.0, worst_low=1.0, worst_high=1.0)

@@ -166,10 +166,14 @@ COUNTED = {
 
 @pytest.mark.parametrize("name", COUNTED)
 def test_counts_must_be_integers(name):
-    # a float count once failed as a bare TypeError from range()
+    # a float count once failed as a bare TypeError from range(), and a
+    # count of 0 as a ZeroDivisionError or a 0-of-0 report read as a pass
     parameter, run = COUNTED[name]
     for bad in (2.5, True, "3"):
         with pytest.raises(ParameterError, match=f"^{parameter} must be an integer, not {bad!r}$"):
+            run(bad)
+    for bad in (0, -1):
+        with pytest.raises(ParameterError, match=f"^{parameter} must be positive, not {bad}$"):
             run(bad)
     run(np.int64(1))
 

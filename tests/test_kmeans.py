@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rpkmeans import kmeans
+from rpkmeans import evaluation, kmeans, mailman, matrix
 from rpkmeans.dataio import MixtureSpec, generate_mixture
 from rpkmeans.errors import ParameterError
 from rpkmeans.rng import LLOYD_RESTART, stream
-from rpkmeans.projection import ProjectionConfig, target_dimension
+from rpkmeans.projection import ProjectionConfig, svd_embed, target_dimension
 
 from _oracles import (growth_strings, lloyd_by_add_at, normalized_indicator, objective_by_gather,
                       scatter_about_mean)
@@ -639,6 +639,7 @@ def test_solver_spec_validation():
 
 
 _GRID = np.arange(12.0).reshape(6, 2) ** 2
+_SQUARES = np.arange(24.0).reshape(6, 4) ** 2  # rank 3
 # each call takes one count, 2 when valid, and returns what it computed
 _COUNT_CALLS = {
     "Assignment.k": lambda c: kmeans.Assignment([0, 1, 1], c).cluster_sizes.tolist(),
@@ -655,6 +656,24 @@ _COUNT_CALLS = {
     "MixtureSpec.n": lambda c: generate_mixture(MixtureSpec(n=c, d=3, k=2)).points.tolist(),
     "MixtureSpec.d": lambda c: generate_mixture(MixtureSpec(n=4, d=c, k=2)).points.tolist(),
     "MixtureSpec.k": lambda c: generate_mixture(MixtureSpec(n=4, d=3, k=c)).labels.tolist(),
+    "cluster_sums.k": lambda c: kmeans.cluster_sums(_GRID, [0, 1, 1, 0, 1, 0], c).tolist(),
+    "bit_slices.d": lambda c: [part.tolist() for part in mailman.bit_slices(c, 7)],
+    "bit_slices.t": lambda c: [part.tolist() for part in mailman.bit_slices(1024, c)],
+    "svd_thin.k": lambda c: matrix.svd_thin(_GRID, c).sigma.tolist(),
+    "best_rank_k.k": lambda c: matrix.best_rank_k(_GRID, c).tolist(),
+    "svd_embed.k": lambda c: svd_embed(_GRID, c).tolist(),
+    "norm_bound_check.k": lambda c: evaluation.norm_bound_check(
+        _GRID, k=c, epsilon=0.5, trials=1, seed=0),
+    "decomposition_residual_check.k": lambda c: evaluation.decomposition_residual_check(
+        _SQUARES, k=c, epsilon=0.5, t=8, trials=1, seed=0),
+    "jl_distortion_check.n": lambda c: evaluation.jl_distortion_check(
+        c, 3, 2, 0.3, seeds=1, seed=0),
+    "jl_distortion_check.d": lambda c: evaluation.jl_distortion_check(
+        3, c, 2, 0.3, seeds=1, seed=0),
+    "theorem_distortion_trial.n": lambda c: evaluation.theorem_distortion_trial(
+        c, 3, 2, 0.5, 2, trials=1, seed=0),
+    "theorem_distortion_trial.d": lambda c: evaluation.theorem_distortion_trial(
+        3, c, 2, 0.5, 2, trials=1, seed=0),
 }
 
 

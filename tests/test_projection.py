@@ -158,6 +158,10 @@ def test_distortion_report_zero_distance_pairs():
 def test_distortion_report_row_mismatch():
     with pytest.raises(ParameterError):
         projection.jl_distortion_report(np.zeros((3, 2)), np.zeros((4, 2)), 0.3)
+    # NaN once passed the epsilon <= 0 guard and failed every pair
+    for epsilon in (0.0, -0.5, float("nan")):
+        with pytest.raises(ParameterError, match="epsilon must be positive"):
+            projection.jl_distortion_report(np.eye(3), np.eye(3), epsilon)
 
 
 def test_sign_projection_preserves_seeded_cloud():
