@@ -205,6 +205,8 @@ def norm_bound_check(c, k: int, epsilon: float, trials: int, seed: int,
     # proof-scale epsilons exceed the clustering range, so size t here
     t = _projection._snapped_ceil(200.0 * k / (epsilon * epsilon))
     fro = frobenius_norm(c)
+    if fro == 0.0:
+        raise ParameterError("norm bound check needs a nonzero matrix")
     limit = math.sqrt(1.0 + epsilon * bound_scale) * fro
 
     def trial(ts):

@@ -16,7 +16,9 @@ reads the matrix: column c is bit c mod p of block c div p's code.
 densify and _slice_groups both read it by that rule.
 
 The matrix is sampled at p = floor(log2 d), as the paper's analysis
-prescribes, and block_row_multiply_counted applies it at that width.
+prescribes, from one Philox stream per seed, each block at its own counter
+offset (_plan_blocks), and block_row_multiply_counted applies it at that
+width.
 project_mailman applies the same matrix in narrower pieces, because 2**p
 buckets per row (8192 at d = 10304) would spill every cache.  Three
 constants bound its pieces:
@@ -138,20 +140,23 @@ def block_widths(d: int, t: int) -> list:
 def _plan_blocks(d: int, t: int, seed: int) -> SignMatrix:
     """Sample the pattern codes of every block of a d x t sign matrix.
 
-    Block j draws from the (seed, block j) stream, so blocks can be
-    generated independently and in any order.  All blocks are sampled in
-    one pass, into the one codes array of the matrix.  block_widths refuses
-    sizes before anything is drawn.  Each code is what block j's stream's
-    Generator.integers(0, 2**p, size=d, dtype=np.int64) returns: it draws
-    32-bit halves of the raw words, low half first, and Lemire's method
-    never rejects a draw when the range is a power of two, so each code is
-    the top p bits of its draw.
+    The matrix draws from one stream, (seed, SIGN_MATRIX, 0), in one call.
+    Block j reads half = ceil(d / 2) raw words from word j * span on, with
+    span = 4 * ceil(half / 4): its Philox counter starts at j * span / 4, so
+    a block can be drawn alone (advance by j * span / 4, then draw half
+    words), and a matrix's first blocks do not depend on t.  block_widths
+    refuses sizes before anything is drawn.  Each code is what
+    Generator.integers(0, 2**p, size=d, dtype=np.int64) returns from block
+    j's counter on: it draws 32-bit halves of the raw words, low half first,
+    and Lemire's method never rejects a draw when the range is a power of
+    two, so each code is the top p bits of its draw.
     """
     # block_widths refuses d or t that int() would coerce
     widths = np.array(block_widths(d, t), dtype=np.uint32)
     d = int(d)
-    words = _rng.stream_words(seed, _rng.SIGN_BLOCK, range(widths.size), (d + 1) // 2)
-    draws = words.astype("<u8", copy=False).view("<u4")[:, :d]
+    span = -(-d // 8) * 4  # 4 * ceil(half / 4) = 4 * ceil(d / 8)
+    words = _rng.stream(seed, _rng.SIGN_MATRIX).bit_generator.random_raw(widths.size * span)
+    draws = words.astype("<u8", copy=False).view("<u4").reshape(widths.size, 2 * span)[:, :d]
     return SignMatrix(d=d, t=t, codes=(draws >> (32 - widths)[:, None]).astype(np.int64))
 
 

@@ -525,13 +525,13 @@ def test_sweep_rejects_unknown_method_name():
 # differ between builds; the other methods are exact by construction.
 GOLDEN_CLI_DIGESTS = {
     "cluster-rp_mailman":
-        "223edfdd8b476848073e214171f9bb8d2de82063974475f335d76ce571ef3368",
+        "cd348ff37b8ff2a6473827702c7017a9c7bfbae83b04f13a61035303c2e7bc7a",
     "cluster-rp_naive":
-        "da0f82060c2b89a57a3b3a1a7df0b62cf737658505d9c1480545fde67042b0b9",
+        "be69060e741862b3ead68fae5f96ec957f423593e3d188430154c06dfaf2c112",
     "cluster-hd":
         "53cd8be778d3fe5ecaccc1895072d997951af51e02a7605d9c7186d66ab4cf70",
     "experiment":
-        "72ca55f1d600d5f63fa3e73b580c99e32d4a5f320eb2e9eee8504fe9b2484b47",
+        "5366a0457090d53fb4d6e96dac8b2ac9cfd22081b18f6aecd19961bf64e1b24d",
 }
 
 

@@ -178,6 +178,16 @@ def test_counts_must_be_integers(name):
     run(np.int64(1))
 
 
+@pytest.mark.parametrize("check", [
+    lambda c: evaluation.moment_identity_check(c, t=8, seeds=2, seed=SEED),
+    lambda c: evaluation.norm_bound_check(c, k=1, epsilon=0.5, trials=1, seed=SEED),
+], ids=["moment_identity_check", "norm_bound_check"])
+def test_norm_ratio_checks_refuse_an_all_zero_matrix(check):
+    # both divide by ||c||_F; norm_bound_check once raised a bare ZeroDivisionError
+    with pytest.raises(ParameterError, match="needs a nonzero matrix"):
+        check(np.zeros((3, 4)))
+
+
 def test_jl_distortion_check_full_parameters():
     report = evaluation.jl_distortion_check(50, 1000, 2000, 0.3, seeds=10,
                                             seed=SEED)

@@ -416,19 +416,19 @@ def test_project_mailman_rows_do_not_depend_on_tiling(cuts, shape):
 # and numpy version; any change to how sign matrices are sampled breaks them.
 GOLDEN_CODE_DIGESTS = [
     # d = 2: width-1 blocks, and t > d
-    ((2, 5, 0), "c434fd76a1a51cfe90c5c86fcaa93828a1a9157ed1d2b683d9700e6253ed505a"),
+    ((2, 5, 0), "5adc4d414bcb631d3baf838e7c8db28a2362c42ca6a0af0ea162ee069a4c9630"),
     # odd d, a width-2 remainder block
-    ((777, 29, 3), "5415184ed6fecee6d44eb1441ef19c6872d1504107065075de9d8bc1a05c5e73"),
+    ((777, 29, 3), "3248f95c397fd2bc2bf23fd54cf526c9fe439fb0b1f9ddeb037587896a6f3563"),
     # a width-1 remainder block
-    ((1000, 19, 1), "aa818c4b84770f4445c06a45065c1f8cab09977463ee9482fe4359ffab807259"),
+    ((1000, 19, 1), "b046c69a597735e24d88cc356cbfb59568b4dc6db4712693f4976ed05db4c851"),
     # t > d, 320 blocks
-    ((50, 1600, 11), "c4c17c9ff92bcee6128722a5cc7d2e6ef6f94c4aa16fffca01f023e31ab1ac14"),
+    ((50, 1600, 11), "9cacd5614c62e87c16a29e675aab9152587b6aac3ef6bbde382657e9924b06f1"),
     # seed >= 2**63, the rp-faces shape
-    ((10304, 360, 2**64 - 1), "799fc777221861cd0afbf51fd083013c8dd7f2fc63874fd1ede0ec39f2674dbb"),
+    ((10304, 360, 2**64 - 1), "84bccde556e4fbbc5310bfaf7df334b1e9b6f1565b341a333aca40d5dee75769"),
     # negative seed
-    ((64, 60, -7), "9440721835f98e7e7b6cc4b823fc57b36d7022266eefdeea89952682208c6c63"),
+    ((64, 60, -7), "81ffe04a47052fda488b970db87e4d383bfaceadfcb9e52c0ca30a6229112d68"),
     # p = 17: codes wider than 16 bits, seed 2**63
-    ((140000, 20, 2**63), "66f99c43d1022c0cdda5565bcfbc91cf19eb68249d5623f99ea6c7c3cb0277f1"),
+    ((140000, 20, 2**63), "98967a7f940fbcf3c37af1972176cab582c372c9c1ed797a16e0efc96e3bb6be"),
 ]
 
 
@@ -452,16 +452,16 @@ def _dyadic_rows(n, d):
 GOLDEN_OUTPUT_DIGESTS = [
     # the rp-faces shape, three row tiles (the last of one row)
     ((65, 10304, 360, 2**64 - 1),
-     "9dc3996af9bb8ecb0308c91f7599766950cb7b89e484ef78d14fae683f358427",
-     "19f8463123e515e4f8f7928a37e3caf71c7ee861506fac923e848d6dbc7f8e4f"),
+     "f4b4cdc484cca4fe38b3e66f3548aa090666df24dfe24e7611913a633724ca8d",
+     "aad5ddc08fdbe044a4a19c7d4f82d225fd46f9dcedcb7a4432a6a326815d4932"),
     # a width-2 remainder block
     ((7, 777, 29, 3),
-     "a8e57a281dee935e0416a2e503376965519e042e41490ead73ddefa02ffd4640",
-     "372a70d9ecb1e669b6ae67116cd8a0a8a3afee64e44182c69f195f7a4af03ca8"),
+     "e1128d3144e25b4079f46f2729a37dcee4c51a7250a7aee1224b21d94551529a",
+     "989a4715cb8e94b3e50fafae049d9160a918855e6dc66c849f6910befdcaec70"),
     # seven row tiles (the last of one row), one group of 100 2-bit slices
     ((193, 64, 200, 5),
-     "200c5d8a67a1e3010fa9eb32a845e0f8d439484f4505a906987a063636201ec6",
-     "6d493559967016aeaa47d005670d7bce7d2876c11358cba0e479ff60af2e07be"),
+     "23583b79bfb811916a15c92906b8bbadd4e43eecc8b65aa75e377845cddcf5d2",
+     "8c973e29311c0c2307a4a8ad504b17a73f3387a59d033574bcf4d8283731ae54"),
 ]
 
 
@@ -469,9 +469,9 @@ GOLDEN_OUTPUT_DIGESTS = [
 # as little-endian float64: shapes that GOLDEN_OUTPUT_DIGESTS does not reach.
 GOLDEN_DENSE_DIGESTS = [
     # the quick check suite's heaviest shape: 320 five-bit blocks
-    ((50, 1600, 11), "f36e35a9fdde684f5372abb115b2c11cfb6c233152ac19de820cf97f73ebc363"),
+    ((50, 1600, 11), "e604917d51f72b93ee84dc6b332db29b7ebc534e50dd41ac370c0ca739c1e397"),
     # d = 1: nine width-1 blocks of one row each
-    ((1, 9, 3), "1442059350be81e5da6a79c9495ba8b33c61ad1b15690a21da0be1f866368242"),
+    ((1, 9, 3), "00382d91bcd5ffbfcaf8484b64822e941ace612c04fee53cf82dcb427a86cdb9"),
 ]
 
 
@@ -497,14 +497,29 @@ SEEDS = st.one_of(st.integers(-(2**64), 2**66),
                   st.sampled_from([0, -1, -7, 2**63, 2**64 - 1, 2**64]))
 
 
+def _block_oracle(d, p, seed, j):
+    """Block j's codes from numpy alone: the (seed, SIGN_MATRIX, 0) Philox,
+    advanced to block j's counter, then Generator.integers."""
+    key = np.array([seed % (1 << 64), rng.SIGN_MATRIX << 48], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    half = (d + 1) // 2
+    bits.advance(j * -(-half // 4))  # block j starts at counter j * span / 4
+    return np.random.Generator(bits).integers(0, 1 << p, size=d, dtype=np.int64)
+
+
 @settings(max_examples=40, deadline=None)
-@given(d=st.integers(2, 3000), t=st.integers(1, 2000), seed=SEEDS)
-@example(d=2, t=5, seed=0)
-@example(d=1000, t=19, seed=-1)
+@given(d=st.integers(1, 3000), t=st.integers(1, 2000), seed=SEEDS)
+@example(d=1, t=9, seed=3)             # half = ceil(d / 2) = 1
+@example(d=2, t=5, seed=0)             # half 1, even d
+@example(d=3, t=4, seed=7)             # half 2
+@example(d=5, t=7, seed=2**64 - 1)     # half 3
+@example(d=7, t=11, seed=-7)           # half 4: span = half
+@example(d=777, t=29, seed=3)          # half 389, 1 mod 4
+@example(d=1000, t=19, seed=-1)        # half 500, 0 mod 4
 @example(d=3000, t=2000, seed=2**63)
-@example(d=1, t=9, seed=3)
 def test_plan_blocks_equal_per_stream_integers(d, t, seed):
-    """Every block's codes are what its own stream's Generator.integers draws."""
+    """Every block's codes are what numpy's Generator.integers draws from the
+    matrix's one stream, at the block's counter offset."""
     sign = mailman.build_plan(d, t, seed)
     assert sign.widths.tolist() == mailman.block_widths(d, t)
     assert sign.widths.dtype == sign.codes.dtype == np.int64
@@ -512,14 +527,21 @@ def test_plan_blocks_equal_per_stream_integers(d, t, seed):
     checked = mailman.SignMatrix(d=d, t=t, codes=sign.codes)
     assert np.array_equal(checked.widths, sign.widths) and checked.codes is sign.codes
     for j, (p, codes) in enumerate(zip(sign.widths.tolist(), sign.codes)):
-        g = rng.stream(seed, rng.SIGN_BLOCK, j)
-        expect = g.integers(0, 1 << p, size=d, dtype=np.int64)
-        assert np.array_equal(codes, expect)
-    count = (d + 1) // 2
-    words = rng.stream_words(seed, rng.SIGN_BLOCK, range(sign.widths.size), count)
-    for j in range(sign.widths.size):
-        raw = rng.stream(seed, rng.SIGN_BLOCK, j).bit_generator.random_raw(count)
-        assert np.array_equal(words[j], raw)
+        assert np.array_equal(codes, _block_oracle(d, p, seed, j))
+
+
+@pytest.mark.parametrize("d, t, seed", [(1, 9, 3), (5, 7, 0), (64, 60, -7),
+                                        (777, 29, 3), (1000, 19, 1)])
+def test_plan_blocks_are_a_prefix_of_a_wider_matrix(d, t, seed):
+    """A (d, t) matrix's blocks are the first blocks of the (d, 2t) matrix:
+    a block of width w holds the top w bits of the wider matrix's codes, so
+    every full block, and its dense columns, are equal."""
+    narrow, wide = mailman.build_plan(d, t, seed), mailman.build_plan(d, 2 * t, seed)
+    blocks = narrow.widths.size
+    shift = wide.widths[:blocks] - narrow.widths
+    assert np.array_equal(narrow.codes, wide.codes[:blocks] >> shift[:, None])
+    full = t - t % int(narrow.widths[0])
+    assert np.array_equal(mailman.densify(narrow)[:, :full], mailman.densify(wide)[:, :full])
 
 
 def _assert_densify_matches_blocks(sign, scaled):
