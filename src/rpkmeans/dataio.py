@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import DataFormatError, ParameterError
-from .matrix import _integers, _size, as_matrix
+from .matrix import _dense, _integers, _size, as_matrix
 
 
 @dataclass(eq=False)
@@ -28,6 +28,9 @@ class Dataset:
 
     def __post_init__(self):
         self.points = as_matrix(self.points)
+        self._check_labels()
+
+    def _check_labels(self):
         if self.labels is not None:
             self.labels = _integers(self.labels, "labels")
             if self.labels.shape != (self.points.shape[0],):
@@ -40,6 +43,14 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+
+def _loaded(points, labels, source: str) -> Dataset:
+    """Dataset(points, labels, source) for the loaders: finite points unscanned."""
+    dataset = object.__new__(Dataset)
+    dataset.points, dataset.labels, dataset.source = _dense(points), labels, source
+    dataset._check_labels()
+    return dataset
 
 
 @dataclass
@@ -129,7 +140,7 @@ def read_csv(path) -> Dataset:
         raise DataFormatError(f"{path}: byte {exc.start} is not valid UTF-8") from None
     parsed = _parse_numeric(text)
     points, labels = parsed if parsed is not None else _parse_cells(text, path)
-    return Dataset(points=points, labels=labels, source=str(path))
+    return _loaded(points, labels, str(path))
 
 
 def _parse_numeric(text):
@@ -270,9 +281,9 @@ def load_image_dir(path) -> Dataset:
     lexicographic subdirectory order, and files are read in lexicographic
     order within each class.  All images must share one size.
 
-    The directories are listed with os.scandir, whose entries know their
-    own type, and each raster is decoded straight into its row of the
-    float64 matrix: besides the output, memory goes to one file's bytes.
+    Directories are listed with os.scandir, whose entries know their type,
+    and each raster is decoded straight into its row of the float64 matrix,
+    not scanned (0..255 is finite): memory goes to it and one file's bytes.
     """
     root = Path(path)
     if not root.is_dir():
@@ -300,4 +311,4 @@ def load_image_dir(path) -> Dataset:
                 )
             points[row] = img.reshape(-1)
             row += 1
-    return Dataset(points=points, labels=labels, source=str(root))
+    return _loaded(points, labels, str(root))

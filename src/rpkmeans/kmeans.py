@@ -39,7 +39,7 @@ import numpy as np
 
 from . import mailman as _mailman, projection as _projection, rng as _rng
 from .errors import ParameterError
-from .matrix import _integers, _size, as_matrix
+from .matrix import _dense, _integer, _integers, _size, as_matrix
 
 BRUTE_FORCE_MAX_POINTS = 14
 _ENUM_CHUNK = 1 << 15
@@ -183,14 +183,19 @@ def objective(a, asg: Assignment) -> float:
     The means come from cluster_sums.  Each row is priced once in the fixed
     form Lloyd's labels use (_fixed_d2), and the result is np.sum of those n
     row costs: the bits of np.sum(np.sum(diff * diff, axis=1)) with
-    diff = a - means[labels], without an n x d temporary.
+    diff = a - means[labels], without an n x d temporary.  A NaN or an
+    infinity in a makes the result non-finite: only then is a scanned.
     """
-    a = as_matrix(a)
+    a = _dense(a)
     if asg.labels.size != a.shape[0]:
         raise ParameterError("assignment length does not match row count")
-    means = cluster_sums(a, asg.labels, asg.k)
-    means /= np.maximum(asg.cluster_sizes, 1)[:, None]
-    return float(_fixed_d2(a, None, means, asg.labels).sum())
+    with np.errstate(invalid="ignore"):
+        means = cluster_sums(a, asg.labels, asg.k)
+        means /= np.maximum(asg.cluster_sizes, 1)[:, None]
+        cost = float(_fixed_d2(a, None, means, asg.labels).sum())
+    if not math.isfinite(cost):
+        as_matrix(a)
+    return cost
 
 
 def _partition_cost(a_sq_total, sums_sq, sizes):
@@ -205,10 +210,11 @@ def _squared_norms(a):
 
     n * sum ||a_i||^2 bounds every squared distance and squared cluster sum
     either solver forms; where it overflows, the objective would become inf
-    or NaN."""
+    or NaN.  A non-finite a makes it non-finite: only then is a scanned."""
     a_sq = np.einsum("ij,ij->i", a, a)
     total = float(a_sq.sum())
     if not math.isfinite(total * max(a.shape[0], 4)):
+        as_matrix(a)
         raise ParameterError("squared norms of the input overflow float64; rescale it")
     return a_sq, total
 
@@ -341,14 +347,14 @@ def lloyd(a, k: int, spec: SolverSpec | None = None, seed: int = 0) -> KMeansRes
     fixed form prices every pair.  The empty-cluster repair prices each row
     once in the fixed form and moves the farthest (_repair).
 
-    The rows' squared norms (_squared_norms, which refuses input whose
-    costs would overflow), their float32 screen form and the one-hot are
-    made once per call and shared by the replicates.
+    The rows' squared norms (_squared_norms, which refuses a non-finite
+    input or one whose costs would overflow), their float32 screen form and
+    the one-hot are made once per call and shared by the replicates.
     """
-    a = as_matrix(a)
+    a = _dense(a)
     spec = spec if spec is not None else SolverSpec()
     n, d = a.shape
-    k = _size(k, "k")
+    k, seed = _size(k, "k"), _integer(seed, "seed")
     if k > n:
         raise ParameterError(f"k={k} outside [1, n={n}]")
     a_sq, a_sq_total = _squared_norms(a)
@@ -501,15 +507,15 @@ def brute_force_optimal(a, k: int) -> KMeansResult:
     """Exact k-means by enumerating every partition into at most k clusters.
 
     Partition counts grow as Bell numbers, so inputs are refused beyond
-    n = 14 rows, as is input whose costs would overflow (_squared_norms).
-    Partitions are scanned as restricted-growth strings in lexicographic
-    order, in chunks of at most _ENUM_CHUNK (_growth_chunks).
+    n = 14 rows, as is non-finite input or input whose costs would overflow
+    (_squared_norms).  Partitions are scanned as restricted-growth strings
+    in lexicographic order, in chunks of at most _ENUM_CHUNK (_growth_chunks).
     Costs come from the Gram matrix, making the scan cheap in the point
     dimension.  Of partitions of equal cost the first in that order wins,
     within a chunk and across chunks.  iterations reports the number of
     partitions tried.
     """
-    a = as_matrix(a)
+    a = _dense(a)
     n = a.shape[0]
     if n > BRUTE_FORCE_MAX_POINTS:
         raise ParameterError(
@@ -555,13 +561,13 @@ PIPELINE_METHODS = ("sign_mailman", "sign_naive", "svd_embed", "none")
 
 def apply_projection(a, cfg: _projection.ProjectionConfig, method: str):
     """Project a for the named method; returns (projected, t_used).  A
-    projection that overflows float64 is refused."""
-    a = as_matrix(a)
+    non-finite a is refused as such, a non-finite projection as overflow."""
+    a = _dense(a)
     if method not in PIPELINE_METHODS:
         raise ParameterError(f"unknown method {method!r}")
     d = a.shape[1]
     if method == "none":
-        return a, d
+        return as_matrix(a), d
     t = cfg.resolve_t(d)
     # svd_embed: top-t factor embedding, needs t within both dimensions
     if method == "svd_embed" and t > min(a.shape):

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ParameterError
-from .matrix import _integers, _size, as_matrix
+from .matrix import _dense, _integers, _size, as_matrix
 
 # project_mailman buckets and folds at most this many sign columns at a
 # time.  At d = 10304, 9-bit slices cut t = 360 into 40 slices where the
@@ -320,21 +320,20 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
     """Multiply every row of a by the packed sign matrix: a @ R, scaled by
     1/sqrt(t).
 
-    The matrix is applied in bit-slices rather than whole p-bit blocks: its
-    columns are cut by bit_slices into slices of balanced width, across
-    block bounds, and every slice is bucketed and folded as a narrow block
-    of its own.  Bits keep their order, so output columns do too.
+    The columns are cut by bit_slices into slices of balanced width, across
+    block bounds, and each slice is bucketed and folded as a narrow block of
+    its own, by row tiles (ROW_TILE) and slice groups (TILE_BYTES), as the
+    module docstring sets out; a is left as it was.  Each group's one-hot
+    sparse matrix, built once per call, adds every coordinate's vector of a
+    row tile into its slice's bucket, and _fold_in_place folds the buckets
+    in place with elementwise adds only.  So each output element is one
+    fixed sequence of adds, and every row is bit-identical whatever the row
+    count or tiling, n = 1 included.
 
-    The work is tiled by rows (ROW_TILE) and by slice groups (TILE_BYTES),
-    as the module docstring sets out, and a is left as it was.  Each group
-    has its own one-hot sparse matrix, built once per call, that adds every
-    coordinate's vector of a row tile into its slice's bucket; the buckets
-    come out bucket axis first and _fold_in_place folds them along it, in
-    place, with elementwise adds only.  Each output element is therefore
-    computed by one fixed sequence of adds, and every row is bit-identical
-    whatever the row count or tiling, n = 1 included.
+    a is not scanned: each output entry sums its row with signs (the fold's
+    running total), so only a non-finite one runs as_matrix(a).
     """
-    a = as_matrix(a)
+    a = _dense(a)
     if a.shape[1] != plan.d:
         raise ParameterError(f"a has {a.shape[1]} columns, the sign matrix expects {plan.d}")
     n = a.shape[0]
@@ -344,17 +343,20 @@ def project_mailman(a, plan: SignMatrix) -> np.ndarray:
     # every tile's transpose goes into the front of one flat buffer, so a
     # short last tile is contiguous too
     tiles = np.empty(plan.d * min(n, ROW_TILE))
-    for r0 in range(0, n, ROW_TILE):
-        rows = a[r0:r0 + ROW_TILE]
-        m = rows.shape[0]
-        tile = tiles[:plan.d * m].reshape(plan.d, m)
-        tile[...] = rows.T
-        for onehot, w, cols in groups:
-            # (2**w, g, m) buckets fold to (w, g, m): bit, slice, row; the
-            # product's own array takes the fold's partial sums
-            folded = _fold_in_place((onehot @ tile).reshape(1 << w, -1, m), w)
-            folded *= scale
-            out[r0:r0 + m, cols] = folded.reshape(-1, m)[:cols.size].T
+    with np.errstate(invalid="ignore"):
+        for r0 in range(0, n, ROW_TILE):
+            rows = a[r0:r0 + ROW_TILE]
+            m = rows.shape[0]
+            tile = tiles[:plan.d * m].reshape(plan.d, m)
+            tile[...] = rows.T
+            for onehot, w, cols in groups:
+                # (2**w, g, m) buckets fold to (w, g, m): bit, slice, row;
+                # the product's own array takes the fold's partial sums
+                folded = _fold_in_place((onehot @ tile).reshape(1 << w, -1, m), w)
+                folded *= scale
+                out[r0:r0 + m, cols] = folded.reshape(-1, m)[:cols.size].T
+    if not np.isfinite(out).all():
+        as_matrix(a)
     return out
 
 

@@ -17,20 +17,21 @@ SINGULAR_VALUE_CUTOFF = 1e-12
 FINITE_BLOCK_BYTES = 1 << 16
 
 
-def as_matrix(values) -> np.ndarray:
-    """Validate and return a dense 2-D float64 array (finite, nonempty).
-
-    A C-contiguous float64 array comes back as itself, not a copy.  The
-    finiteness test runs over blocks of whole rows through one bool buffer
-    of about FINITE_BLOCK_BYTES, so it allocates nothing the input's size;
-    blocking by rows of the 2-D array keeps a strided view (a column slice)
-    uncopied until the final ascontiguousarray.
-    """
+def _dense(values) -> np.ndarray:
+    """values as a 2-D, nonempty, C-contiguous float64 array, unscanned."""
     a = np.asarray(values, dtype=np.float64)
     if a.ndim != 2:
         raise ParameterError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
         raise ParameterError("matrix must have at least one row and one column")
+    return np.ascontiguousarray(a)
+
+
+def as_matrix(values) -> np.ndarray:
+    """_dense(values), refused if it holds a NaN or an infinity, tested by
+    row blocks through one FINITE_BLOCK_BYTES bool buffer.  Public names check
+    input here, but n x d maps check their output, a sum over every entry."""
+    a = _dense(values)
     n, d = a.shape
     step = max(1, FINITE_BLOCK_BYTES // d)
     finite = np.empty((min(n, step), d), dtype=bool)
@@ -40,7 +41,7 @@ def as_matrix(values) -> np.ndarray:
         np.isfinite(block, out=ok)
         if not ok.all():
             raise ParameterError("matrix entries must be finite (no NaN or Inf)")
-    return np.ascontiguousarray(a)
+    return a
 
 
 def _integers(values, what: str) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import mailman
 from .errors import ParameterError
-from .matrix import _size, as_matrix, matmul, svd_thin
+from .matrix import _integer, _size, as_matrix, matmul, svd_thin
 
 # Distances of exactly zero are preserved when the embedded distance stays
 # below this absolute threshold.
@@ -59,7 +59,7 @@ class ProjectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.k = _size(self.k, "k")
+        self.k, self.seed = _size(self.k, "k"), _integer(self.seed, "seed")
         _validate_epsilon(self.epsilon)
         if self.t_override is not None:
             self.t_override = _size(self.t_override, "t_override")

@@ -1,11 +1,12 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rpkmeans import dataio, evaluation, kmeans
+from rpkmeans import dataio, evaluation, kmeans, matrix, projection
 from rpkmeans.errors import DataFormatError, ParameterError
 
 from _oracles import write_csv_by_csv_module
@@ -364,8 +365,8 @@ def test_read_pgm_errors_name_the_file_and_the_fault(tmp_path, data, message):
 
 
 def test_load_image_dir_allocates_little_beyond_its_output(tmp_path):
-    # rasters are decoded straight into their float64 rows, and as_matrix's
-    # finiteness buffer (64 KiB) is small beside this 2.6 MB output
+    # rasters are decoded straight into their float64 rows, which are not
+    # scanned for finiteness
     rng = np.random.default_rng(337)
     for c in range(4):
         (tmp_path / f"c{c}").mkdir()
@@ -380,6 +381,46 @@ def test_load_image_dir_allocates_little_beyond_its_output(tmp_path):
         tracemalloc.stop()
     assert ds.points.shape == (20, 128 * 128)
     assert peak <= 1.06 * ds.points.nbytes
+
+
+def _scanned_shapes(monkeypatch):
+    """The shape of every matrix as_matrix scans for finiteness, wherever
+    the package binds it."""
+    shapes = []
+    real = matrix.as_matrix
+
+    def scanned(values):
+        shapes.append(np.shape(values))
+        return real(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rpkmeans" and getattr(module, "as_matrix", None) is real:
+            monkeypatch.setattr(module, "as_matrix", scanned)
+    return shapes
+
+
+def test_the_faces_path_scans_no_n_by_d_matrix(tmp_path, monkeypatch):
+    # the loaders' points are finite by construction, and the sign map and
+    # the objective check their outputs: no scan of the 12 x 80 input
+    rng = np.random.default_rng(41)
+    for c in range(3):
+        (tmp_path / f"c{c}").mkdir()
+        for i in range(4):
+            write_pgm(tmp_path / f"c{c}" / f"img{i}.pgm", 8, 10,
+                      rng.integers(0, 256, size=80).tolist())
+    shapes = _scanned_shapes(monkeypatch)
+    ds = dataio.load_image_dir(tmp_path)
+    cfg = projection.ProjectionConfig(k=3, t_override=5, seed=2)
+    res = kmeans.project_and_cluster(ds.points, 3, cfg, method="sign_mailman")
+    assert ds.points.shape == (12, 80) and res.t == 5
+    assert shapes == []
+    # method "none" scans the input once, in apply_projection
+    kmeans.project_and_cluster(ds.points, 3, cfg, method="none")
+    assert shapes == [(12, 80)]
+    shapes.clear()
+    dataio.write_csv(ds, tmp_path / "faces.csv")
+    assert np.array_equal(dataio.read_csv(tmp_path / "faces.csv").points, ds.points)
+    assert shapes == []
 
 
 def test_load_image_dir_empty_root(tmp_path):

@@ -1,6 +1,8 @@
 import gc
+import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -784,6 +786,78 @@ def test_pipeline_svd_method_runs():
 def test_pipeline_rejects_unknown_method():
     with pytest.raises(ParameterError):
         kmeans.apply_projection(np.zeros((3, 4)), ProjectionConfig(k=2), "fft")
+
+
+_NON_FINITE = r"^matrix entries must be finite \(no NaN or Inf\)$"
+_OVERFLOW = r"^the projection overflows float64; rescale the input$"
+_BAD_ENTRIES = {"nan": (math.nan,), "+inf": (math.inf,), "-inf": (-math.inf,),
+                "inf beside -inf": (math.inf, -math.inf)}
+# (n, d, t, row, column): the first and the last entry, the short last row
+# tile (n = ROW_TILE + 1), one row, and one column (t = 1)
+_BAD_SPOTS = {"first": (12, 40, 6, 0, 0), "last": (12, 40, 6, 11, 39),
+              "short tile": (mailman.ROW_TILE + 1, 40, 6, mailman.ROW_TILE, 17),
+              "n=1": (1, 40, 6, 0, 39), "d=1": (12, 1, 1, 11, 0)}
+
+
+def _with_entries(n, d, row, col, entries):
+    """Standard normal n x d rows with entries placed at (row, col) and,
+    for a second one, the entry before it in the row (in the column, when
+    d = 1)."""
+    a = np.random.default_rng(n * d + row + col).standard_normal((n, d))
+    for i, entry in enumerate(entries):
+        a[((row - i) % n, col) if d == 1 else (row, (col - i) % d)] = entry
+    return a
+
+
+def _refused_as_non_finite(call):
+    # an inf - inf inside a map must not escape as a RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=_NON_FINITE):
+            call()
+
+
+@pytest.mark.parametrize("entries", _BAD_ENTRIES.values(), ids=_BAD_ENTRIES.keys())
+@pytest.mark.parametrize("spot", _BAD_SPOTS.values(), ids=_BAD_SPOTS.keys())
+def test_non_finite_input_is_refused_by_the_output_checks(spot, entries):
+    # project_mailman and objective check their outputs, not their input:
+    # every output entry sums every entry of its row (of a, for objective)
+    n, d, t, row, col = spot
+    a = _with_entries(n, d, row, col, entries)
+    k = min(n, 3)
+    _refused_as_non_finite(lambda: mailman.project_mailman(a, mailman.build_plan(d, t, 5)))
+    _refused_as_non_finite(lambda: kmeans.objective(a, kmeans.Assignment(np.arange(n) % k, k)))
+    for method in kmeans.PIPELINE_METHODS:
+        # svd_embed refuses t past min(n, d) before it reads a
+        cfg = ProjectionConfig(k=1, t_override=min(t, n) if method == "svd_embed" else t)
+        _refused_as_non_finite(lambda: kmeans.apply_projection(a, cfg, method))
+        _refused_as_non_finite(lambda: kmeans.project_and_cluster(a, 1, cfg, method=method))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 80), data=st.data())
+def test_a_non_finite_entry_anywhere_makes_the_outputs_refuse(n, d, data):
+    row, col = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+    entry = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    a = _with_entries(n, d, row, col, (entry,))
+    plan = mailman.build_plan(d, data.draw(st.integers(1, d)), data.draw(st.integers(0, 99)))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    _refused_as_non_finite(lambda: mailman.project_mailman(a, plan))
+    _refused_as_non_finite(lambda: kmeans.objective(a, kmeans.Assignment(labels, 4)))
+
+
+def test_finite_rows_near_the_largest_double_are_refused_as_an_overflow():
+    a = np.random.default_rng(0).standard_normal((mailman.ROW_TILE + 1, 40)) * 4e307
+    cfg = ProjectionConfig(k=1, t_override=6)
+    for method in ("sign_mailman", "sign_naive"):
+        with pytest.raises(ParameterError, match=_OVERFLOW):
+            kmeans.apply_projection(a, cfg, method)
+        with pytest.raises(ParameterError, match=_OVERFLOW):
+            kmeans.project_and_cluster(a, 1, cfg, method=method)
+    # project_mailman itself returns a finite input's overflow
+    with np.errstate(over="ignore"):
+        out = mailman.project_mailman(a, mailman.build_plan(40, 6, cfg.seed))
+    assert np.isinf(out).any()
 
 
 def test_growth_strings_count_small_cases():

@@ -92,6 +92,23 @@ def test_non_integer_seeds_are_refused(seed):
             call()
 
 
+@pytest.mark.parametrize("seed", [1.9, True, "a", None], ids=repr)
+def test_seeds_are_checked_where_nothing_is_drawn(seed):
+    # one replicate and method "none" open no stream, and once took any seed
+    a = np.random.default_rng(7).standard_normal((9, 4))
+    with pytest.raises(ParameterError, match=r"^seed must be an integer, not "):
+        kmeans.lloyd(a, 3, kmeans.SolverSpec(), seed=seed)
+    with pytest.raises(ParameterError, match=r"^seed must be an integer, not "):
+        projection.ProjectionConfig(k=3, seed=seed)
+    # numpy integers pass, as plain ints
+    cfg = projection.ProjectionConfig(k=3, seed=np.uint8(4))
+    assert type(cfg.seed) is int and cfg.seed == 4
+    got = kmeans.lloyd(a, 3, kmeans.SolverSpec(replicates=2), seed=np.int64(4))
+    want = kmeans.lloyd(a, 3, kmeans.SolverSpec(replicates=2), seed=4)
+    assert np.array_equal(got.assignment.labels, want.assignment.labels)
+    assert kmeans.project_and_cluster(a, 3, cfg, method="none").t == 4
+
+
 @pytest.mark.parametrize("index", [1.5, 2.0, True, "1", None], ids=repr)
 def test_non_integer_stream_indices_are_refused(index):
     with pytest.raises(ParameterError, match=r"^stream index must be an integer, not "):
